@@ -341,7 +341,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
     import time
 
     from .graphs.streaming import (
-        inflated_seed_coloring,
         stream_gnp,
         stream_grid,
         stream_regular,
@@ -349,7 +348,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         stream_tree,
     )
     from .obs.manifest import peak_rss_kb
-    from .substrates.greedy import greedy_color_reduction
+    from .serve.executor import _run_greedy_reduction
 
     build_start = time.perf_counter()
     if args.topology == "ring-stream":
@@ -366,27 +365,18 @@ def cmd_scale(args: argparse.Namespace) -> int:
         compiled = stream_regular(args.n, args.degree, args.seed)
     build_s = time.perf_counter() - build_start
 
-    delta = compiled.raw_max_degree()
-    target = delta + 1
-    # Floor the palette at 2 * target: the inflated palette then always
-    # strictly exceeds the target, so the reduction performs real rounds
-    # on every family instead of degenerating to a no-op on dense ones.
-    colors, q = inflated_seed_coloring(compiled,
-                                       max(args.colors, 2 * target))
+    # The same seed -> reduce -> validate path as the daemon's requests.
     ledger = CostLedger()
     solve_start = time.perf_counter()
-    result = greedy_color_reduction(compiled, colors, q, target,
-                                    ledger=ledger)
+    outcome, result = _run_greedy_reduction(
+        compiled, {"colors": args.colors, "validate": not args.no_validate},
+        ledger,
+    )
     solve_s = time.perf_counter() - solve_start
-
-    invalid = None
-    if not args.no_validate:
-        for i, j in compiled.edge_ids():
-            if result[i] == result[j]:
-                invalid = f"edge ({i}, {j}) is monochromatic"
-                break
-        if invalid is None and result and max(result.values()) >= target:
-            invalid = f"color >= target {target}"
+    q = outcome["q"]
+    target = outcome["target"]
+    delta = target - 1
+    invalid = outcome.get("invalid_reason")
     rate = compiled.n / solve_s if solve_s > 0 else float("inf")
     rss_kb = peak_rss_kb()
     if args.json:
@@ -400,7 +390,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         _last_ledger = ledger
         # Checksum of the dense int64 color column: the cheap bit-identity
         # probe CI uses to assert sharded runs match serial ones.
-        column = array("q", (result[i] for i in range(compiled.n)))
+        column = array("q", (result[node] for node in compiled.order))
         digest = hashlib.blake2b(column.tobytes(),
                                  digest_size=16).hexdigest()
         print(_json.dumps(envelope(

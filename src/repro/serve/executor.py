@@ -169,12 +169,22 @@ def _colors_payload(colors: Dict[Any, int], n: int,
 def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
                           ledger: CostLedger
                           ) -> Tuple[Dict[str, Any], Dict[Any, int]]:
-    """The ``repro scale`` workload: inflated palette down to Delta+1."""
+    """The ``repro scale`` workload: inflated palette down to Delta+1.
+
+    The one seed -> reduce -> validate path behind both ``repro
+    scale`` and the daemon's ``greedy-reduction``.  Returns ``(payload,
+    colors)``: ``payload`` holds ``q``/``target`` (and ``shards``), plus
+    ``valid`` -- and ``invalid_reason`` when false -- if
+    ``params["validate"]`` is set; ``colors`` maps node to color.
+    """
     from ..graphs.streaming import inflated_seed_coloring
     from ..substrates.greedy import greedy_color_reduction
 
     delta = compiled.raw_max_degree()
     target = delta + 1
+    # Floor the palette at 2 * target: the inflated palette then always
+    # strictly exceeds the target, so the reduction performs real rounds
+    # on every family instead of degenerating to a no-op on dense ones.
     colors, q = inflated_seed_coloring(compiled,
                                        max(params["colors"], 2 * target))
     shards = params.get("shards", 1)
@@ -195,13 +205,70 @@ def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
     if shards > 1:
         payload["shards"] = shards
     if params["validate"]:
-        violations = sum(
-            1 for i, j in compiled.edge_ids() if result[i] == result[j]
+        reason = _coloring_violation(
+            compiled, [result[node] for node in compiled.order], target
         )
-        if result and max(result.values()) >= target:
-            violations += 1
-        payload["valid"] = violations == 0
+        payload["valid"] = reason is None
+        if reason is not None:
+            payload["invalid_reason"] = reason
     return payload, result
+
+
+#: CSR entries one NumPy validation chunk gathers (bounds temporaries).
+_VALIDATE_CHUNK = 1 << 18
+
+
+def _coloring_violation(compiled: Any, column: List[Any],
+                        target: int) -> Optional[str]:
+    """How the dense-id ``column`` fails as a proper coloring below
+    ``target``, or ``None``.
+
+    Every edge is checked in :meth:`CompiledNetwork.edge_ids` order
+    (the first monochromatic one is reported), then the ``< target``
+    bound -- with NumPy over CSR chunks when the array backend is on
+    and the colors are plain ints, in a plain loop otherwise.
+    """
+    n = compiled.n
+    views = compiled.numpy_views()
+    if views is not None and n and set(map(type, column)) == {int}:
+        from ..sim.arrays import get_numpy
+
+        np = get_numpy()
+        try:
+            values = np.array(column, dtype=np.int64)
+        except OverflowError:
+            values = None
+        if values is not None:
+            indptr, indices, degrees = views
+            lo = 0
+            while lo < n:
+                hi = int(np.searchsorted(indptr, indptr[lo] + _VALIDATE_CHUNK,
+                                         "right")) - 1
+                hi = min(max(hi, lo + 1), n)
+                source = np.repeat(np.arange(lo, hi), degrees[lo:hi])
+                row = indices[indptr[lo]:indptr[hi]]
+                clash = np.flatnonzero(
+                    (source < row) & (values[source] == values[row])
+                )
+                if clash.shape[0]:
+                    k = clash[0]
+                    return (f"edge ({int(source[k])}, {int(row[k])}) "
+                            f"is monochromatic")
+                lo = hi
+            if int(values.max()) >= target:
+                return f"color >= target {target}"
+            return None
+    indptr = compiled.indptr
+    indices = compiled.indices
+    for i in range(n):
+        color = column[i]
+        for k in range(indptr[i], indptr[i + 1]):
+            j = indices[k]
+            if i < j and column[j] == color:
+                return f"edge ({i}, {int(j)}) is monochromatic"
+    if column and max(column) >= target:
+        return f"color >= target {target}"
+    return None
 
 
 def _run_sweep(compiled: Any, params: Dict[str, Any],

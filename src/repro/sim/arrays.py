@@ -22,8 +22,8 @@ This module is the single switch point for that backend:
   integers never overflow;
 * **helpers** -- batched modular Horner evaluation of a
   :class:`~repro.substrates.cover_free.PolynomialFamily` and the small
-  sort/bincount-style neighbor-color tallies shared by the greedy-sweep
-  and color-reduction kernels.
+  sort/bincount-style neighbor-color tallies of the greedy-sweep and
+  Two-Sweep kernels, plus the color reduction's whole-bucket mex.
 
 Process-pool workers inherit the parent's *resolved* decision via
 :func:`set_arrays_override` (shipped through ``_init_worker`` initargs),
@@ -235,18 +235,34 @@ def membership_counts(np, values, sorted_candidates):
     return np.bincount(positions[hits], minlength=size).astype(np.int64)
 
 
-def mex_below(np, values, limit: int) -> int:
-    """The minimum excluded value of ``values``, saturated at ``limit``.
+def mex_below_rows(np, indptr, indices, colors, rows, limit: int):
+    """Each row's minimum excluded neighbor color, saturated at ``limit``.
 
-    Returns the smallest non-negative integer not present in ``values``
-    when that integer is below ``limit``, else ``limit`` (callers treat
-    saturation as "no free color below the target").  Values outside
-    ``[0, limit)`` cannot be a mex candidate and are ignored.
+    ``indptr``/``indices`` are int64 CSR views, ``colors`` the int64
+    color column and ``rows`` an int64 array of dense ids.  One gather
+    of every row's neighbor colors fills a ``(len(rows), limit + 1)``
+    presence table; colors outside ``[0, limit)`` cannot be a mex
+    candidate and fold into the last column, which is then cleared, so
+    one ``argmin`` per row yields the smallest absent color below
+    ``limit``, else ``limit`` (callers treat saturation as "no free
+    color below the target").  Callers keep the table under
+    :data:`MAX_MATCH_ELEMENTS` by passing row chunks.
     """
-    present = np.zeros(limit + 1, dtype=bool)
-    clipped = np.where(
-        (values < 0) | (values > limit), limit, values
-    )
-    present[clipped] = True
-    free = np.flatnonzero(~present[:limit])
-    return int(free[0]) if free.shape[0] else limit
+    width = limit + 1
+    count = rows.shape[0]
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    table = np.zeros(count * width, dtype=bool)
+    total = int(ends[-1]) if count else 0
+    if total:
+        # Gather position k of row r reads indices[starts[r] + k - first[r]],
+        # where first[r] = ends[r] - lengths[r] is the row's gather offset.
+        shift = np.repeat(starts - (ends - lengths), lengths)
+        values = colors[indices[np.arange(total) + shift]]
+        values[(values < 0) | (values > limit)] = limit
+        values += np.repeat(np.arange(0, count * width, width), lengths)
+        table[values] = True
+    table = table.reshape(count, width)
+    table[:, limit] = False
+    return table.argmin(axis=1)

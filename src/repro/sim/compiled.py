@@ -86,6 +86,7 @@ class CompiledNetwork:
         "indices",
         "_index",
         "_degrees",
+        "_max_degree",
         "_neighbor_objects",
         "_neighbor_sets",
         "_neighbor_id_tuples",
@@ -103,6 +104,7 @@ class CompiledNetwork:
         self.indices = indices
         self._index = index
         self._degrees = None
+        self._max_degree = None
         self._neighbor_objects = neighbor_objects
         self._neighbor_sets = neighbor_sets
         self._neighbor_id_tuples = None
@@ -176,13 +178,27 @@ class CompiledNetwork:
 
     @property
     def degrees(self):
-        """Per-node degrees as an ``array('q')``, built on first use."""
+        """Per-node degrees as an ``array('q')``, built on first use.
+
+        One ``np.diff`` over ``indptr`` when the array backend is on,
+        a Python pass otherwise -- the same bytes either way.
+        """
         if self._degrees is None:
+            from .arrays import get_numpy
+
             indptr = self.indptr
-            self._degrees = array(
-                _ID_TYPECODE,
-                (indptr[i + 1] - indptr[i] for i in range(self.n)),
-            )
+            np = get_numpy()
+            if np is None:
+                self._degrees = array(
+                    _ID_TYPECODE,
+                    (indptr[i + 1] - indptr[i] for i in range(self.n)),
+                )
+            else:
+                degrees = array(_ID_TYPECODE)
+                degrees.frombytes(
+                    np.diff(np.frombuffer(indptr, dtype=np.int64)).tobytes()
+                )
+                self._degrees = degrees
         return self._degrees
 
     @property
@@ -257,8 +273,10 @@ class CompiledNetwork:
         return self._numpy_views
 
     def max_degree(self) -> int:
-        """Maximum degree without the paper's floor of 2."""
-        return max(self.degrees, default=0)
+        """Maximum degree without the paper's floor of 2 (cached)."""
+        if self._max_degree is None:
+            self._max_degree = max(self.degrees, default=0)
+        return self._max_degree
 
     def has_edge_ids(self, i: int, j: int) -> bool:
         indptr = self.indptr
@@ -326,7 +344,7 @@ class CompiledNetwork:
 
     def raw_max_degree(self) -> int:
         """Maximum degree without the paper's floor of 2 (Network facade)."""
-        return max(self.degrees, default=0)
+        return self.max_degree()
 
     def edge_count(self) -> int:
         """The number of undirected edges (Network facade)."""

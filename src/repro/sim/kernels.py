@@ -36,6 +36,18 @@ Lifecycle, driven by ``Scheduler._run_vectorized``:
    back into the program objects so ``Scheduler.outputs()`` and
    protocol wrappers see exactly what a per-node run would have left.
 
+The *columns entry* (:func:`repro.sim.scheduler.run_columns`) skips the
+program population altogether.  A protocol whose kernel has a columns
+constructor hands the scheduler a :class:`ColumnInputs` -- its per-node
+inputs as dense-id columns -- and the same ``prepare``/``step``/
+``finalize`` calls run with that object in place of the program list;
+``finalize`` then stores the dense-id output column on it.  Programs are
+built (``ColumnInputs.build_programs``) only when the run leaves the
+kernel: another engine, or any fallback above.  Such a kernel's
+program-list ``prepare`` is a thin adapter that extracts the same
+columns from the programs, so each protocol exists once as a node
+program and once as column code.
+
 Kernels are registered per *exact* program class (subclasses may
 override ``on_round`` arbitrarily, so they never inherit a kernel):
 the substrate that defines a program registers its kernel next to it
@@ -113,6 +125,11 @@ class RoundKernel(ABC):
         """Build column state for ``programs`` (one per dense id, in
         ``compiled.order``), or return ``None`` to decline the run.
 
+        Kernels with a columns constructor (a ``from_columns`` method)
+        also accept a :class:`ColumnInputs` here (the scheduler's
+        columns entry); for any other kernel a columns run falls back
+        to built programs.
+
         Declining is always safe: the scheduler falls back to the fast
         engine, which handles any population.  Kernels must decline
         whatever they do not model exactly -- heterogeneous parameters,
@@ -138,6 +155,28 @@ class RoundKernel(ABC):
         restored; kernels document any internal state they do not
         reconstruct.
         """
+
+
+class ColumnInputs:
+    """A kernelized run's inputs as columns, in place of its programs.
+
+    ``program_class`` is the node program the columns stand for (its
+    registered kernel runs them); ``data`` is the kernel's own column
+    payload -- per-node values in ``compiled.order`` plus the uniform
+    parameters; ``build_programs()`` returns the equivalent ``{node:
+    program}`` population and is called only when the run cannot stay
+    on the kernel.  After a kernel run, ``outputs`` holds the dense-id
+    column of what ``NodeProgram.output()`` would have returned.
+    """
+
+    __slots__ = ("program_class", "data", "build_programs", "outputs")
+
+    def __init__(self, program_class: type, data: Dict[str, Any],
+                 build_programs: Callable[[], Dict[Any, Any]]):
+        self.program_class = program_class
+        self.data = data
+        self.build_programs = build_programs
+        self.outputs: Optional[List[Any]] = None
 
 
 # ----------------------------------------------------------------------
@@ -302,11 +341,5 @@ def fanout_totals(compiled: CompiledNetwork) -> Tuple[int, int]:
     nodes that actually queue one (``ctx.broadcast`` with no neighbors
     queues nothing, so zero-degree nodes send -- and count -- nothing).
     """
-    degrees = compiled.degrees
-    total = 0
-    envelopes = 0
-    for d in degrees:
-        if d:
-            total += d
-            envelopes += 1
-    return total, envelopes
+    total = int(compiled.indptr[compiled.n])
+    return total, sum(1 for d in compiled.degrees if d)

@@ -40,7 +40,9 @@ Three execution engines implement the same semantics:
     the ledger charged in bulk.  Mixed or unregistered populations (and
     runs that need per-round observer/oracle granularity) transparently
     fall back to the fast engine, so ``engine="vectorized"`` is always
-    safe to request.
+    safe to request.  :func:`run_columns` is the columns entry: the
+    kernel runs from dense-id input columns and no program object is
+    built unless the run falls back.
 
 ``sharded``
     The multi-core path for *large single-graph* runs.  The compiled
@@ -81,7 +83,8 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from ..obs import metrics as obs_metrics
 from ..obs.tracer import current_tracer
@@ -91,6 +94,9 @@ from .message import Broadcast, Message
 from .metrics import CostLedger, ensure_ledger
 from .network import Network
 from .node import NodeProgram, RoundContext
+
+if TYPE_CHECKING:
+    from .kernels import ColumnInputs
 
 Node = Hashable
 
@@ -164,19 +170,27 @@ class Scheduler:
     """Drives a set of node programs over a network until all halt."""
 
     def __init__(self, network: Network,
-                 programs: Mapping[Node, NodeProgram],
+                 programs: Optional[Mapping[Node, NodeProgram]],
                  bandwidth: Optional[BandwidthModel] = None,
                  ledger: Optional[CostLedger] = None,
                  observer=None,
-                 stop_when=None):
-        missing = set(network.nodes) - set(programs)
-        if missing:
-            raise SchedulerError(f"nodes without a program: {sorted(map(repr, missing))}")
-        extra = set(programs) - set(network.nodes)
-        if extra:
-            raise SchedulerError(f"programs for unknown nodes: {sorted(map(repr, extra))}")
+                 stop_when=None,
+                 columns: Optional["ColumnInputs"] = None):
+        if columns is None:
+            missing = set(network.nodes) - set(programs)
+            if missing:
+                raise SchedulerError(f"nodes without a program: {sorted(map(repr, missing))}")
+            extra = set(programs) - set(network.nodes)
+            if extra:
+                raise SchedulerError(f"programs for unknown nodes: {sorted(map(repr, extra))}")
+            programs = dict(programs)
+        elif programs is not None:
+            raise SchedulerError("pass either programs or columns, not both")
         self.network = network
-        self.programs = dict(programs)
+        #: ``None`` for a columns run until a fallback builds the programs.
+        self.programs = programs
+        #: The :class:`~repro.sim.kernels.ColumnInputs` of a columns run.
+        self.columns = columns
         self.bandwidth = bandwidth if bandwidth is not None else LocalModel()
         self.ledger = ensure_ledger(ledger)
         #: Optional RoundObserver receiving per-round event records.
@@ -225,10 +239,11 @@ class Scheduler:
             )
 
     def _dispatch(self, name: str, max_rounds: int) -> CostLedger:
-        if name == "reference":
-            return self._run_reference(max_rounds)
         if name == "vectorized":
             return self._run_vectorized(max_rounds)
+        self._build_programs()
+        if name == "reference":
+            return self._run_reference(max_rounds)
         if name == "sharded":
             return self._run_sharded(max_rounds)
         return self._run_fast(max_rounds)
@@ -261,8 +276,9 @@ class Scheduler:
             from .sharded import shard_stats
 
             sstats_before = shard_stats()
-        with tracer.span("run", "scheduler",
-                         nodes=len(self.programs)) as span:
+        nodes = (len(self.programs) if self.programs is not None
+                 else len(self.network))
+        with tracer.span("run", "scheduler", nodes=nodes) as span:
             try:
                 return self._dispatch(name, max_rounds)
             finally:
@@ -588,40 +604,53 @@ class Scheduler:
         mixed classes, unregistered programs, kernels that decline,
         observers and stop oracles (which need per-node, per-round
         granularity) -- falls back to :meth:`_run_fast`, which handles
-        any population with identical semantics.
+        any population with identical semantics.  A columns run hands
+        the kernel its :class:`~repro.sim.kernels.ColumnInputs` instead
+        of a program list and builds the programs only to fall back.
         """
         # Local imports: avoid an import cycle with the kernel layer.
         from .kernels import _record_fallback, _record_hit, kernel_for
 
-        if self.observer is not None or self.stop_when is not None:
-            _record_fallback(
-                "observer" if self.observer is not None else "stop_when"
-            )
-            return self._run_fast(max_rounds)
-        programs_map = self.programs
-        if not programs_map:
-            _record_fallback("empty")
-            return self._run_fast(max_rounds)
-        iterator = iter(programs_map.values())
-        cls = next(iterator).__class__
-        for program in iterator:
-            if program.__class__ is not cls:
-                _record_fallback("mixed")
-                return self._run_fast(max_rounds)
-        factory = kernel_for(cls)
-        if factory is None:
-            _record_fallback("unregistered")
+        def fall_back(reason: str, warmup_s: float = 0.0) -> CostLedger:
+            _record_fallback(reason, warmup_s)
+            self._build_programs()
             return self._run_fast(max_rounds)
 
+        if self.observer is not None or self.stop_when is not None:
+            return fall_back(
+                "observer" if self.observer is not None else "stop_when"
+            )
+        if self.programs is None:
+            if not len(self.network):
+                return fall_back("empty")
+            cls = self.columns.program_class
+            population = self.columns
+        else:
+            programs_map = self.programs
+            if not programs_map:
+                return fall_back("empty")
+            iterator = iter(programs_map.values())
+            cls = next(iterator).__class__
+            for program in iterator:
+                if program.__class__ is not cls:
+                    return fall_back("mixed")
+            population = None
+        factory = kernel_for(cls)
+        if factory is None:
+            return fall_back("unregistered")
+
         compiled = self.network.compile()
-        programs = [programs_map[node] for node in compiled.order]
+        if population is None:
+            population = [programs_map[node] for node in compiled.order]
         kernel = factory()
+        if population is self.columns and not hasattr(kernel, "from_columns"):
+            # Only kernels with a columns constructor read ColumnInputs.
+            return fall_back("unregistered")
         warmup_start = time.perf_counter()
-        columns = kernel.prepare(compiled, programs, self.bandwidth)
+        columns = kernel.prepare(compiled, population, self.bandwidth)
         warmup_s = time.perf_counter() - warmup_start
         if columns is None:
-            _record_fallback("declined", warmup_s)
-            return self._run_fast(max_rounds)
+            return fall_back("declined", warmup_s)
         _record_hit(type(kernel).__name__, warmup_s,
                     getattr(kernel, "backend", "python"))
 
@@ -633,7 +662,7 @@ class Scheduler:
         max_bits = 0
         broadcasts = 0
         inboxes = None
-        active = len(programs)
+        active = compiled.n
         round_number = 0
         try:
             while True:
@@ -663,9 +692,14 @@ class Scheduler:
                     max_message_bits=max_bits,
                     broadcasts=broadcasts,
                 )
-        kernel.finalize(columns, programs)
+        kernel.finalize(columns, population)
         self.rounds_executed = round_number
         return ledger
+
+    def _build_programs(self) -> None:
+        """Materialize a columns run's program population (fallbacks)."""
+        if self.programs is None:
+            self.programs = dict(self.columns.build_programs())
 
     # ------------------------------------------------------------------
     # Sharded engine
@@ -786,6 +820,9 @@ class Scheduler:
 
     def outputs(self) -> Dict[Node, object]:
         """Collect every node's declared output."""
+        if self.programs is None:
+            return dict(zip(self.network.compile().order,
+                            self.columns.outputs))
         return {node: program.output() for node, program in self.programs.items()}
 
 
@@ -802,5 +839,29 @@ def run_protocol(network: Network,
         network, programs, bandwidth=bandwidth, ledger=ledger,
         stop_when=stop_when,
     )
+    scheduler.run(max_rounds=max_rounds, engine=engine)
+    return scheduler.outputs(), scheduler.ledger
+
+
+def run_columns(network: Network,
+                columns: "ColumnInputs",
+                bandwidth: Optional[BandwidthModel] = None,
+                ledger: Optional[CostLedger] = None,
+                max_rounds: int = DEFAULT_MAX_ROUNDS,
+                engine: Optional[str] = None
+                ) -> Tuple[Dict[Node, object], CostLedger]:
+    """:func:`run_protocol` for a population given as columns.
+
+    ``columns`` (a :class:`~repro.sim.kernels.ColumnInputs`) stands for
+    the program population ``columns.build_programs()`` would return.
+    On the vectorized engine its kernel runs straight from the columns
+    and no program object is built; every other engine, and every
+    vectorized fallback, builds the programs and runs them as
+    :func:`run_protocol` would.  Ledger, trace and metrics bookkeeping
+    are :meth:`Scheduler.run`'s, so both entries are indistinguishable
+    by output, ledger and logical trace.
+    """
+    scheduler = Scheduler(network, None, bandwidth=bandwidth, ledger=ledger,
+                          columns=columns)
     scheduler.run(max_rounds=max_rounds, engine=engine)
     return scheduler.outputs(), scheduler.ledger

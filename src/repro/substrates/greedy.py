@@ -28,13 +28,19 @@ from ..sim.errors import (
     InfeasibleInstanceError,
     InstanceError,
 )
-from ..sim.kernels import KernelRound, RoundKernel, fanout_totals, register_kernel
+from ..sim.kernels import (
+    ColumnInputs,
+    KernelRound,
+    RoundKernel,
+    fanout_totals,
+    register_kernel,
+)
 from ..sim.message import Message, color_bits, intern_broadcast
 from ..sim.sharded import ShardSpec, register_sharded
 from ..sim.metrics import CostLedger, ensure_ledger
 from ..sim.network import Network
 from ..sim.node import NodeProgram, RoundContext
-from ..sim.scheduler import run_protocol
+from ..sim.scheduler import run_columns, run_protocol
 
 Node = Hashable
 Color = int
@@ -540,6 +546,36 @@ class _ColorReductionProgram(NodeProgram):
         return self.color
 
 
+def _reduction_columns(programs) -> Optional[Tuple[list, int, int]]:
+    """The one programs -> columns extractor of the color reduction.
+
+    Returns ``(colors, q, target)`` with ``colors`` in program order, or
+    ``None`` unless the population is a fresh uniform run: every
+    program shares ``q`` and ``target`` and none has ingested neighbor
+    colors yet (mid-run state).  The vectorized kernel's program
+    adapter and the sharded spec both gate on it.
+    """
+    first = programs[0]
+    q = first.q
+    target = first.target
+    colors = []
+    for program in programs:
+        if (program.q != q or program.target != target
+                or program.neighbor_colors):
+            return None
+        colors.append(program.color)
+    return colors, q, target
+
+
+def _python_mex(read, row) -> int:
+    """Smallest non-negative color absent from ``read(j)`` over ``row``."""
+    used = {read(j) for j in row}
+    new_color = 0
+    while new_color in used:
+        new_color += 1
+    return new_color
+
+
 class _ColorReductionKernel(RoundKernel):
     """Array-at-a-time one-color-per-round reduction.
 
@@ -549,39 +585,61 @@ class _ColorReductionKernel(RoundKernel):
     ``on_round`` ingest no-op to every other node, which on a
     ``q``-round reduction is almost all of the work.
 
-    Recolorings computed this round are applied to the shared color
-    column only at the round boundary: a node's broadcast is ingested
-    by its neighbors one round later, so same-round deciders must read
-    each other's *old* colors (the reference's stale-view semantics,
-    observable on improper inputs).  Declines non-uniform
-    ``q``/``target`` and mid-run state; ``finalize`` restores ``color``,
-    the transient ``neighbor_colors`` view is not reconstructed.
+    :meth:`from_columns` is the one columns constructor: the scheduler's
+    columns entry calls it through ``prepare`` with a
+    :class:`~repro.sim.kernels.ColumnInputs`, and the program-list
+    ``prepare`` is an adapter that extracts the same columns
+    (:func:`_reduction_columns`, declining non-uniform ``q``/``target``
+    and mid-run state).
+
+    With the NumPy backend an int64 color column is authoritative and a
+    bucket whose deciders plus their gathered neighbors reach
+    ``MIN_TALLY`` elements takes one batched mex
+    (:func:`~repro.sim.arrays.mex_below_rows`); smaller buckets keep
+    the per-decider set loop, reading the same column.  Recolorings
+    computed this round are applied only at the round boundary: a
+    node's broadcast is ingested by its neighbors one round later, so
+    same-round deciders read each other's *old* colors (the reference's
+    stale-view semantics, observable on improper inputs).  Failures and
+    CONGEST fan-out checks are raised decider by decider in dense-id
+    order after the round's mex values are known.  ``finalize`` restores
+    ``color`` (or fills ``ColumnInputs.outputs``); the transient
+    ``neighbor_colors`` view is not reconstructed.
     """
 
     def prepare(self, compiled, programs, bandwidth):
-        first = programs[0]
-        q = first.q
-        target = first.target
-        for program in programs:
-            if (program.q != q or program.target != target
-                    or program.neighbor_colors):
-                return None
-        colors = [program.color for program in programs]
+        if isinstance(programs, ColumnInputs):
+            data = programs.data
+            return self.from_columns(compiled, data["colors"], data["q"],
+                                     data["target"], bandwidth)
+        extracted = _reduction_columns(programs)
+        if extracted is None:
+            return None
+        columns = self.from_columns(compiled, *extracted, bandwidth)
+        columns["programs"] = programs
+        return columns
+
+    def from_columns(self, compiled, colors, q, target, bandwidth):
+        """Column state for a reduction of the dense-id ``colors``."""
+        colors = list(colors)
+        state = self._prepare_arrays(compiled, colors, q, target)
         by_color: Dict[int, list] = {}
-        for i, color in enumerate(colors):
-            by_color.setdefault(color, []).append(i)
+        if state is None:
+            for i, color in enumerate(colors):
+                by_color.setdefault(color, []).append(i)
         total_copies, envelopes = fanout_totals(compiled)
-        state = self._prepare_arrays(compiled, colors, target)
         return {
-            "programs": programs,
+            # Failure messages name programs[i].node when the run came
+            # from programs, the network node order[i] otherwise.
+            "programs": None,
             "order": compiled.order,
             "degrees": compiled.degrees,
             # Deciders slice their CSR row on demand: each node decides
             # exactly once, so pre-materializing n row copies would only
             # double the topology's footprint at scale.
             "indices": compiled.indices,
-            "arrays": state,
             "indptr": compiled.indptr,
+            "arrays": state,
             "colors": colors,
             "by_color": by_color,
             "q": q,
@@ -593,34 +651,62 @@ class _ColorReductionKernel(RoundKernel):
                              else bandwidth.check_fanout),
         }
 
-    def _prepare_arrays(self, compiled, colors, target):
-        """NumPy column state for the mex path, or ``None`` to decline.
+    def _prepare_arrays(self, compiled, colors, q, target):
+        """NumPy state for the whole-bucket mex, or ``None`` to decline.
 
-        Keeps an int64 mirror of the color column next to the CSR index
-        view so a high-degree decider computes its minimum excluded color
-        with one gather + boolean table instead of a Python set loop.
-        The mirror is updated at the same round boundary as the list, so
-        the stale-view semantics are preserved bit-for-bit.  Topologies
-        whose maximum degree stays under ``MIN_TALLY`` decline: no
-        decider would ever take the gather path, so the mirror upkeep
-        would be pure overhead.
+        Engages when the backend is enabled, the population reaches
+        ``MIN_BATCH``, every color is a plain ``int`` within
+        ``MAX_COLOR`` and one presence-table row (``target + 1``
+        cells) fits ``MAX_MATCH_ELEMENTS``.  Buckets of the deciding
+        colors ``target..q-1`` are cut once from a stable sort, so each
+        holds its dense ids ascending; ``rows`` bounds one batched mex
+        call by the table cap and ``REPRO_SIM_CHUNK``.
         """
         np = arrays.get_numpy()
         if (np is None or compiled.n < arrays.MIN_BATCH
-                or not 0 < target <= arrays.MAX_MATCH_ELEMENTS
-                or max(compiled.degrees, default=0) < arrays.MIN_TALLY):
+                or not 0 < target < arrays.MAX_MATCH_ELEMENTS
+                or set(map(type, colors)) != {int}):
             return None
         try:
             mirror = np.array(colors, dtype=np.int64)
-        except (OverflowError, ValueError):
+        except OverflowError:
             return None
-        views = compiled.numpy_views()
+        if (int(mirror.min()) < -arrays.MAX_COLOR
+                or int(mirror.max()) > arrays.MAX_COLOR):
+            return None
+        indptr, indices, degrees = compiled.numpy_views()
+        perm = np.argsort(mirror, kind="stable")
+        ordered = mirror[perm]
+        lo = int(np.searchsorted(ordered, target, "left"))
+        hi = int(np.searchsorted(ordered, q - 1, "right"))
+        values, starts = np.unique(ordered[lo:hi], return_index=True)
+        bounds = starts.tolist() + [hi - lo]
+        ids = perm[lo:hi]
+        # Gathered elements per bucket: its deciders plus their rows.
+        sizes = (np.add.reduceat(degrees[ids], starts).tolist()
+                 if hi > lo else [])
+        buckets = {
+            color: (ids[bounds[k]:bounds[k + 1]],
+                    bounds[k + 1] - bounds[k] + sizes[k])
+            for k, color in enumerate(values.tolist())
+        }
+        rows = arrays.MAX_MATCH_ELEMENTS // (target + 1)
+        chunk = arrays.chunk_size()
         self.backend = "numpy"
-        return {"np": np, "colors": mirror, "indices": views[1]}
+        return {
+            "np": np,
+            "colors": mirror,
+            "buckets": buckets,
+            "rows": min(rows, chunk) if chunk else rows,
+            "indptr": indptr,
+            "indices": indices,
+            "degrees": degrees,
+        }
 
     def step(self, round_number, columns, inboxes) -> KernelRound:
         colors = columns["colors"]
         bits = columns["bits"]
+        n = len(colors)
         if round_number == 1:
             check_fanout = columns["check_fanout"]
             if check_fanout is not None:
@@ -636,7 +722,7 @@ class _ColorReductionKernel(RoundKernel):
                         )
             copies = columns["total_copies"]
             return KernelRound(
-                active=len(colors),
+                active=n,
                 messages=copies,
                 bits=copies * bits,
                 max_message_bits=bits if copies else 0,
@@ -646,63 +732,118 @@ class _ColorReductionKernel(RoundKernel):
         active_color = columns["q"] - round_number + 1
         if active_color < target:
             return KernelRound(active=0)
-        deciders = columns["by_color"].get(active_color, ())
-        messages = 0
-        broadcasts = 0
-        updates = []
-        if deciders:
-            order = columns["order"]
-            degrees = columns["degrees"]
-            indices = columns["indices"]
-            check_fanout = columns["check_fanout"]
-            state = columns["arrays"]
-            indptr = columns["indptr"]
-        for i in deciders:
-            if state is not None and degrees[i] >= arrays.MIN_TALLY:
-                np = state["np"]
-                row_np = state["indices"][indptr[i]:indptr[i + 1]]
-                new_color = arrays.mex_below(
-                    np, state["colors"][row_np], target
-                )
-            else:
-                used = {colors[j] for j in indices[indptr[i]:indptr[i + 1]]}
-                new_color = 0
-                while new_color in used:
-                    new_color += 1
-            if new_color >= target:
-                raise AlgorithmFailure(
-                    f"node {columns['programs'][i].node!r}: no free color "
-                    f"below {target}; target must be at least Delta + 1"
-                )
-            updates.append((i, new_color))
-            degree = degrees[i]
-            if degree:
-                if check_fanout is not None:
-                    check_fanout(
-                        intern_broadcast(
-                            order[i], _ColorReductionProgram._TAG,
-                            new_color, bits,
-                        ),
-                        degree,
-                    )
-                messages += degree
-                broadcasts += 1
-        if updates:
-            mirror = None if state is None else state["colors"]
-            for i, new_color in updates:
-                colors[i] = new_color
-                if mirror is not None:
-                    mirror[i] = new_color
+        state = columns["arrays"]
+        if state is None:
+            deciders = columns["by_color"].get(active_color)
+            if not deciders:
+                return KernelRound(active=n)
+            store = colors
+            read = colors.__getitem__
+        else:
+            bucket = state["buckets"].get(active_color)
+            if bucket is None:
+                return KernelRound(active=n)
+            ids, gathered = bucket
+            if gathered >= arrays.MIN_TALLY:
+                return self._batched_round(columns, state, ids, n)
+            deciders = ids.tolist()
+            store = state["colors"]
+            read = store.item
+        indices = columns["indices"]
+        indptr = columns["indptr"]
+        degrees = columns["degrees"]
+        degree_row = [degrees[i] for i in deciders]
+        # A generator: each decider's mex is computed just before its
+        # own checks, exactly as the per-node run interleaves them.
+        new_colors = self._check_deciders(
+            columns, deciders,
+            (_python_mex(read, indices[indptr[i]:indptr[i + 1]])
+             for i in deciders),
+            degree_row,
+        )
+        for i, new_color in zip(deciders, new_colors):
+            store[i] = new_color
+        messages = sum(degree_row)
         return KernelRound(
-            active=len(colors),
+            active=n,
             messages=messages,
             bits=messages * bits,
             max_message_bits=bits if messages else 0,
-            broadcasts=broadcasts,
+            broadcasts=len(degree_row) - degree_row.count(0),
+        )
+
+    def _batched_round(self, columns, state, ids, n) -> KernelRound:
+        """One bucket's round through the batched mex, chunk by chunk."""
+        np = state["np"]
+        target = columns["target"]
+        rows = state["rows"]
+        mirror = state["colors"]
+        new_colors = np.concatenate([
+            arrays.mex_below_rows(np, state["indptr"], state["indices"],
+                                  mirror, ids[lo:hi], target)
+            for lo, hi in arrays.iter_chunks(ids.shape[0], rows)
+        ])
+        degree_row = state["degrees"][ids]
+        if columns["check_fanout"] is not None:
+            self._check_deciders(columns, ids.tolist(), new_colors.tolist(),
+                                 degree_row.tolist())
+        else:
+            failed = np.flatnonzero(new_colors >= target)
+            if failed.shape[0]:
+                raise self._failure(columns, int(ids[failed[0]]))
+        mirror[ids] = new_colors
+        messages = int(degree_row.sum())
+        bits = columns["bits"]
+        return KernelRound(
+            active=n,
+            messages=messages,
+            bits=messages * bits,
+            max_message_bits=bits if messages else 0,
+            broadcasts=int(np.count_nonzero(degree_row)),
+        )
+
+    def _check_deciders(self, columns, deciders, new_colors,
+                        degree_row) -> list:
+        """Raise what the per-node run would, decider by decider.
+
+        Returns the checked ``new_colors`` as a list.
+        """
+        target = columns["target"]
+        check_fanout = columns["check_fanout"]
+        order = columns["order"]
+        bits = columns["bits"]
+        checked = []
+        for i, new_color, degree in zip(deciders, new_colors, degree_row):
+            if new_color >= target:
+                raise self._failure(columns, i)
+            if degree and check_fanout is not None:
+                check_fanout(
+                    intern_broadcast(
+                        order[i], _ColorReductionProgram._TAG,
+                        new_color, bits,
+                    ),
+                    degree,
+                )
+            checked.append(new_color)
+        return checked
+
+    @staticmethod
+    def _failure(columns, i) -> AlgorithmFailure:
+        programs = columns["programs"]
+        node = columns["order"][i] if programs is None else programs[i].node
+        return AlgorithmFailure(
+            f"node {node!r}: no free color below {columns['target']}; "
+            f"target must be at least Delta + 1"
         )
 
     def finalize(self, columns, programs) -> None:
-        for program, color in zip(programs, columns["colors"]):
+        state = columns["arrays"]
+        colors = (columns["colors"] if state is None
+                  else state["colors"].tolist())
+        if isinstance(programs, ColumnInputs):
+            programs.outputs = colors
+            return
+        for program, color in zip(programs, colors):
             program.color = color
 
 
@@ -718,24 +859,18 @@ def _restore_reduction_colors(colors, programs) -> None:
 def _color_reduction_shard_spec(compiled, programs, bandwidth):
     """Flatten a color-reduction population for the sharded engine.
 
-    Same eligibility gate as :meth:`_ColorReductionKernel.prepare`
-    (uniform ``q``/``target``, no mid-run state), plus an int-only color
-    check: shard workers round-trip colors through an int64 segment, so
-    bools or exotic int subclasses -- which would also intern into
-    differently-typed broadcast payloads -- decline to the serial path.
+    The kernel's eligibility gate (:func:`_reduction_columns`) plus an
+    int-only color check: shard workers round-trip colors through an
+    int64 segment, so bools or exotic int subclasses -- which would
+    also intern into differently-typed broadcast payloads -- decline to
+    the serial path.
     """
-    first = programs[0]
-    q = first.q
-    target = first.target
-    colors = []
-    for program in programs:
-        if (program.q != q or program.target != target
-                or program.neighbor_colors):
-            return None
-        color = program.color
-        if type(color) is not int:
-            return None
-        colors.append(color)
+    extracted = _reduction_columns(programs)
+    if extracted is None:
+        return None
+    colors, q, target = extracted
+    if any(type(color) is not int for color in colors):
+        return None
     return ShardSpec(
         colors=colors,
         q=q,
@@ -768,12 +903,24 @@ def greedy_color_reduction(network: Network,
     ledger = ensure_ledger(ledger)
     if q <= target:
         return dict(colors)  # nothing to reduce, zero rounds
-    programs = {
-        node: _ColorReductionProgram(node, colors[node], q, target)
-        for node in network
-    }
+
+    def build_programs():
+        return {
+            node: _ColorReductionProgram(node, colors[node], q, target)
+            for node in network
+        }
+
+    # Columns first: on the vectorized engine the kernel runs from the
+    # dense-id color column; every other engine, and any fallback,
+    # builds the programs.
+    inputs = ColumnInputs(
+        _ColorReductionProgram,
+        {"colors": [colors[node] for node in network.compile().order],
+         "q": q, "target": target},
+        build_programs,
+    )
     with ledger.phase("color-reduction"):
-        outputs, _ = run_protocol(
-            network, programs, bandwidth=bandwidth, ledger=ledger
+        outputs, _ = run_columns(
+            network, inputs, bandwidth=bandwidth, ledger=ledger
         )
-    return dict(outputs)
+    return outputs

@@ -171,6 +171,71 @@ class TestDeterminism:
         assert nets_second.get("misses", 0) == 0
 
 
+class TestEnginesAgree:
+    """The columns-first vectorized path is byte-identical to the
+    reference engine on everything a payload pins."""
+
+    @pytest.mark.parametrize("min_tally", [0, None])
+    @pytest.mark.parametrize("topology", [
+        {"kind": "ring-stream", "n": 3001},
+        {"kind": "gnp-stream", "n": 300, "p": 0.3, "seed": 5},
+    ])
+    def test_vectorized_payload_equals_reference(self, topology, min_tally,
+                                                 monkeypatch):
+        from repro.sim import arrays, use_engine
+
+        if min_tally is not None:  # force the batched mex on every bucket
+            monkeypatch.setattr(arrays, "MIN_TALLY", min_tally)
+        spec = _spec(topology, "greedy-reduction")
+        payloads = {}
+        for engine in ("reference", "vectorized"):
+            with use_engine(engine):
+                payloads[engine] = execute_request(spec)
+        want, got = payloads["reference"], payloads["vectorized"]
+        assert got["status"] == want["status"] == "ok"
+        assert got["result"] == want["result"]
+        assert got["result"]["valid"] is True
+        assert got["ledger"] == want["ledger"]
+        assert canonical_lines(got["trace"]) == \
+            canonical_lines(want["trace"])
+
+
+class TestColoringViolation:
+    """Validation over CSR columns: NumPy and the plain loop agree, and
+    the first monochromatic edge is the first in edge_ids order."""
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_first_violation_and_bound(self, enabled):
+        from repro.graphs.streaming import stream_gnp
+        from repro.serve import executor
+        from repro.sim import arrays
+
+        if enabled and arrays._import_numpy() is None:
+            pytest.skip("NumPy not installed")
+        compiled = stream_gnp(400, 0.05, 3)
+        previous = arrays.set_arrays_override(enabled)
+        try:
+            proper = [0] * compiled.n
+            for i in range(compiled.n):
+                used = {proper[j] for j in compiled.neighbor_ids(i) if j < i}
+                proper[i] = min(set(range(len(used) + 1)) - used)
+            top = max(proper)
+            assert executor._coloring_violation(
+                compiled, proper, top + 1) is None
+            assert executor._coloring_violation(
+                compiled, proper, top) == f"color >= target {top}"
+            broken = list(proper)
+            edges = list(compiled.edge_ids())
+            for i, j in (edges[-1], edges[len(edges) // 2]):
+                broken[i] = broken[j]
+            first = next((i, j) for i, j in edges if broken[i] == broken[j])
+            assert executor._coloring_violation(
+                compiled, broken, top + 1) == \
+                f"edge ({first[0]}, {first[1]}) is monochromatic"
+        finally:
+            arrays.set_arrays_override(previous)
+
+
 class TestEdgesTopology:
     def test_inline_edges_round_trip(self):
         spec = _spec(

@@ -170,19 +170,31 @@ class TestHelpers:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mex_below_matches_scalar(self, seed):
+        """Batched per-row mex (one table for all rows) == scalar mex."""
         rng = random.Random(100 + seed)
         for _ in range(25):
             limit = rng.randint(1, 30)
-            values = [rng.randint(-5, 35) for _ in range(rng.randint(0, 25))]
-            used = set(values)
-            expected = 0
-            while expected in used:
-                expected += 1
-            expected = min(expected, limit)
-            got = arrays.mex_below(
-                numpy, numpy.asarray(values, dtype=numpy.int64), limit
-            )
-            assert got == expected, (values, limit)
+            # Row r's neighbors are CSR entries pointing into ``colors``.
+            colors = [rng.randint(-5, 35) for _ in range(40)]
+            lengths = [rng.randint(0, 25) for _ in range(rng.randint(1, 6))]
+            indptr = [0]
+            indices = []
+            for length in lengths:
+                indices.extend(rng.randrange(40) for _ in range(length))
+                indptr.append(len(indices))
+            rows = rng.sample(range(len(lengths)), rng.randint(1, len(lengths)))
+            got = arrays.mex_below_rows(
+                numpy, numpy.asarray(indptr, dtype=numpy.int64),
+                numpy.asarray(indices, dtype=numpy.int64),
+                numpy.asarray(colors, dtype=numpy.int64),
+                numpy.asarray(rows, dtype=numpy.int64), limit,
+            ).tolist()
+            for row, value in zip(rows, got):
+                used = {colors[j] for j in indices[indptr[row]:indptr[row + 1]]}
+                expected = 0
+                while expected in used:
+                    expected += 1
+                assert value == min(expected, limit), (row, limit)
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,32 @@ class TestCSR:
         compiled = Network({0: []}).compile()
         assert compiled.max_degree() == 0
 
+    def test_degrees_same_bytes_on_both_backends(self):
+        from repro.sim import arrays
+
+        network = gnp_graph(70, 0.1, seed=12)
+        built = {}
+        for enabled in (False, True):
+            if enabled and arrays._import_numpy() is None:
+                continue
+            previous = arrays.set_arrays_override(enabled)
+            try:
+                compiled = CompiledNetwork.from_network(network)
+                built[enabled] = (compiled.degrees.typecode,
+                                  compiled.degrees.tobytes(),
+                                  compiled.raw_max_degree())
+            finally:
+                arrays.set_arrays_override(previous)
+        assert len(set(built.values())) == 1
+        assert built[False][2] == network.raw_max_degree()
+
+    def test_max_degree_is_cached(self):
+        compiled = CompiledNetwork.from_network(binary_tree(3))
+        first = compiled.raw_max_degree()
+        compiled._degrees = None  # a rescan would rebuild the degrees
+        assert compiled.max_degree() == first
+        assert compiled._degrees is None
+
     def test_has_edge_ids(self):
         network = path_graph(4)
         compiled = network.compile()
