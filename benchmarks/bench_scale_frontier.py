@@ -11,22 +11,17 @@ ever materialized:
   nodes/sec, rounds, and the process peak RSS after the run.  The
   headline is the largest vectorized run -- n = 1,000,000 at full
   scale.
-* **sharded** -- the headline workload rerun under the sharded engine
-  at 1/2/4 shards, asserting the coloring stays bit-identical to the
-  serial vectorized run; each row records the execution mode (worker
-  lanes vs in-process shards), total halo traffic, and per-shard
-  halo/barrier breakdowns.  The best multi-shard row becomes the
-  ``headline_multicore`` section.
 * **build** -- topology construction throughput for the streaming
   builders (ring, G(n,p) via geometric edge skipping, random regular
   via the pairing model): edges/sec straight into CSR buffers.
-* **sweep** -- a ``parallel_sweep`` over a streamed ring with the
-  topology published to :mod:`repro.sim.shm` (workers map one shared
-  CSR segment) vs each worker rebuilding its own copy, at 1 and 2
-  workers.  Per-worker peak RSS comes from ``SweepReport.workers``;
-  the shared-memory segment size is reported alongside.  The tracked
-  property is that shared-mode per-worker RSS stays flat as workers
-  are added (the segment is mapped, not copied).
+* **sweep** -- a ``parallel_sweep`` over a streamed ring with each
+  worker rebuilding its own copy vs the topology published to
+  :mod:`repro.sim.shm` (workers map one shared CSR segment), at 1 and
+  2 workers.  The rebuild rows run first: a sweep-owned publication is
+  never released and every later pool ships its handle, so rebuild
+  workers started after it would map the segment too.  Per-worker peak
+  RSS comes from ``SweepReport.workers``; the shared-memory segment
+  size is reported alongside.
 
 Chunked execution: the largest vectorized workload is also run once
 with ``REPRO_SIM_CHUNK`` set, recording the chunked wall-clock and
@@ -66,11 +61,8 @@ from repro.graphs.streaming import (
 from repro.sim import (
     CostLedger,
     parallel_sweep,
-    reset_shard_stats,
-    shard_stats,
     shm,
     use_engine,
-    use_shards,
 )
 from repro.sim.compiled import CompiledNetwork
 from repro.obs.manifest import peak_rss_kb
@@ -99,11 +91,6 @@ SMOKE_LADDERS = {
     "fast": [1_000],
     "vectorized": [2_000],
 }
-
-#: Shard counts for the sharded-engine ladder over the headline n.
-#: 1 exercises the fallback path (must price at serial vectorized);
-#: 2 and 4 run the worker lanes with halo exchange.
-SHARD_COUNTS = [1, 2, 4]
 
 #: Sweep section sizing: ring size shared across workers, trials per
 #: sweep, and the worker counts compared.
@@ -182,53 +169,6 @@ def _bench_chunked(headline_n: int) -> Dict:
     }
 
 
-def _bench_sharded(headline_n: int) -> Dict:
-    """Sharded-engine ladder over the headline workload.
-
-    Every shard count must reproduce the serial vectorized coloring
-    bit-for-bit -- the ladder measures layout, never semantics.  Rows
-    carry the execution mode actually taken (``process`` worker lanes
-    vs in-process ``serial`` shards vs fallback), total halo traffic,
-    and the per-shard halo/barrier breakdown from the engine's stats.
-    """
-    compiled = stream_ring(headline_n)
-    baseline, _, _, baseline_s = _solve_ring(compiled, "vectorized")
-    rows: List[Dict] = []
-    for shards in SHARD_COUNTS:
-        reset_shard_stats()
-        with use_shards(shards):
-            result, q, rounds, wall_s = _solve_ring(compiled, "sharded")
-        if result != baseline:
-            raise AssertionError(
-                f"sharded coloring diverged at n={headline_n} "
-                f"shards={shards}"
-            )
-        last = shard_stats().get("last_run") or {}
-        nodes_per_s = round(headline_n / wall_s) if wall_s > 0 else None
-        rows.append({
-            "shards": shards,
-            "n": headline_n,
-            "q": q,
-            "rounds": rounds,
-            "wall_s": round(wall_s, 4),
-            "nodes_per_s": nodes_per_s,
-            "peak_rss_kb": peak_rss_kb(),
-            "mode": last.get("mode", "fallback"),
-            "backend": last.get("backend"),
-            "halo_bytes": last.get("halo_bytes"),
-            "barrier_wait_s": last.get("barrier_wait_s"),
-            "per_shard": last.get("per_shard"),
-            "identical": True,
-        })
-    return {
-        "n": headline_n,
-        "serial_wall_s": round(baseline_s, 4),
-        "serial_nodes_per_s": (round(headline_n / baseline_s)
-                               if baseline_s > 0 else None),
-        "rows": rows,
-    }
-
-
 def _bench_build(smoke: bool) -> List[Dict]:
     from repro.graphs.streaming import csr_from_edges
 
@@ -278,8 +218,15 @@ def _bench_sweep(n: int) -> Dict:
     compiled = stream_ring(n)
     key = ("ring-stream", n)
     params = [{"seed": seed, "n": n} for seed in range(SWEEP_TRIALS)]
+    # A sweep-owned publication is never released and every later pool
+    # ships its handle, so the rebuild rows must run before any shared
+    # one -- and before anything else published this key.
+    if key in shm.published_keys():
+        raise AssertionError(
+            f"{key} is already published; rebuild workers would map it"
+        )
     modes: Dict[str, List[Dict]] = {}
-    for mode in ("shared", "rebuild"):
+    for mode in ("rebuild", "shared"):
         topologies = {key: compiled} if mode == "shared" else None
         for workers in SWEEP_WORKERS:
             start = time.perf_counter()
@@ -316,27 +263,9 @@ def run_benchmark(smoke: bool) -> Dict:
         if row["engine"] == "vectorized" and row["n"] == headline_n
     )
     chunked = _bench_chunked(headline_n)
-    sharded = _bench_sharded(headline_n)
     build = _bench_build(smoke)
     sweep = _bench_sweep(SWEEP_SMOKE_N if smoke else SWEEP_N)
     from repro.sim import arrays
-
-    # The multi-core headline: the best multi-shard row, priced against
-    # the serial vectorized baseline measured on the same instance.
-    multi_rows = [row for row in sharded["rows"] if row["shards"] > 1]
-    best = max(multi_rows, key=lambda row: row["nodes_per_s"] or 0)
-    serial_rate = sharded["serial_nodes_per_s"]
-    headline_multicore = {
-        "engine": "sharded",
-        "shards": best["shards"],
-        "mode": best["mode"],
-        "n": best["n"],
-        "nodes_per_s": best["nodes_per_s"],
-        "wall_s": best["wall_s"],
-        "peak_rss_kb": best["peak_rss_kb"],
-        "vs_serial": (round(best["nodes_per_s"] / serial_rate, 3)
-                      if best["nodes_per_s"] and serial_rate else None),
-    }
 
     return {
         "benchmark": "bench_scale_frontier",
@@ -356,10 +285,8 @@ def run_benchmark(smoke: bool) -> Dict:
             "wall_s": headline["wall_s"],
             "peak_rss_kb": headline["peak_rss_kb"],
         },
-        "headline_multicore": headline_multicore,
         "workloads": workloads,
         "chunked": chunked,
-        "sharded": sharded,
         "build": build,
         "sweep": sweep,
     }
@@ -387,19 +314,6 @@ def _render(report: Dict) -> str:
         f"{chunked['plain_s']:.3f}s plain vs {chunked['chunked_s']:.3f}s "
         f"chunked, colors identical"
     )
-    sharded = report["sharded"]
-    lines.append(
-        f"sharded n={sharded['n']:,} (serial vectorized "
-        f"{sharded['serial_nodes_per_s']:,} nodes/s):"
-    )
-    for row in sharded["rows"]:
-        halo = row["halo_bytes"]
-        lines.append(
-            f"  shards={row['shards']} mode={row['mode']:<8} "
-            f"wall {row['wall_s']:>8.3f}s {row['nodes_per_s']:>11,} "
-            f"nodes/s  halo "
-            f"{'n/a' if halo is None else f'{halo:,} B'}"
-        )
     for row in report["build"]:
         lines.append(
             f"build {row['builder']:<8} n={row['n']:>9} m={row['m']:>9} "
@@ -411,7 +325,7 @@ def _render(report: Dict) -> str:
         f"sweep n={sweep['n']} ({sweep['trials']} trials, segment "
         f"{'n/a' if seg is None else f'{seg / 2**20:.1f} MiB'}):"
     )
-    for mode in ("shared", "rebuild"):
+    for mode in ("rebuild", "shared"):
         for row in sweep[mode]:
             rss = row["max_worker_rss_kb"]
             lines.append(
@@ -424,14 +338,6 @@ def _render(report: Dict) -> str:
         f"headline: vectorized n={head['n']:,} at "
         f"{head['nodes_per_s']:,} nodes/s ({head['wall_s']:.2f}s)"
     )
-    multi = report["headline_multicore"]
-    vs = multi["vs_serial"]
-    lines.append(
-        f"headline multicore: sharded x{multi['shards']} "
-        f"({multi['mode']}) n={multi['n']:,} at "
-        f"{multi['nodes_per_s']:,} nodes/s"
-        f"{'' if vs is None else f' ({vs:.2f}x serial)'}"
-    )
     return "\n".join(lines)
 
 
@@ -443,19 +349,6 @@ def write_report(report: Dict, json_path: pathlib.Path = JSON_PATH) -> None:
         "benchmark": report["benchmark"],
         "smoke": report["smoke"],
         "headline": report["headline"],
-        "headline_multicore": report["headline_multicore"],
-        # Per-shard halo/barrier accounting for the multi-core rows --
-        # the provenance trail for the parallel numbers above.
-        "sharded": [
-            {
-                "shards": row["shards"],
-                "mode": row["mode"],
-                "halo_bytes": row["halo_bytes"],
-                "barrier_wait_s": row["barrier_wait_s"],
-                "per_shard": row["per_shard"],
-            }
-            for row in report["sharded"]["rows"]
-        ],
     })
 
 
@@ -469,9 +362,6 @@ def test_scale_benchmark(benchmark):
     assert report["chunked"]["identical"] is True
     for row in report["workloads"]:
         assert row["rounds"] > 0
-    assert report["headline_multicore"]["nodes_per_s"] > 0
-    for row in report["sharded"]["rows"]:
-        assert row["identical"] is True
     benchmark(_solve_ring, stream_ring(2_000), "vectorized")
 
 

@@ -52,19 +52,6 @@ _FALLBACK_NOTES = {
     "declined": "the kernel's prepare() declined this population",
 }
 
-#: Same idea for the sharded engine's fallback reasons (it falls
-#: through to the vectorized engine, which applies its own chain).
-_SHARD_NOTES = {
-    "observer": "a RoundObserver pins runs to the per-node engines",
-    "stop_when": "a stop oracle needs per-node, per-round inspection",
-    "empty": "the scheduler had no node programs to shard",
-    "mixed": "node programs are heterogeneous (no shard spec applies)",
-    "unregistered": "no shard spec is registered for this program class",
-    "declined": "the shard-spec builder declined this population",
-    "single-shard": "shard count is 1 (set --shards or "
-                    "REPRO_SIM_SHARDS to partition the graph)",
-}
-
 
 def _print_ledger(ledger: CostLedger, extra_rows=()) -> None:
     global _last_ledger
@@ -388,8 +375,8 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
         global _last_ledger
         _last_ledger = ledger
-        # Checksum of the dense int64 color column: the cheap bit-identity
-        # probe CI uses to assert sharded runs match serial ones.
+        # Checksum of the dense int64 color column: a cheap bit-identity
+        # probe for comparing runs across engines.
         column = array("q", (result[node] for node in compiled.order))
         digest = hashlib.blake2b(column.tobytes(),
                                  digest_size=16).hexdigest()
@@ -535,19 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine", default=None,
-        choices=["fast", "reference", "vectorized", "sharded"],
+        choices=["fast", "reference", "vectorized"],
         help="scheduler execution engine for every simulated round "
              "(default: fast, or the REPRO_SIM_ENGINE environment "
              "variable; vectorized batches homogeneous node programs "
-             "and falls back to fast otherwise; sharded partitions "
-             "large runs across worker processes and falls back to "
-             "vectorized)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="shard count for the sharded engine (default: "
-             "REPRO_SIM_SHARDS or 1); implies --engine sharded when no "
-             "engine is chosen explicitly",
+             "and falls back to fast otherwise)",
     )
     parser.add_argument(
         "--kernel-stats", action="store_true",
@@ -666,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tr.add_argument(
         "--json", action="store_true",
-        help="emit a machine-readable repro-result/v2 summary (shared "
+        help="emit a machine-readable repro-result/v3 summary (shared "
              "schema with the repro.serve daemon's responses)",
     )
     p_tr.set_defaults(func=cmd_trace)
@@ -701,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sc.add_argument(
         "--json", action="store_true",
-        help="emit a machine-readable repro-result/v2 record (shared "
+        help="emit a machine-readable repro-result/v3 record (shared "
              "schema with the repro.serve daemon's responses)",
     )
     p_sc.set_defaults(func=cmd_scale)
@@ -736,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_top = sub.add_parser(
         "top",
         help="metrics console: request rate, latency percentiles, "
-             "queue/pool pressure, kernel and cache hit-rates, shard "
-             "skew -- from a live daemon or a --metrics JSONL file",
+             "queue/pool pressure, kernel and cache hit-rates -- from "
+             "a live daemon or a --metrics JSONL file",
     )
     p_top.add_argument(
         "file", nargs="?", default=None,
@@ -802,18 +781,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .sim import set_default_engine
 
         set_default_engine(args.engine)
-    if args.shards is not None:
-        from .sim import set_default_shards
-
-        if args.shards < 1:
-            parser.error("--shards must be positive")
-        set_default_shards(args.shards)
-        if args.engine is None:
-            # Asking for shards without naming an engine means "run
-            # sharded": a shard count is inert on any other engine.
-            from .sim import set_default_engine
-
-            set_default_engine("sharded")
     def run_traced() -> int:
         if args.trace is not None:
             from .obs import Tracer, use_tracer
@@ -862,33 +829,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for reason, count in sorted(counters["by_reason"].items()):
             gloss = _FALLBACK_NOTES.get(reason, "unknown reason")
             print(f"note: {count} fallback(s) '{reason}': {gloss}")
-        from .sim import shard_stats
-
-        shards = shard_stats()
-        if shards["runs"]:
-            print(render_table(
-                ["shard stat", "value"],
-                [
-                    ["runs", shards["runs"]],
-                    ["engaged", shards["engaged"]],
-                    ["fallbacks", shards["fallbacks"]],
-                    ["halo KiB", f"{shards['halo_bytes'] / 1024:.1f}"],
-                    ["barrier wait s",
-                     f"{shards['barrier_wait_s']:.6f}"],
-                    ["by shards", ", ".join(
-                        f"x{count} @{k}"
-                        for k, count in sorted(shards["by_shards"].items())
-                    ) or "-"],
-                    ["by mode", ", ".join(
-                        f"{name} x{count}"
-                        for name, count in sorted(shards["by_mode"].items())
-                    ) or "-"],
-                ],
-            ))
-            for reason, count in sorted(shards["by_reason"].items()):
-                gloss = _SHARD_NOTES.get(reason, "unknown reason")
-                print(f"note: {count} shard fallback(s) '{reason}': "
-                      f"{gloss}")
     return status
 
 

@@ -88,26 +88,6 @@ def _arrays_state() -> Optional[Dict[str, Any]]:
         return None
 
 
-def _sharded_state() -> Optional[Dict[str, Any]]:
-    """Sharded-engine provenance: shard count plus run/halo counters.
-
-    ``shards`` is the resolved default shard count (override, then
-    ``REPRO_SIM_SHARDS``, then 1); ``stats`` is the cumulative
-    :func:`repro.sim.sharded.shard_stats` snapshot, whose ``last_run``
-    entry carries the per-shard halo-bytes and barrier-wait columns for
-    the most recent engaged run.
-    """
-    try:
-        from ..sim import sharded
-
-        return {
-            "shards": sharded.default_shards(),
-            "stats": sharded.shard_stats(),
-        }
-    except ImportError:  # pragma: no cover - sim always ships
-        return None
-
-
 def peak_rss_kb(children: bool = False) -> Optional[int]:
     """Peak resident set size in KiB, or ``None`` where unmeasurable.
 
@@ -213,7 +193,6 @@ def collect_manifest(engine: Optional[str] = None,
         "git": _git_state(),
         "kernels": _kernel_counters(),
         "arrays": _arrays_state(),
-        "sharded": _sharded_state(),
         "caches": _cache_state(),
         "rss": _rss_state(),
         "metrics": _metrics_state(),

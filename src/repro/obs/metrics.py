@@ -1,9 +1,9 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Every layer of this repo used to keep its own private tally --
-``KernelStats`` in :mod:`repro.sim.kernels`, ``shard_stats()`` in
-:mod:`repro.sim.sharded`, the substrate-cache hit/miss counters, the
-worker-pool and batcher dicts, the daemon's rolling latency window.
+``KernelStats`` in :mod:`repro.sim.kernels`, the substrate-cache
+hit/miss counters, the worker-pool and batcher dicts, the daemon's
+rolling latency window.
 This module is the one place those quantities now land: a
 dependency-free registry of :class:`Counter`, :class:`Gauge`, and
 :class:`Histogram` metrics with labeled children, an atomic

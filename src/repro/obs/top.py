@@ -3,8 +3,8 @@
 Turns a registry snapshot -- scraped from a running daemon's ``/stats``
 endpoint or read back from a ``--metrics`` JSONL flush file -- into a
 small operator dashboard: request throughput and latency percentiles,
-queue pressure, pool occupancy, kernel hit-rate, cache hit-rates, and
-shard skew.  One-shot by default; ``--watch`` repaints in place.
+queue pressure, pool occupancy, kernel hit-rate and cache hit-rates.
+One-shot by default; ``--watch`` repaints in place.
 
 The module is deliberately source-agnostic: :func:`summarize_metrics`
 consumes the plain-dict snapshot shape produced by
@@ -184,12 +184,6 @@ def summarize_metrics(snap: Mapping[str, Any],
             "hit_rate": hits / dispatches if dispatches else None,
         },
         "caches": cache_rates,
-        "shards": {
-            "runs": _sum_values(snap, "repro_shard_runs_total"),
-            "halo_bytes": _sum_values(snap,
-                                      "repro_shard_halo_bytes_total"),
-            "skew": _gauge(snap, "repro_shard_skew_ratio"),
-        },
         "sim": {
             "runs_by_engine": engines,
             "rounds": _sum_values(snap, "repro_sim_rounds_total"),
@@ -227,7 +221,6 @@ def render_top(summary: Mapping[str, Any],
     queue = summary["queue"]
     pool = summary["pool"]
     kernels = summary["kernels"]
-    shards = summary["shards"]
     sim = summary["sim"]
     per_s = rate_per_s if rate_per_s is not None else req["per_s"]
 
@@ -267,11 +260,6 @@ def render_top(summary: Mapping[str, Any],
         lines.append("caches    " + "  ".join(parts))
     else:
         lines.append("caches    -")
-    lines.append(
-        f"shards    runs={_fmt(shards['runs'])}  "
-        f"halo={_fmt(shards['halo_bytes'], 'KiB', 1.0 / 1024.0)}  "
-        f"skew={_fmt(shards['skew'], '', 1.0, 2)}"
-    )
     engines = ", ".join(
         f"{name} x{int(count)}"
         for name, count in sorted(sim["runs_by_engine"].items())

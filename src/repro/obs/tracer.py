@@ -44,9 +44,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 PHYSICAL_FIELDS = frozenset({
     "t0", "wall_s", "pid", "engine", "kernel", "fallback", "backend",
     "warmup_s", "worker", "rss_kb",
-    # Sharded-engine execution metadata: shard layout, halo traffic,
-    # and barrier timing vary with the shard count, never the protocol.
-    "shard", "shards", "halo_bytes", "barrier_wait_s",
 })
 
 #: Record kinds that are wholly physical: engine-dependent annotations

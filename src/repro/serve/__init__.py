@@ -11,7 +11,7 @@ requests, with micro-batching of compatible requests in between.
 Layers (each its own module):
 
 * :mod:`~repro.serve.schema` -- request validation + the shared
-  ``repro-result/v2`` response envelope (also used by ``--json`` CLI
+  ``repro-result/v3`` response envelope (also used by ``--json`` CLI
   output);
 * :mod:`~repro.serve.executor` -- one request to one payload; the same
   code path serves the daemon's workers and serial reference runs,

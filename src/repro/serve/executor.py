@@ -173,9 +173,9 @@ def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
 
     The one seed -> reduce -> validate path behind both ``repro
     scale`` and the daemon's ``greedy-reduction``.  Returns ``(payload,
-    colors)``: ``payload`` holds ``q``/``target`` (and ``shards``), plus
-    ``valid`` -- and ``invalid_reason`` when false -- if
-    ``params["validate"]`` is set; ``colors`` maps node to color.
+    colors)``: ``payload`` holds ``q``/``target``, plus ``valid`` -- and
+    ``invalid_reason`` when false -- if ``params["validate"]`` is set;
+    ``colors`` maps node to color.
     """
     from ..graphs.streaming import inflated_seed_coloring
     from ..substrates.greedy import greedy_color_reduction
@@ -187,23 +187,9 @@ def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
     # on every family instead of degenerating to a no-op on dense ones.
     colors, q = inflated_seed_coloring(compiled,
                                        max(params["colors"], 2 * target))
-    shards = params.get("shards", 1)
-    if shards > 1:
-        from ..sim.scheduler import use_engine
-        from ..sim.sharded import use_shards
-
-        # Inside a pool worker the sharded engine runs its shards
-        # serially in-process (workers never nest pools), so the result
-        # is byte-identical to the vectorized path by construction.
-        with use_shards(shards), use_engine("sharded"):
-            result = greedy_color_reduction(compiled, colors, q, target,
-                                            ledger=ledger)
-    else:
-        result = greedy_color_reduction(compiled, colors, q, target,
-                                        ledger=ledger)
+    result = greedy_color_reduction(compiled, colors, q, target,
+                                    ledger=ledger)
     payload: Dict[str, Any] = {"q": q, "target": target}
-    if shards > 1:
-        payload["shards"] = shards
     if params["validate"]:
         reason = _coloring_violation(
             compiled, [result[node] for node in compiled.order], target

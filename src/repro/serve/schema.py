@@ -34,9 +34,11 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 #: Version stamp carried by every response body this repo emits.
 #: v2 (over v1): ``scale-run`` and daemon results carry ``peak_rss_kb``
 #: (renamed from ``rss_kb``), a top-level ``nodes_per_s``, and a
-#: ``colors_blake2b`` checksum of the final color column; the
-#: ``greedy-reduction`` algorithm spec accepts a ``shards`` count.
-SCHEMA_VERSION = "repro-result/v2"
+#: ``colors_blake2b`` checksum of the final color column.
+#: v3 (over v2): drops ``algorithm.shards`` along with the sharded
+#: engine, and algorithm specs reject fields their algorithm does not
+#: read.
+SCHEMA_VERSION = "repro-result/v3"
 
 #: Node-count ceiling for a single request (the scale frontier's regime;
 #: anything bigger should go through the offline ``repro scale`` path).
@@ -51,6 +53,16 @@ TOPOLOGY_KINDS = (
 )
 
 ALGORITHMS = ("greedy-reduction", "two-sweep", "fast-two-sweep")
+
+_SWEEP_FIELDS = frozenset({"name", "p", "seed", "id_bits", "check", "lists"})
+
+#: The fields each algorithm spec reads; :func:`parse_algorithm` rejects
+#: any other key instead of silently running without it.
+_ALGORITHM_FIELDS = {
+    "greedy-reduction": frozenset({"name", "colors", "validate"}),
+    "two-sweep": _SWEEP_FIELDS,
+    "fast-two-sweep": _SWEEP_FIELDS | {"epsilon"},
+}
 
 
 class RequestError(ValueError):
@@ -183,14 +195,13 @@ def parse_algorithm(spec: Any) -> Dict[str, Any]:
             f"unknown algorithm {name!r}; expected one of "
             f"{', '.join(ALGORITHMS)}"
         )
+    unknown = set(spec) - _ALGORITHM_FIELDS[name]
+    if unknown:
+        raise RequestError(f"unknown algorithm fields: {sorted(unknown)}")
     out: Dict[str, Any] = {"name": name}
     if name == "greedy-reduction":
         out["colors"] = _require_int(spec, "colors", 2, 1 << 20, default=16)
         out["validate"] = bool(spec.get("validate", True))
-        # shards > 1 routes the run through the sharded engine; inside
-        # a pool worker the shards execute serially (identical bytes),
-        # so this is a layout knob, never a correctness one.
-        out["shards"] = _require_int(spec, "shards", 1, 4096, default=1)
         return out
     out["p"] = _require_int(spec, "p", 1, 64, default=2)
     out["seed"] = _require_int(spec, "seed", 0, 2 ** 31 - 1, default=0)

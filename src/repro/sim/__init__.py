@@ -45,16 +45,6 @@ from .parallel import (
     run_trials,
 )
 from . import shm
-from .sharded import (
-    ShardSpec,
-    default_shards,
-    register_sharded,
-    reset_shard_stats,
-    set_default_shards,
-    shard_stats,
-    sharded_for,
-    use_shards,
-)
 from .scheduler import (
     DEFAULT_MAX_ROUNDS,
     ENGINES,
@@ -93,7 +83,6 @@ __all__ = [
     "RoundRecord",
     "Scheduler",
     "SchedulerError",
-    "ShardSpec",
     "SimulationError",
     "PoolUnavailable",
     "SweepReport",
@@ -101,7 +90,6 @@ __all__ = [
     "clear_payload_memo",
     "color_bits",
     "default_engine",
-    "default_shards",
     "derive_seed",
     "ensure_ledger",
     "expand_pairs",
@@ -113,18 +101,12 @@ __all__ = [
     "parallel_sweep",
     "payload_bits",
     "register_kernel",
-    "register_sharded",
     "registered_kernels",
     "reset_kernel_stats",
-    "reset_shard_stats",
     "run_protocol",
     "run_trials",
     "set_default_engine",
-    "set_default_shards",
-    "shard_stats",
-    "sharded_for",
     "shm",
     "unregister_kernel",
     "use_engine",
-    "use_shards",
 ]

@@ -149,7 +149,7 @@ def _substrate_snapshot():
 
 
 def _init_worker(state, engine=None, arrays_enabled=None,
-                 topologies=None, shards=None):
+                 topologies=None):
     """Pool initializer: seed a worker with the parent's caches,
     scheduler engine, kernel array-backend decision, and shared-memory
     topology handles.
@@ -174,13 +174,6 @@ def _init_worker(state, engine=None, arrays_enabled=None,
         from . import shm
 
         shm.receive_handles(topologies)
-    # A pool worker never spawns nested shard pools; the sharded engine
-    # executes its shards serially in-process when this flag is set.
-    from . import sharded as _sharded
-
-    _sharded._mark_worker()
-    if shards is not None:
-        _sharded.set_default_shards(shards)
     if engine is not None:
         from .scheduler import set_default_engine
 
@@ -226,22 +219,16 @@ class _EngineCall:
     picklable by accident of use, and cheap to construct per submit.
     """
 
-    __slots__ = ("engine", "fn", "shards")
+    __slots__ = ("engine", "fn")
 
-    def __init__(self, engine: str, fn: Callable[..., Any],
-                 shards: Optional[int] = None):
+    def __init__(self, engine: str, fn: Callable[..., Any]):
         self.engine = engine
         self.fn = fn
-        self.shards = shards
 
     def __call__(self, *args: Any) -> Any:
         from .scheduler import use_engine
-        from .sharded import use_shards
 
         with use_engine(self.engine):
-            if self.shards is not None:
-                with use_shards(self.shards):
-                    return self.fn(*args)
             return self.fn(*args)
 
 
@@ -274,21 +261,13 @@ class WorkerPool:
     def __init__(self, max_workers: Optional[int] = None,
                  engine: Optional[str] = None,
                  topologies: Optional[Mapping[Hashable, Any]] = None,
-                 mode: str = "process",
-                 shards: Optional[int] = None):
+                 mode: str = "process"):
         from .scheduler import _validate_engine, default_engine
-        from .sharded import default_shards
 
         if mode not in ("process", "thread"):
             raise ValueError(f"unknown pool mode: {mode!r}")
         self.engine = (_validate_engine(engine) if engine is not None
                        else default_engine())
-        # Resolved once in the parent, like the engine: a worker running
-        # engine="sharded" executes its shards serially in-process, so
-        # the count only shapes partitioning, never nested pools.
-        self.shards = int(shards) if shards is not None else default_shards()
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
         self.workers = resolve_workers(max_workers)
         self.mode = mode
         self.fallback_reason: Optional[str] = None
@@ -314,8 +293,7 @@ class WorkerPool:
                 max_workers=self.workers,
                 initializer=_init_worker,
                 initargs=(_substrate_snapshot(), self.engine,
-                          arrays_enabled(), shm.export_handles() or None,
-                          self.shards),
+                          arrays_enabled(), shm.export_handles() or None),
             )
         from concurrent.futures import ThreadPoolExecutor
 
@@ -449,7 +427,7 @@ class WorkerPool:
         """Dispatch one call; returns a ``concurrent.futures.Future``."""
         executor = self.executor
         call = (fn if self.mode == "process"
-                else _EngineCall(self.engine, fn, self.shards))
+                else _EngineCall(self.engine, fn))
         try:
             future = executor.submit(call, *args)
         except (OSError, PermissionError, RuntimeError) as error:
@@ -462,7 +440,7 @@ class WorkerPool:
         """Ordered results of ``fn`` over ``tasks`` (one sweep's runs)."""
         executor = self.executor
         call = (fn if self.mode == "process"
-                else _EngineCall(self.engine, fn, self.shards))
+                else _EngineCall(self.engine, fn))
         self._count_submit(len(tasks))
         try:
             return list(executor.map(call, tasks))
@@ -479,7 +457,6 @@ class WorkerPool:
             "mode": self.mode,
             "workers": self.workers if self.mode == "process" else 1,
             "engine": self.engine,
-            "shards": self.shards,
             "submitted": submitted,
             "completed": completed,
             "in_flight": submitted - completed,
@@ -645,8 +622,7 @@ def parallel_sweep(measure: Measure,
                    engine: Optional[str] = None,
                    report: bool = False,
                    topologies: Optional[Mapping[Any, Any]] = None,
-                   pool: Optional[WorkerPool] = None,
-                   shards: Optional[int] = None
+                   pool: Optional[WorkerPool] = None
                    ) -> List[Record]:
     """Run ``measure(**params)`` for every parameter dict, across processes.
 
@@ -678,12 +654,6 @@ def parallel_sweep(measure: Measure,
     Publishing is best-effort -- where shared memory is unusable,
     workers simply rebuild.
 
-    ``shards`` pins the sharded engine's shard count for every trial,
-    resolved in the parent exactly like ``engine`` (``None`` means the
-    parent's current :func:`repro.sim.sharded.default_shards`).  Inside
-    pool workers the sharded engine always executes its shards serially
-    in-process, so the count shapes partitioning, never nested pools.
-
     ``pool`` reuses a live :class:`WorkerPool` instead of paying pool
     creation and cache shipping per sweep: the pool's frozen engine
     wins (passing a *different* explicit ``engine`` is an error), its
@@ -694,7 +664,6 @@ def parallel_sweep(measure: Measure,
     """
     from ..obs.tracer import current_tracer
     from .scheduler import _validate_engine, default_engine, use_engine
-    from .sharded import default_shards, use_shards
 
     if pool is not None:
         resolved = pool.engine
@@ -703,21 +672,11 @@ def parallel_sweep(measure: Measure,
                 f"engine {engine!r} conflicts with the pool's frozen "
                 f"engine {resolved!r}"
             )
-        resolved_shards = pool.shards
-        if shards is not None and int(shards) != resolved_shards:
-            raise ValueError(
-                f"shards {shards!r} conflicts with the pool's frozen "
-                f"shard count {resolved_shards!r}"
-            )
         if topologies:
             pool.add_topologies(topologies)
     else:
         resolved = (_validate_engine(engine) if engine is not None
                     else default_engine())
-        resolved_shards = (int(shards) if shards is not None
-                           else default_shards())
-        if resolved_shards < 1:
-            raise ValueError("shards must be positive")
         if topologies:
             # Sweep-owned publications deliberately skip the refcounted
             # release: they stay warm for follow-up sweeps and are
@@ -747,8 +706,7 @@ def parallel_sweep(measure: Measure,
         # worker re-deriving them per trial; the resolved engine choice
         # rides along.
         dispatch = own_pool = WorkerPool(max_workers=workers,
-                                         engine=resolved,
-                                         shards=resolved_shards)
+                                         engine=resolved)
     try:
         if dispatch is not None:
             try:
@@ -774,7 +732,7 @@ def parallel_sweep(measure: Measure,
                 (m, p, t, False, False) for (m, p, t, _, _) in tasks
             ]
             before = kernel_stats() if report else None
-            with use_engine(resolved), use_shards(resolved_shards):
+            with use_engine(resolved):
                 records = [_call_measure(task) for task in serial_tasks]
             _pop_worker_metrics(records)
             if report:

@@ -44,17 +44,6 @@ Three execution engines implement the same semantics:
     kernel runs from dense-id input columns and no program object is
     built unless the run falls back.
 
-``sharded``
-    The multi-core path for *large single-graph* runs.  The compiled
-    CSR is partitioned into contiguous node shards
-    (:mod:`repro.graphs.partition`), each shard's kernel columns run in
-    a pinned worker process, and workers synchronize once per round by
-    exchanging only boundary ("halo") state through a shared-memory
-    segment (:mod:`repro.sim.sharded`).  Populations the sharded
-    registry does not cover fall through to the vectorized engine, and
-    small or non-CSR-direct runs execute their shards serially
-    in-process -- in every case byte-identical to serial execution.
-
 ``reference``
     The direct transcription of the model definition that the repository
     started from.  It is kept as the executable specification: the
@@ -104,7 +93,7 @@ Node = Hashable
 DEFAULT_MAX_ROUNDS = 1_000_000
 
 #: The engines understood by :meth:`Scheduler.run`.
-ENGINES = ("fast", "reference", "vectorized", "sharded")
+ENGINES = ("fast", "reference", "vectorized")
 
 #: Environment variable naming the process-default engine.
 ENGINE_ENV = "REPRO_SIM_ENGINE"
@@ -244,8 +233,6 @@ class Scheduler:
         self._build_programs()
         if name == "reference":
             return self._run_reference(max_rounds)
-        if name == "sharded":
-            return self._run_sharded(max_rounds)
         return self._run_fast(max_rounds)
 
     def _run_traced(self, tracer, name: str,
@@ -269,13 +256,7 @@ class Scheduler:
         ledger = self.ledger
         before = (ledger.rounds, ledger.messages, ledger.bits,
                   ledger.broadcasts)
-        kernelized = name in ("vectorized", "sharded")
-        kstats_before = kernel_stats() if kernelized else None
-        sstats_before = None
-        if name == "sharded":
-            from .sharded import shard_stats
-
-            sstats_before = shard_stats()
+        kstats_before = kernel_stats() if name == "vectorized" else None
         nodes = (len(self.programs) if self.programs is not None
                  else len(self.network))
         with tracer.span("run", "scheduler", nodes=nodes) as span:
@@ -303,37 +284,8 @@ class Scheduler:
                         "dispatch", kernel=kernel, fallback=fallback,
                         backend=backend, warmup_s=warmup_s,
                     )
-                shards = halo_bytes = barrier_wait_s = None
-                if sstats_before is not None:
-                    from .sharded import shard_stats
-
-                    sstats = shard_stats()
-                    last = sstats["last_run"]
-                    if (sstats["engaged"] > sstats_before["engaged"]
-                            and last is not None):
-                        shards = last["shards"]
-                        halo_bytes = last["halo_bytes"]
-                        barrier_wait_s = last["barrier_wait_s"]
-                        # Physical records (kind="kernel" is in
-                        # PHYSICAL_KINDS): per-shard stats never enter
-                        # the logical byte-identity contract.
-                        for entry in last["per_shard"]:
-                            tracer.annotate(
-                                "shard",
-                                shard=entry["shard"],
-                                shards=shards,
-                                halo_bytes=(entry["halo_in_bytes"]
-                                            + entry["halo_out_bytes"]),
-                                barrier_wait_s=entry["barrier_wait_s"],
-                            )
                 from ..obs.manifest import peak_rss_kb
 
-                if shards is not None:
-                    span.attrs.update(
-                        shards=shards,
-                        halo_bytes=halo_bytes,
-                        barrier_wait_s=barrier_wait_s,
-                    )
                 span.attrs.update(
                     rounds=ledger.rounds - before[0],
                     messages=ledger.messages - before[1],
@@ -700,25 +652,6 @@ class Scheduler:
         """Materialize a columns run's program population (fallbacks)."""
         if self.programs is None:
             self.programs = dict(self.columns.build_programs())
-
-    # ------------------------------------------------------------------
-    # Sharded engine
-    # ------------------------------------------------------------------
-    def _run_sharded(self, max_rounds: int) -> CostLedger:
-        """Partitioned multi-worker execution of one run.
-
-        Eligible homogeneous populations (see
-        :func:`repro.sim.sharded.register_sharded`) execute shard-wise
-        -- in parallel worker processes with per-round halo exchange on
-        large CSR-direct topologies, serially in-process otherwise --
-        byte-identical to the serial engines.  Everything else falls
-        through to :meth:`_run_vectorized` and its fallback chain, so
-        ``engine="sharded"`` is always safe to request.
-        """
-        # Local import: the sharded module imports kernel-layer helpers.
-        from .sharded import run_sharded
-
-        return run_sharded(self, max_rounds)
 
     # ------------------------------------------------------------------
     # Reference engine

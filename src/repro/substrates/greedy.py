@@ -36,7 +36,6 @@ from ..sim.kernels import (
     register_kernel,
 )
 from ..sim.message import Message, color_bits, intern_broadcast
-from ..sim.sharded import ShardSpec, register_sharded
 from ..sim.metrics import CostLedger, ensure_ledger
 from ..sim.network import Network
 from ..sim.node import NodeProgram, RoundContext
@@ -553,7 +552,7 @@ def _reduction_columns(programs) -> Optional[Tuple[list, int, int]]:
     ``None`` unless the population is a fresh uniform run: every
     program shares ``q`` and ``target`` and none has ingested neighbor
     colors yet (mid-run state).  The vectorized kernel's program
-    adapter and the sharded spec both gate on it.
+    adapter gates on it.
     """
     first = programs[0]
     q = first.q
@@ -850,39 +849,6 @@ class _ColorReductionKernel(RoundKernel):
 register_kernel(_ColorReductionProgram, _ColorReductionKernel)
 
 
-def _restore_reduction_colors(colors, programs) -> None:
-    """Sharded finalize: write the final color column back (parent side)."""
-    for program, color in zip(programs, colors):
-        program.color = color
-
-
-def _color_reduction_shard_spec(compiled, programs, bandwidth):
-    """Flatten a color-reduction population for the sharded engine.
-
-    The kernel's eligibility gate (:func:`_reduction_columns`) plus an
-    int-only color check: shard workers round-trip colors through an
-    int64 segment, so bools or exotic int subclasses -- which would
-    also intern into differently-typed broadcast payloads -- decline to
-    the serial path.
-    """
-    extracted = _reduction_columns(programs)
-    if extracted is None:
-        return None
-    colors, q, target = extracted
-    if any(type(color) is not int for color in colors):
-        return None
-    return ShardSpec(
-        colors=colors,
-        q=q,
-        target=target,
-        bits=color_bits(q),
-        tag=_ColorReductionProgram._TAG,
-        finalize=_restore_reduction_colors,
-        name="ColorReduction",
-    )
-
-
-register_sharded(_ColorReductionProgram, _color_reduction_shard_spec)
 
 
 def greedy_color_reduction(network: Network,

@@ -46,7 +46,6 @@ def _loaded_registry() -> MetricsRegistry:
                             labelnames=("engine",))
     runs.labels(engine="fast").inc(5)
     runs.labels(engine="vectorized").inc(2)
-    registry.gauge("repro_shard_skew_ratio", "t").set(1.25)
     return registry
 
 
@@ -80,7 +79,6 @@ class TestSummarize:
         assert summary["sim"]["runs_by_engine"] == {
             "fast": 5.0, "vectorized": 2.0,
         }
-        assert summary["shards"]["skew"] == 1.25
 
     def test_empty_snapshot(self):
         summary = summarize_metrics({})
@@ -100,7 +98,7 @@ class TestRender:
         summary = summarize_metrics(_loaded_registry().snapshot())
         text = render_top(summary, source="test")
         for token in ("repro top -- test", "requests", "queue", "pool",
-                      "kernels", "caches", "shards", "sim"):
+                      "kernels", "caches", "sim"):
             assert token in text
         assert "hit-rate=90.0%" in text
         assert "networks=75.0%" in text

@@ -52,23 +52,6 @@ class TestGreedyReduction:
         assert payload["peak_rss_kb"] is None or payload["peak_rss_kb"] > 0
         assert payload["nodes_per_s"] is None or payload["nodes_per_s"] > 0
 
-    def test_sharded_request_bit_identical(self):
-        """algorithm.shards reroutes through the sharded engine and must
-        not change a single byte of the result or the logical trace."""
-        serial = execute_request(_spec({"kind": "ring-stream", "n": 67},
-                                       "greedy-reduction"))
-        sharded = execute_request(_spec(
-            {"kind": "ring-stream", "n": 67},
-            {"name": "greedy-reduction", "shards": 3},
-        ))
-        assert sharded["status"] == "ok"
-        assert sharded["result"]["shards"] == 3
-        assert sharded["result"]["colors_blake2b"] == \
-            serial["result"]["colors_blake2b"]
-        assert sharded["ledger"] == serial["ledger"]
-        assert canonical_lines(sharded["trace"]) == \
-            canonical_lines(serial["trace"])
-
     def test_payload_is_json_serializable(self):
         payload = execute_request(_spec({"kind": "ring-stream", "n": 66},
                                         "greedy-reduction"))

@@ -22,7 +22,7 @@ from repro.serve.server import ColoringServer, ServerHandle
 def _color_body(n: int):
     return {
         "topology": {"kind": "ring-stream", "n": n},
-        "algorithm": {"name": "greedy-reduction", "q": n, "target": 3},
+        "algorithm": {"name": "greedy-reduction"},
     }
 
 

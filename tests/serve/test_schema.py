@@ -89,10 +89,10 @@ class TestTopologyParsing:
 
 
 class TestSchemaVersion:
-    def test_v2_stamp(self):
-        # v2 added peak_rss_kb / nodes_per_s / colors_blake2b to the
-        # scale payloads and the shards knob to greedy-reduction.
-        assert SCHEMA_VERSION == "repro-result/v2"
+    def test_v3_stamp(self):
+        # v3 dropped greedy-reduction's partition-count field and made
+        # algorithm specs reject fields they do not read.
+        assert SCHEMA_VERSION == "repro-result/v3"
 
 
 class TestAlgorithmParsing:
@@ -101,15 +101,24 @@ class TestAlgorithmParsing:
         assert spec["name"] == "greedy-reduction"
         assert spec["colors"] == 16
         assert spec["validate"] is True
-        assert spec["shards"] == 1
+        assert set(spec) == {"name", "colors", "validate"}
 
-    def test_shards_validated(self):
-        spec = parse_algorithm({"name": "greedy-reduction", "shards": 4})
-        assert spec["shards"] == 4
-        with pytest.raises(RequestError, match="must lie in"):
-            parse_algorithm({"name": "greedy-reduction", "shards": 0})
-        with pytest.raises(RequestError, match="must be an integer"):
-            parse_algorithm({"name": "greedy-reduction", "shards": "2"})
+    def test_unknown_algorithm_fields_rejected(self):
+        with pytest.raises(RequestError,
+                           match=r"unknown algorithm fields: \['colour'\]"):
+            parse_algorithm({"name": "greedy-reduction", "colour": 8})
+        # Each algorithm accepts exactly the fields it reads.
+        with pytest.raises(RequestError, match=r"\['colors'\]"):
+            parse_algorithm({"name": "two-sweep", "colors": 8})
+        with pytest.raises(RequestError, match=r"\['epsilon'\]"):
+            parse_algorithm({"name": "two-sweep", "epsilon": 0.5})
+        with pytest.raises(RequestError, match=r"\['p'\]"):
+            parse_algorithm({"name": "greedy-reduction", "p": 2})
+        spec = parse_algorithm({
+            "name": "fast-two-sweep", "p": 3, "seed": 1, "id_bits": 8,
+            "check": False, "lists": "stuck", "epsilon": 0.5,
+        })
+        assert spec["epsilon"] == 0.5
 
     def test_sweep_defaults(self):
         spec = parse_algorithm({"name": "two-sweep"})

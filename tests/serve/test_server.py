@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -264,9 +265,17 @@ class TestProcessMode:
                         {"topology": RING, "algorithm": GREEDY})
                     assert status == 200
                     reference = payload["result"]["colors_blake2b"]
-                    victims = list(
-                        server.supervisor.pool.executor._processes)
+                    executor = server.supervisor.pool.executor
+                    victims = list(executor._processes)
                     os.kill(victims[0], signal.SIGKILL)
+                    # Until the executor notices the death, the next
+                    # request could reach the surviving worker and no
+                    # restart would happen; wait for the broken flag.
+                    deadline = time.monotonic() + 10.0
+                    while (not executor._broken
+                           and time.monotonic() < deadline):
+                        time.sleep(0.01)
+                    assert executor._broken, "worker death went unnoticed"
                     # The batch hit by the kill is retried on a fresh
                     # pool; either way the daemon must answer correctly.
                     status, payload = conn.color(

@@ -236,21 +236,6 @@ def test_greedy_color_reduction_vectorized_matches_reference(seed,
         assert got == want, (seed, case)
 
 
-def test_shard_spec_and_kernel_share_the_extractor():
-    """Both gates decline exactly what the one extractor declines."""
-    network = stream_ring(40)
-    compiled = network.compile()
-    programs = [_ColorReductionProgram(i, i % 5, 5, 3) for i in range(40)]
-    assert greedy_module._reduction_columns(programs) == (
-        [i % 5 for i in range(40)], 5, 3)
-    programs[7].neighbor_colors[6] = 1  # mid-run state
-    assert greedy_module._reduction_columns(programs) is None
-    assert greedy_module._color_reduction_shard_spec(
-        compiled, programs, LocalModel()) is None
-    assert greedy_module._ColorReductionKernel().prepare(
-        compiled, programs, LocalModel()) is None
-
-
 def test_columns_run_without_columns_constructor_falls_back():
     """A kernel lacking ``from_columns`` never sees the ColumnInputs:
     the run builds the programs and falls back with the same result."""

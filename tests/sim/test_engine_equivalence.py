@@ -51,7 +51,6 @@ from repro.sim import (
     run_protocol,
     set_default_engine,
     use_engine,
-    use_shards,
 )
 from repro.substrates import (
     greedy_arbdefective_sweep,
@@ -60,11 +59,8 @@ from repro.substrates import (
     randomized_delta_plus_one,
 )
 
-#: The engines measured against the reference oracle.  ``sharded`` at
-#: the default single shard exercises its fallback chain (it must be as
-#: invisible as the vectorized engine's); real multi-shard execution is
-#: covered by ``test_sharded_engine_agrees`` below.
-CANDIDATE_ENGINES = ("fast", "vectorized", "sharded")
+#: The engines measured against the reference oracle.
+CANDIDATE_ENGINES = ("fast", "vectorized")
 
 
 @pytest.fixture(params=["python", "numpy"])
@@ -205,45 +201,6 @@ def test_engines_agree(protocol, topology, backend):
         # The logical trace stream is part of the observational contract:
         # identical bytes once physical (timing/pid/engine) fields go.
         assert canonical_lines(tracer.events) == ref_stream, engine
-
-
-@pytest.mark.parametrize("shards", [1, 2, 4])
-@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-def test_sharded_engine_agrees(topology, shards, backend):
-    """Multi-shard execution is byte-identical to the reference engine.
-
-    Color reduction is the protocol with a registered shard spec, so
-    these runs genuinely partition the graph (serially in-process at
-    this size) rather than falling back.  Outputs, the full ledger
-    state, and the canonical logical trace stream must all match for
-    every shard count.
-    """
-    build = TOPOLOGIES[topology]
-    ref_tracer = Tracer()
-    with use_engine("reference"), use_tracer(ref_tracer):
-        ref_out, ref_ledger = run_color_reduction(build(seed=5))
-    tracer = Tracer()
-    with use_engine("sharded"), use_shards(shards), use_tracer(tracer):
-        out, ledger = run_color_reduction(build(seed=5))
-    assert out == ref_out, shards
-    assert _ledger_state(ledger) == _ledger_state(ref_ledger), shards
-    assert canonical_lines(tracer.events) == \
-        canonical_lines(ref_tracer.events), shards
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_congest_agrees(shards, backend):
-    """CONGEST accounting through real shards matches the reference."""
-    states = {}
-    outputs = {}
-    for engine, count in (("reference", 1), ("sharded", shards)):
-        network = gnp_graph(50, 0.12, seed=13)
-        with use_engine(engine), use_shards(count):
-            out, ledger = _with_congest(run_color_reduction, network)
-        outputs[engine] = out
-        states[engine] = _ledger_state(ledger)
-    assert outputs["sharded"] == outputs["reference"]
-    assert states["sharded"] == states["reference"]
 
 
 class _EchoHalt(NodeProgram):
@@ -497,10 +454,12 @@ def test_unknown_engine_rejected():
     network = complete_graph(2)
     programs = {node: _EchoHalt(node) for node in network}
     scheduler = Scheduler(network, programs)
-    with pytest.raises(SchedulerError):
-        scheduler.run(engine="warp")
-    with pytest.raises(SchedulerError):
-        set_default_engine("warp")
+    # A stale selection of the removed engine fails loudly too.
+    for name in ("warp", "sharded"):
+        with pytest.raises(SchedulerError):
+            scheduler.run(engine=name)
+        with pytest.raises(SchedulerError):
+            set_default_engine(name)
 
 
 def test_use_engine_restores_default():

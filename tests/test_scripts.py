@@ -102,7 +102,6 @@ class TestDriftGate:
             str(pathlib.Path(SCRIPTS) / "bench_drift_allowlist.txt")
         )
         assert "headline.nodes_per_s" in entries
-        assert "headline_multicore.nodes_per_s" in entries
         # Within-run ratios stay hard-gated.
         assert "headline.speedup" not in entries
 
