@@ -1,13 +1,12 @@
-"""Engine microbenchmark: fast and vectorized scheduler paths vs reference.
+"""Engine microbenchmark: the vectorized scheduler path vs reference.
 
 Fixed scheduler-stress workloads on the three topology families the
 experiment suite leans on (G(n,p), trees, cliques), each run through the
-three execution engines of :class:`repro.sim.Scheduler`:
+two execution engines of :class:`repro.sim.Scheduler`:
 
 * ``gnp_stragglers`` -- 2,000-node G(n,p) where most nodes halt within a
   few rounds and a handful run for hundreds: the regime that punishes the
-  reference engine's per-round full-node scans and dict rebuilds, and the
-  headline number for the fast path's active-set scheduling;
+  reference engine's per-round full-node scans and dict rebuilds;
 * ``gnp_greedy_sweep`` -- the repository's real greedy arbdefective
   sweep (one color class decides per round), the paper's canonical
   protocol shape;
@@ -64,7 +63,7 @@ import platform
 import statistics
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -101,12 +100,12 @@ JSON_PATH = REPO_ROOT / "BENCH_engine.json"
 #: Wall-clock repetitions per (workload, engine); the median is reported.
 REPEATS = 3
 
-#: The workload whose (reference / fast) speedup is the tracked headline.
-HEADLINE = "gnp_stragglers"
-
-#: The homogeneous workload whose (fast / vectorized) ratio is tracked as
-#: the vectorized engine's headline.
+#: The workload whose (reference / vectorized) speedup is the tracked
+#: headline.
 VECTOR_HEADLINE = "tree_flood"
+
+#: The engines timed on every workload; the first is the oracle.
+ENGINES = ("reference", "vectorized")
 
 
 def _arrays_backend() -> Dict:
@@ -167,7 +166,7 @@ class _Flooder(NodeProgram):
 # behavior is a function of the round number and the topology, so the
 # kernels reduce each round to a handful of precomputed totals.  They
 # decline CONGEST runs (the bench only measures LOCAL; the scheduler
-# falls back to the fast engine, which is exact under any model) --
+# falls back to the reference engine, which is exact under any model) --
 # registering them here also demonstrates that the kernel registry is
 # open to program classes outside the library substrates.
 # ----------------------------------------------------------------------
@@ -269,16 +268,13 @@ register_kernel(_Flooder, _FlooderKernel)
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-Runner = Callable[[Optional[str]], Tuple[Network, CostLedger, Dict]]
-
-
-def _run_scheduler(network: Network, programs, engine: Optional[str]):
+def _run_scheduler(network: Network, programs, engine: str):
     scheduler = Scheduler(network, programs)
     scheduler.run(engine=engine)
     return scheduler.outputs(), scheduler.ledger
 
 
-def workload_gnp_stragglers(n: int, engine: Optional[str]):
+def workload_gnp_stragglers(n: int, engine: str):
     network = gnp_graph(n, 8.0 / n, seed=11)
     long_life = max(50, n // 2)
     stride = max(1, n // 16)
@@ -289,21 +285,21 @@ def workload_gnp_stragglers(n: int, engine: Optional[str]):
     return _run_scheduler(network, programs, engine) + (network,)
 
 
-def workload_gnp_greedy_sweep(n: int, engine: Optional[str]):
+def workload_gnp_greedy_sweep(n: int, engine: str):
     network = gnp_graph(n, 6.0 / n, seed=13)
     instance = random_arbdefective_instance(
         network, slack=1.5, seed=13,
         color_space_size=max(8, network.raw_max_degree() + 2),
     )
     ledger = CostLedger()
-    with use_engine(engine or "fast"):
+    with use_engine(engine):
         result = greedy_arbdefective_sweep(
             instance, sequential_ids(network), len(network), ledger=ledger
         )
     return result.colors, ledger, network
 
 
-def workload_tree_flood(n: int, engine: Optional[str]):
+def workload_tree_flood(n: int, engine: str):
     depth = max(2, n.bit_length() - 1)
     network = binary_tree(depth)
     rounds = max(20, min(200, n // 8))
@@ -311,7 +307,7 @@ def workload_tree_flood(n: int, engine: Optional[str]):
     return _run_scheduler(network, programs, engine) + (network,)
 
 
-def workload_clique_exchange(n: int, engine: Optional[str]):
+def workload_clique_exchange(n: int, engine: str):
     size = max(8, int(n ** 0.5) * 4)
     network = complete_graph(size)
     rounds = max(10, n // 40)
@@ -319,7 +315,7 @@ def workload_clique_exchange(n: int, engine: Optional[str]):
     return _run_scheduler(network, programs, engine) + (network,)
 
 
-def workload_linial_algebraic(n: int, engine: Optional[str]):
+def workload_linial_algebraic(n: int, engine: str):
     # Linial needs q >> Delta^2 to make progress, so run it where it
     # belongs: a bounded-degree graph colored by unique ids.  One pass is
     # only O(log* q) rounds, so repeat it -- which is also exactly the
@@ -328,7 +324,7 @@ def workload_linial_algebraic(n: int, engine: Optional[str]):
     ids = sequential_ids(network)
     reps = max(3, n // 100)
     ledger = CostLedger()
-    with use_engine(engine or "fast"):
+    with use_engine(engine):
         for _ in range(reps):
             colors, _ = linial_coloring(
                 network, ids, len(network), ledger=ledger
@@ -336,14 +332,14 @@ def workload_linial_algebraic(n: int, engine: Optional[str]):
     return colors, ledger, network
 
 
-def workload_star_fanout(n: int, engine: Optional[str]):
+def workload_star_fanout(n: int, engine: str):
     network = star_graph(max(7, n - 1))
     rounds = max(20, min(400, n // 4))
     programs = {node: _Flooder(node, rounds) for node in network}
     return _run_scheduler(network, programs, engine) + (network,)
 
 
-def workload_two_sweep(n: int, engine: Optional[str]):
+def workload_two_sweep(n: int, engine: str):
     # The paper's Algorithm 1 at E1's density, scaled up: q = n color
     # classes, 2q + 1 rounds, at most one class acting per round -- the
     # exact shape where per-node dispatch costs O(n) no-ops per round
@@ -353,14 +349,14 @@ def workload_two_sweep(n: int, engine: Optional[str]):
     instance = random_oldc_instance(graph, p=3, seed=17)
     ids = sequential_ids(network)
     ledger = CostLedger()
-    with use_engine(engine or "fast"):
+    with use_engine(engine):
         result = two_sweep(
             instance, ids, len(network), 3, ledger=ledger, check=False
         )
     return result.colors, ledger, network
 
 
-def workload_fast_two_sweep(n: int, engine: Optional[str]):
+def workload_fast_two_sweep(n: int, engine: str):
     # Algorithm 2 end to end (Lemma 3.4 defective coloring + inner
     # sweep) with 40-bit identifiers, the E2 regime: rounds are O((p /
     # eps)^2 + log* q), so the per-round cost is all that scales with n.
@@ -369,7 +365,7 @@ def workload_fast_two_sweep(n: int, engine: Optional[str]):
     instance = random_oldc_instance(graph, p=2, seed=19, epsilon=0.5)
     ids = random_ids(network, seed=19, bits=40)
     ledger = CostLedger()
-    with use_engine(engine or "fast"):
+    with use_engine(engine):
         result = fast_two_sweep(
             instance, ids, 2 ** 40, 2, 0.5, ledger=ledger, check=False
         )
@@ -403,31 +399,27 @@ def _time_once(factory, n: int, engine: str):
 def run_benchmark(n: int, smoke: bool) -> Dict:
     rows: List[Dict] = []
     for name, factory in WORKLOADS:
-        # Interleave the engines so clock drift hits all three equally;
+        # Interleave the engines so clock drift hits both equally;
         # best-of-REPEATS per engine, stddev reported alongside.
-        times: Dict[str, List[float]] = {
-            "reference": [], "fast": [], "vectorized": [],
-        }
+        times: Dict[str, List[float]] = {engine: [] for engine in ENGINES}
         fingerprints: Dict[str, Tuple] = {}
         outputs: Dict[str, Dict] = {}
         for _ in range(REPEATS):
-            for engine in ("reference", "fast", "vectorized"):
+            for engine in ENGINES:
                 elapsed, fingerprint, out, network = _time_once(
                     factory, n, engine
                 )
                 times[engine].append(elapsed)
                 fingerprints[engine] = fingerprint
                 outputs[engine] = out
-        for engine in ("fast", "vectorized"):
-            if (fingerprints[engine] != fingerprints["reference"]
-                    or outputs[engine] != outputs["reference"]):
-                raise AssertionError(
-                    f"engine mismatch on {name}: reference "
-                    f"{fingerprints['reference']} vs {engine} "
-                    f"{fingerprints[engine]}"
-                )
+        if (fingerprints["vectorized"] != fingerprints["reference"]
+                or outputs["vectorized"] != outputs["reference"]):
+            raise AssertionError(
+                f"engine mismatch on {name}: reference "
+                f"{fingerprints['reference']} vs vectorized "
+                f"{fingerprints['vectorized']}"
+            )
         ref_s = min(times["reference"])
-        fast_s = min(times["fast"])
         vec_s = min(times["vectorized"])
         rows.append({
             "workload": name,
@@ -440,40 +432,28 @@ def run_benchmark(n: int, smoke: bool) -> Dict:
             "reference_stddev_s": round(
                 statistics.pstdev(times["reference"]), 6
             ),
-            "fast_s": round(fast_s, 6),
-            "fast_stddev_s": round(statistics.pstdev(times["fast"]), 6),
             "vectorized_s": round(vec_s, 6),
             "vectorized_stddev_s": round(
                 statistics.pstdev(times["vectorized"]), 6
             ),
-            "speedup": round(ref_s / fast_s, 3) if fast_s > 0 else None,
             "vectorized_speedup": (
                 round(ref_s / vec_s, 3) if vec_s > 0 else None
             ),
-            "vectorized_vs_fast": (
-                round(fast_s / vec_s, 3) if vec_s > 0 else None
-            ),
         })
-    headline = next(row for row in rows if row["workload"] == HEADLINE)
     vec_headline = next(
         row for row in rows if row["workload"] == VECTOR_HEADLINE
     )
     return {
         "benchmark": "bench_engine",
-        "description": ("reference vs fast vs vectorized scheduler "
-                        "engine, fixed workloads"),
+        "description": ("reference vs vectorized scheduler engine, "
+                        "fixed workloads"),
         "smoke": smoke,
         "workload_scale_n": n,
         "python": platform.python_version(),
         "arrays_backend": _arrays_backend(),
         "repeats": REPEATS,
-        "headline": {
-            "workload": HEADLINE,
-            "speedup": headline["speedup"],
-        },
         "vectorized_headline": {
             "workload": VECTOR_HEADLINE,
-            "vs_fast": vec_headline["vectorized_vs_fast"],
             "speedup": vec_headline["vectorized_speedup"],
         },
         "workloads": rows,
@@ -482,27 +462,23 @@ def run_benchmark(n: int, smoke: bool) -> Dict:
 
 def _render(report: Dict) -> str:
     lines = [
-        "BENCH_engine: fast + vectorized scheduler engines vs reference "
+        "BENCH_engine: vectorized scheduler engine vs reference "
         f"(scale n={report['workload_scale_n']}, smoke={report['smoke']}, "
         f"best of {report['repeats']} with stddev)",
         f"{'workload':<18} {'n':>6} {'m':>8} {'rounds':>7} "
-        f"{'messages':>10} {'ref_s':>9} {'fast_s':>9} {'vec_s':>9} "
-        f"{'fast':>6} {'vec':>6} {'v/f':>6}",
+        f"{'messages':>10} {'ref_s':>9} {'vec_s':>9} {'vec':>8}",
     ]
     for row in report["workloads"]:
         lines.append(
             f"{row['workload']:<18} {row['n']:>6} {row['m']:>8} "
             f"{row['rounds']:>7} {row['messages']:>10} "
-            f"{row['reference_s']:>9.4f} {row['fast_s']:>9.4f} "
-            f"{row['vectorized_s']:>9.4f} "
-            f"{row['speedup']:>5.2f}x {row['vectorized_speedup']:>5.2f}x "
-            f"{row['vectorized_vs_fast']:>5.2f}x"
+            f"{row['reference_s']:>9.4f} {row['vectorized_s']:>9.4f} "
+            f"{row['vectorized_speedup']:>7.2f}x"
         )
     lines.append(
-        f"headline ({report['headline']['workload']}): "
-        f"{report['headline']['speedup']:.2f}x fast vs reference; "
-        f"vectorized ({report['vectorized_headline']['workload']}): "
-        f"{report['vectorized_headline']['vs_fast']:.2f}x vs fast"
+        f"headline ({report['vectorized_headline']['workload']}): "
+        f"{report['vectorized_headline']['speedup']:.2f}x vectorized "
+        "vs reference"
     )
     return "\n".join(lines)
 
@@ -515,7 +491,6 @@ def write_report(report: Dict, json_path: pathlib.Path = JSON_PATH) -> None:
         "benchmark": report["benchmark"],
         "smoke": report["smoke"],
         "workload_scale_n": report["workload_scale_n"],
-        "headline": report["headline"],
         "vectorized_headline": report["vectorized_headline"],
     })
 
@@ -527,11 +502,10 @@ def test_engine_benchmark(benchmark):
     """Pytest entry: smoke-scale run + fingerprint equivalence."""
     report = run_benchmark(n=400, smoke=True)
     for row in report["workloads"]:
-        # Neither optimized path may lose badly; full-scale wins are
+        # The vectorized path may not lose badly; full-scale wins are
         # tracked in BENCH_engine.json, not asserted here (CI noise).
-        assert row["speedup"] > 0.5
-        assert row["vectorized_vs_fast"] > 0.5
-    benchmark(workload_gnp_stragglers, 400, None)
+        assert row["vectorized_speedup"] > 0.5
+    benchmark(workload_gnp_stragglers, 400, "vectorized")
 
 
 def main(argv=None) -> int:

@@ -6,8 +6,8 @@ ever materialized:
 
 * **workloads** -- greedy color reduction on a streamed ring, per
   engine, on an n ladder sized to each engine's envelope (the reference
-  engine walks dicts per round, the fast engine per-node programs, the
-  vectorized engine CSR columns).  Each record carries wall-clock,
+  engine walks dicts and per-node programs every round, the vectorized
+  engine CSR columns).  Each record carries wall-clock,
   nodes/sec, rounds, and the process peak RSS after the run.  The
   headline is the largest vectorized run -- n = 1,000,000 at full
   scale.
@@ -83,12 +83,10 @@ PALETTE = 14
 #: the vectorized ladder tops out at the million-node headline.
 LADDERS = {
     "reference": [2_000, 20_000],
-    "fast": [20_000, 200_000],
     "vectorized": [100_000, 1_000_000],
 }
 SMOKE_LADDERS = {
     "reference": [500],
-    "fast": [1_000],
     "vectorized": [2_000],
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Hard-fail benchmark drift gate for CI.
 
-Compares headline metrics between a committed full-scale benchmark
-report (``BENCH_*.json``) and the smoke-sized rerun CI just produced.
-A metric landing below its floor prints a GitHub Actions ``::error``
-annotation and the process exits 1, failing the build.
+Compares headline metrics between a committed benchmark report
+(``BENCH_*.json``, or a committed smoke-scale baseline where the metric
+depends on the workload size) and the smoke-sized rerun CI just
+produced.  A metric landing below its floor prints a GitHub Actions
+``::error`` annotation and the process exits 1, failing the build.
 
 Two escape hatches keep shared-runner noise manageable:
 
@@ -19,18 +20,21 @@ Two escape hatches keep shared-runner noise manageable:
 
 Usage::
 
-    python scripts/check_bench_drift.py BENCH_engine.json \\
+    python scripts/check_bench_drift.py \\
+        benchmarks/results/BENCH_engine_smoke.json \\
         BENCH_engine_smoke.json \\
-        --metric headline.speedup:0.7 \\
-        --metric "workloads[workload=linial_algebraic].vectorized_vs_fast" \\
+        --metric vectorized_headline.speedup:0.7 \\
+        --metric "workloads[workload=linial_algebraic].vectorized_speedup" \\
         --allowlist scripts/bench_drift_allowlist.txt
 
 Each ``--metric`` is a dotted path resolved in *both* reports, with an
 optional ``:FACTOR`` floor (default 0.9 -- fail on a >10% slowdown).
 A path segment may select a row from a list of objects with
-``key[field=value]``.  Paths missing from either report are reported
-and skipped rather than failing: smoke reports legitimately trail the
-committed schema while a benchmark is being extended.
+``key[field=value]``.  A path missing from either report, or
+unmeasured (``None``) in either, is a blocking failure like a
+regression: a renamed or dropped metric must not turn the gate into a
+silent no-op.  ``--warn-only`` and the allowlist downgrade it to a
+warning, as they do a regression.
 """
 
 from __future__ import annotations
@@ -92,21 +96,21 @@ def check_metric(committed: Any, smoke: Any, spec: str, name: str,
     """
     path, _, raw_factor = spec.partition(":")
     factor = float(raw_factor) if raw_factor else DEFAULT_FACTOR
-    try:
-        want = resolve(committed, path)
-    except (KeyError, IndexError, TypeError):
-        print(f"{path}: missing from committed report, skipped")
-        return False
-    try:
-        got = resolve(smoke, path)
-    except (KeyError, IndexError, TypeError):
-        print(f"{path}: missing from smoke report, skipped")
-        return False
-    if got is None or want is None:
-        print(f"{path}: unmeasured (None), skipped")
-        return False
+    level = "warning" if warn_only else "error"
+    values = {}
+    for label, report in (("committed", committed), ("smoke", smoke)):
+        try:
+            values[label] = resolve(report, path)
+        except (KeyError, IndexError, TypeError):
+            print(f"::{level} title={name} drift::{path}: missing from "
+                  f"{label} report")
+            return not warn_only
+        if values[label] is None:
+            print(f"::{level} title={name} drift::{path}: unmeasured "
+                  f"(None) in {label} report")
+            return not warn_only
+    want, got = values["committed"], values["smoke"]
     if got < factor * want:
-        level = "warning" if warn_only else "error"
         print(
             f"::{level} title={name} drift::{path}: smoke {got} vs "
             f"committed {want} (floor {factor}x)"
@@ -161,7 +165,7 @@ def main(argv=None) -> int:
             warn_only=args.warn_only or path in allowlist,
         )
     if failed:
-        print(f"{failed} blocking regression(s) -- failing the build")
+        print(f"{failed} blocking failure(s) -- failing the build")
         return 1
     print("no blocking drift")
     return 0

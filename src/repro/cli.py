@@ -43,7 +43,7 @@ _last_ledger: Optional[CostLedger] = None
 #: Human-readable glosses for the vectorized engine's fallback reasons,
 #: printed under ``--kernel-stats`` so the cost of each feature is visible.
 _FALLBACK_NOTES = {
-    "observer": "a RoundObserver pins runs to the per-node engines "
+    "observer": "a RoundObserver pins runs to the reference engine "
                 "(use --trace for kernel-preserving telemetry)",
     "stop_when": "a stop oracle needs per-node, per-round inspection",
     "empty": "the scheduler had no node programs to batch",
@@ -522,11 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine", default=None,
-        choices=["fast", "reference", "vectorized"],
+        choices=["reference", "vectorized"],
         help="scheduler execution engine for every simulated round "
-             "(default: fast, or the REPRO_SIM_ENGINE environment "
+             "(default: vectorized, or the REPRO_SIM_ENGINE environment "
              "variable; vectorized batches homogeneous node programs "
-             "and falls back to fast otherwise)",
+             "and falls back to reference otherwise)",
     )
     parser.add_argument(
         "--kernel-stats", action="store_true",
@@ -695,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="TCP port (0 picks a free one; the bound "
                            "port is printed on the 'serving on' line)")
     p_sv.add_argument("--workers", type=int, default=None,
-                      help="pool size (default: REPRO_PARALLEL_WORKERS "
+                      help="pool size (default: REPRO_PARALLEL "
                            "or the CPU count)")
     p_sv.add_argument("--mode", choices=["process", "thread"],
                       default="process",

@@ -76,7 +76,7 @@ def fast_two_sweep(instance: OLDCInstance,
     satisfy Eq. (7); ``initial_colors`` must be a proper ``q``-coloring
     with colors ``0..q-1``.  ``trace`` collects the inner sweep's
     per-node phase events (and, like every trace, pins that sweep to the
-    per-node engines -- the vectorized kernels decline traced runs).
+    reference engine -- the vectorized kernels decline traced runs).
 
     Both phases of the composition are kernelized: under
     ``engine="vectorized"`` the Lemma 3.4 recoloring runs through

@@ -309,8 +309,8 @@ class TwoSweepKernel(RoundKernel):
     The round layout makes the population embarrassingly bucketable: at
     most one color class acts per round (Phase I windows ``[2, q + 1]``
     and Phase II windows ``[q + 2, 2q + 1]`` are disjoint), so each step
-    touches only that round's deciders while the per-node engines still
-    dispatch an ``on_round`` no-op for every waiting node.  Two facts
+    touches only that round's deciders while the reference engine still
+    dispatches an ``on_round`` no-op for every waiting node.  Two facts
     make the event-driven rewrite exact:
 
     * ``k_v`` is *final* at ``v``'s Phase I turn -- an earlier

@@ -9,7 +9,7 @@ produced the numbers.  Three pieces:
 
 * :class:`Tracer` (:mod:`repro.obs.tracer`) -- structured span/event
   records (run -> phase -> round-batch) emitted through zero-overhead
-  hooks in all three scheduler engines; the *logical* projection of a
+  hooks in both scheduler engines; the *logical* projection of a
   trace is part of the engine-equivalence contract, while physical
   fields (wall-clock, pid, engine, kernel, worker) are stripped by
   :func:`logical_view`;

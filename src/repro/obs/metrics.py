@@ -722,7 +722,7 @@ def set_metrics_enabled(enabled: bool) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Scheduler fast path
+# Per-run scheduler metrics
 # ----------------------------------------------------------------------
 _run_handles: Dict[str, Tuple[CounterHandle, CounterHandle, CounterHandle,
                               CounterHandle, CounterHandle,

@@ -19,7 +19,7 @@ Every record field is either **logical** or **physical**:
   (``kind`` / ``name`` / ``span`` / ``parent``), round/message/bit/
   broadcast totals, instance parameters.  The engine-equivalence
   invariant extends to them: the logical view of a trace is
-  byte-identical across the reference, fast, and vectorized engines
+  byte-identical across the reference and vectorized engines
   (see :func:`canonical_lines`).
 * physical fields describe *how the hardware ran it* -- wall-clock
   (``t0`` / ``wall_s``), ``pid``, ``engine``, ``kernel``, ``fallback``,

@@ -71,7 +71,11 @@ _STATUS_TEXT = {
 # the rolling window and the histogram view agree (the old local copy
 # used ``round()``, whose banker's rounding resolved p50 of ``[1, 2]``
 # to rank 1 and quietly accepted ``fraction=0.0``).
-__all__ = ["ColoringServer", "ServerHandle", "percentile"]
+__all__ = ["BadRequest", "ColoringServer", "ServerHandle", "percentile"]
+
+
+class BadRequest(ValueError):
+    """A request the HTTP layer cannot frame; answered 400, then closed."""
 
 
 class ColoringServer:
@@ -163,7 +167,16 @@ class ColoringServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except BadRequest as error:
+                    # The body boundary is unknown, so the connection
+                    # cannot carry another request.
+                    await self._respond(writer, 400, envelope(
+                        "error", status="error",
+                        error={"type": "BadRequest", "message": str(error)},
+                    ))
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -201,6 +214,8 @@ class ColoringServer:
 
         Returns ``(method, path, headers, body)``; an oversized body is
         *not* read -- the body slot carries its length as an ``int``.
+        Raises :class:`BadRequest` when ``Content-Length`` is not a
+        plain decimal byte count.
         """
         line = await reader.readline()
         if not line or line in (b"\r\n", b"\n"):
@@ -216,7 +231,10 @@ class ColoringServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
+        raw_length = headers.get("content-length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise BadRequest(f"invalid Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             return method, path, headers, length
         body = await reader.readexactly(length) if length else b""

@@ -54,7 +54,7 @@ from .scheduler import (
     set_default_engine,
     use_engine,
 )
-from .tracing import RoundObserver, RoundRecord, expand_pairs
+from .tracing import RoundObserver, RoundRecord
 
 __all__ = [
     "AlgorithmFailure",
@@ -92,7 +92,6 @@ __all__ = [
     "default_engine",
     "derive_seed",
     "ensure_ledger",
-    "expand_pairs",
     "int_bits",
     "intern_broadcast",
     "intern_payload",

@@ -225,11 +225,10 @@ class CompiledNetwork:
 
     @property
     def neighbor_id_tuples(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-node CSR rows materialized as tuples of plain ints: the
-        scheduler's broadcast fan-out iterates a node's full neighbor
-        row every time, and tuple iteration beats repeated ``array``
-        indexing on that hot path.  Built on first fast-engine run;
-        kernel-only runs never pay for it.
+        """Per-node CSR rows materialized as tuples of plain ints, for
+        kernels that iterate a node's full neighbor row repeatedly
+        (tuple iteration beats repeated ``array`` indexing).  Built on
+        first use; runs that never ask never pay for it.
         """
         if self._neighbor_id_tuples is None:
             indptr = self.indptr

@@ -1,6 +1,6 @@
 """Vectorized round kernels: array-at-a-time execution of node programs.
 
-The fast engine still pays one Python ``on_round`` call per node per
+The reference engine pays one Python ``on_round`` call per node per
 round.  On the paper's core workloads that dispatch is the dominant
 remaining cost, and it is pure overhead: the populations are *perfectly
 homogeneous* -- every node runs the same Linial-style color-reduction
@@ -15,14 +15,14 @@ The contract mirrors the scheduler's engine contract: a kernel must be
 reference engine -- same outputs, same rounds/messages/bits/broadcast
 totals (bit-identical ledgers), same exceptions in the same node order,
 with and without a CONGEST bandwidth model.  The equivalence suite
-(``tests/sim/test_engine_equivalence.py``) enforces this three-ways
-(reference vs fast vs vectorized).
+(``tests/sim/test_engine_equivalence.py``) enforces this for every
+kernel (reference vs vectorized).
 
 Lifecycle, driven by ``Scheduler._run_vectorized``:
 
 1. the scheduler detects a *uniform* program population (every program
    is exactly the same class) with a registered kernel; anything else
-   falls back to the fast engine;
+   falls back to the reference engine;
 2. ``kernel.prepare(compiled, programs, bandwidth)`` builds the column
    state (or returns ``None`` to decline -- e.g. heterogeneous
    parameters -- which also falls back);
@@ -130,8 +130,8 @@ class RoundKernel(ABC):
         columns entry); for any other kernel a columns run falls back
         to built programs.
 
-        Declining is always safe: the scheduler falls back to the fast
-        engine, which handles any population.  Kernels must decline
+        Declining is always safe: the scheduler falls back to the
+        reference engine, which handles any population.  Kernels must decline
         whatever they do not model exactly -- heterogeneous parameters,
         programs with pre-existing state, and so on.
         """
@@ -225,7 +225,7 @@ def registered_kernels() -> Tuple[type, ...]:
 # ----------------------------------------------------------------------
 # Process-level kernel statistics
 #
-# The vectorized engine falls back to the fast engine *silently* -- by
+# The vectorized engine falls back to the reference engine *silently* -- by
 # design (the results are identical), but silently is exactly how a
 # benchmark ends up measuring the wrong code path.  The scheduler
 # records every eligibility decision here so sweep reports and the CLI

@@ -221,7 +221,7 @@ class Broadcast:
 
     Because every copy is identical, accounting is analytic (``count *
     size_bits`` bits, one bandwidth check stands for all copies) and no
-    per-edge allocation happens on the fast engine's hot path.  One
+    per-edge allocation happens in the kernels' fan-out.  One
     envelope is constructed per *broadcast call*, so construction itself
     is on the hot path: a plain ``__slots__`` class (read-only by the
     same convention as payloads) beats a frozen dataclass here.

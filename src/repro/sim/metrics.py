@@ -79,9 +79,9 @@ class CostLedger:
         """Record ``rounds`` synchronous rounds in one update.
 
         Equivalent to ``rounds`` calls of :meth:`charge_round` whose
-        message/bit counts sum to the given totals -- the fast scheduler
-        engine accumulates whole runs locally and charges them here in
-        one O(phases) step instead of O(rounds * phases).
+        message/bit counts sum to the given totals -- the vectorized
+        scheduler engine accumulates whole runs locally and charges them
+        here in one O(phases) step instead of O(rounds * phases).
         """
         if rounds < 0:
             raise ValueError("cannot charge a negative number of rounds")

@@ -474,8 +474,8 @@ class SweepReport(list):
     pool worker (or one for the in-process serial run) with ``pid``,
     ``engine``, and that worker's :func:`~repro.sim.kernels.kernel_stats`
     counters -- the visibility knob for the vectorized engine's *silent*
-    fallback-to-fast: a sweep that meant to measure kernels but shows
-    ``hits == 0`` is measuring the wrong code path.
+    fallback to the reference engine: a sweep that meant to measure
+    kernels but shows ``hits == 0`` is measuring the wrong code path.
 
     ``trace_events`` holds the merged per-trial trace records when the
     sweep ran under an installed :class:`~repro.obs.tracer.Tracer`

@@ -16,22 +16,9 @@ flight, and charges the measured rounds/messages/bits to a
 :class:`~repro.sim.metrics.CostLedger` so that composed protocols share one
 meter.
 
-Three execution engines implement the same semantics:
+Two execution engines implement the same semantics:
 
-``fast`` (the default)
-    The production hot loop.  It compiles the topology once
-    (:meth:`~repro.sim.network.Network.compile`), keeps an explicit
-    active list instead of scanning every node each round, reuses a pair
-    of per-node inbox buffers instead of rebuilding ``{node: []}`` dicts,
-    fans each :class:`~repro.sim.message.Broadcast` envelope out *by
-    reference* over the compiled CSR row (charging the ledger and the
-    CONGEST checker analytically as ``copies * size``), skips
-    per-message bandwidth calls entirely under
-    :class:`~repro.sim.congest.LocalModel`, and batches ledger
-    accumulation into one charge per run when no observer or stop oracle
-    needs per-round granularity.
-
-``vectorized``
+``vectorized`` (the default)
     The batched-dispatch path for *homogeneous* populations.  When every
     program is exactly the same class and that class has a registered
     :class:`~repro.sim.kernels.RoundKernel`, the whole population is
@@ -39,32 +26,32 @@ Three execution engines implement the same semantics:
     ``step`` per round instead of one ``on_round`` call per node -- with
     the ledger charged in bulk.  Mixed or unregistered populations (and
     runs that need per-round observer/oracle granularity) transparently
-    fall back to the fast engine, so ``engine="vectorized"`` is always
-    safe to request.  :func:`run_columns` is the columns entry: the
-    kernel runs from dense-id input columns and no program object is
+    fall back to the reference engine, so ``engine="vectorized"`` is
+    always safe to request.  :func:`run_columns` is the columns entry:
+    the kernel runs from dense-id input columns and no program object is
     built unless the run falls back.
 
 ``reference``
     The direct transcription of the model definition that the repository
-    started from.  It is kept as the executable specification: the
-    equivalence suite (``tests/sim/test_engine_equivalence.py``) runs
-    representative protocols through all engines and asserts identical
-    outputs, rounds, messages, and bit totals, and
-    ``benchmarks/bench_engine.py`` tracks the fast and vectorized paths'
-    speedups over it.
+    started from.  It is kept as the executable specification and runs
+    every population without a kernel: the equivalence suite
+    (``tests/sim/test_engine_equivalence.py``) runs representative
+    protocols through both engines and asserts identical outputs,
+    rounds, messages, and bit totals, and ``benchmarks/bench_engine.py``
+    tracks the vectorized path's speedups over it.
 
 Select an engine per call (``scheduler.run(engine="reference")``), per
 process (the ``REPRO_SIM_ENGINE`` environment variable), or temporarily
 for a whole protocol stack (:func:`use_engine`).
 
-All three engines share one telemetry hook: when a
+Both engines share one telemetry hook: when a
 :class:`~repro.obs.tracer.Tracer` is installed
 (:func:`repro.obs.use_tracer`), every ``run`` emits an aggregate span +
 round-batch event built from the ledger delta -- never per-round or
 per-node records -- so tracing costs one extra ``None`` check per run
 when disabled and does not change engine eligibility when enabled (a
 traced vectorized run keeps its kernels; contrast the per-round
-``observer``, which forces the fast path).
+``observer``, which forces the reference path).
 """
 
 from __future__ import annotations
@@ -93,7 +80,7 @@ Node = Hashable
 DEFAULT_MAX_ROUNDS = 1_000_000
 
 #: The engines understood by :meth:`Scheduler.run`.
-ENGINES = ("fast", "reference", "vectorized")
+ENGINES = ("reference", "vectorized")
 
 #: Environment variable naming the process-default engine.
 ENGINE_ENV = "REPRO_SIM_ENGINE"
@@ -121,11 +108,11 @@ def default_engine() -> str:
 
     A programmatic selection wins; otherwise the *current* value of
     ``REPRO_SIM_ENGINE`` (re-read on every call, so late environment
-    changes are honored), falling back to ``"fast"``.
+    changes are honored), falling back to ``"vectorized"``.
     """
     if _engine_override is not None:
         return _engine_override
-    return os.environ.get(ENGINE_ENV, "fast")
+    return os.environ.get(ENGINE_ENV, "vectorized")
 
 
 def set_default_engine(name: str) -> str:
@@ -196,12 +183,12 @@ class Scheduler:
             engine: Optional[str] = None) -> CostLedger:
         """Run to quiescence; returns the ledger for convenience.
 
-        ``engine`` selects the execution path (``"fast"``,
-        ``"reference"``, or ``"vectorized"``); ``None`` uses the process
-        default (normally ``"fast"``, overridable via
-        ``REPRO_SIM_ENGINE`` or :func:`use_engine`).  All engines
-        implement identical semantics; ``"vectorized"`` falls back to
-        ``"fast"`` for populations it cannot batch.
+        ``engine`` selects the execution path (``"reference"`` or
+        ``"vectorized"``); ``None`` uses the process default (normally
+        ``"vectorized"``, overridable via ``REPRO_SIM_ENGINE`` or
+        :func:`use_engine`).  Both engines implement identical
+        semantics; ``"vectorized"`` falls back to ``"reference"`` for
+        populations it cannot batch.
         """
         name = _validate_engine(engine if engine is not None
                                 else default_engine())
@@ -231,9 +218,7 @@ class Scheduler:
         if name == "vectorized":
             return self._run_vectorized(max_rounds)
         self._build_programs()
-        if name == "reference":
-            return self._run_reference(max_rounds)
-        return self._run_fast(max_rounds)
+        return self._run_reference(max_rounds)
 
     def _run_traced(self, tracer, name: str,
                     max_rounds: int) -> CostLedger:
@@ -311,240 +296,6 @@ class Scheduler:
                 )
 
     # ------------------------------------------------------------------
-    # Fast engine
-    # ------------------------------------------------------------------
-    def _run_fast(self, max_rounds: int) -> CostLedger:
-        compiled = self.network.compile()
-        n = compiled.n
-        order = compiled.order
-        index = compiled.index
-        neighbor_objects = compiled.neighbor_objects
-        neighbor_sets = compiled.neighbor_sets
-        neighbor_id_tuples = compiled.neighbor_id_tuples
-        degrees = compiled.degrees
-        programs = [self.programs[node] for node in order]
-        on_rounds = [program.on_round for program in programs]
-        has_edge = self.network.has_edge
-
-        observer = self.observer
-        stop_when = self.stop_when
-        ledger = self.ledger
-        # LocalModel accepts everything; skip the per-message call.
-        bandwidth = self.bandwidth
-        local = type(bandwidth) is LocalModel
-        check = None if local else bandwidth.check
-        check_fanout = None if local else bandwidth.check_fanout
-
-        # Double-buffered per-node inboxes, allocated once.  ``touched``
-        # lists the ids whose buffer is non-empty so end-of-round cleanup
-        # is O(deliveries), not O(n).  Duplicate ids are allowed (the
-        # broadcast fan-out bulk-extends them); clearing twice is free.
-        inboxes: List[List[Message]] = [[] for _ in range(n)]
-        pending: List[List[Message]] = [[] for _ in range(n)]
-        inbox_touched: List[int] = []
-        pending_touched: List[int] = []
-        pending_count = 0
-
-        # Per-node tuples of the neighbors' bound ``list.append`` methods,
-        # one per buffer: a broadcast appends straight into its receivers'
-        # boxes with no per-copy indexing, emptiness test, or attribute
-        # lookup.
-        inbox_boxes = tuple(
-            tuple(inboxes[j].append for j in neighbor_id_tuples[i])
-            for i in range(n)
-        )
-        pending_boxes = tuple(
-            tuple(pending[j].append for j in neighbor_id_tuples[i])
-            for i in range(n)
-        )
-
-        # Dense ids of non-halted nodes, kept in network order so message
-        # buffers fill in the same order as the reference engine.
-        active: List[int] = list(range(n))
-
-        # With no per-round consumers, whole-run totals are charged in one
-        # batch; otherwise the ledger advances round by round (an observer
-        # or oracle may read it between rounds).
-        batch = observer is None and stop_when is None
-        batch_rounds = 0
-        batch_messages = 0
-        batch_bits = 0
-        batch_max_bits = 0
-        batch_broadcasts = 0
-
-        # One context object serves every on_round call: a RoundContext
-        # is only valid for the duration of the call it is passed to (see
-        # its docstring), so the fast engine recycles a single instance
-        # instead of allocating n of them per round.
-        ctx = RoundContext(None, (), 0, ())
-        ctx_outbox = ctx.outbox
-
-        round_number = 0
-        try:
-            while active or pending_count:
-                if round_number >= max_rounds:
-                    raise RoundLimitExceeded(max_rounds, len(active))
-                round_number += 1
-
-                # Last round's sends become this round's inboxes; the
-                # drained buffers are reused for this round's sends.
-                inboxes, pending = pending, inboxes
-                inbox_boxes, pending_boxes = pending_boxes, inbox_boxes
-                inbox_touched, pending_touched = pending_touched, inbox_touched
-                pending_count = 0
-
-                round_messages = 0
-                round_bits = 0
-                round_max_bits = 0
-                round_broadcasts = 0
-                # Observer feed: ``(envelope, copies)`` pairs, expanded
-                # lazily by the observer instead of materializing one
-                # list entry per delivered broadcast copy.
-                sent_this_round: Optional[List[Tuple[Message, int]]] = (
-                    [] if observer is not None else None
-                )
-                halted_this_round: List[Node] = []
-                next_active: List[int] = []
-
-                # Rebound once per round: these lists are either fresh or
-                # were just swapped, and attribute lookups inside the node
-                # loop are measurable at this scale.
-                touched_extend = pending_touched.extend
-                touched_append = pending_touched.append
-                halted_append = halted_this_round.append
-                next_active_append = next_active.append
-
-                ctx.round_number = round_number
-                for i in active:
-                    node = order[i]
-                    ctx.node = node
-                    ctx.neighbors = neighbor_objects[i]
-                    # The live buffer is handed over uncopied: it is not
-                    # mutated until end-of-round cleanup, and the context
-                    # contract forbids keeping it past the call.
-                    ctx.inbox = inboxes[i]
-                    ctx.halted = False
-                    on_rounds[i](ctx)
-                    if not ctx_outbox:
-                        if ctx.halted:
-                            halted_append(node)
-                        else:
-                            next_active_append(i)
-                        continue
-                    for message in ctx_outbox:
-                        if message.__class__ is Broadcast:
-                            # One shared envelope fans out by reference
-                            # over the CSR row; accounting is analytic
-                            # (count * size), bit-identical to charging
-                            # each copy as the reference engine does.
-                            if message.sender is not node \
-                                    and message.sender != node:
-                                raise NetworkError(
-                                    f"{message.sender!r} queued a broadcast "
-                                    f"from {node!r}'s outbox"
-                                )
-                            round_broadcasts += 1
-                            copies = degrees[i]
-                            if not copies:
-                                continue
-                            if check_fanout is not None:
-                                check_fanout(message, copies)
-                            for deliver in pending_boxes[i]:
-                                deliver(message)
-                            touched_extend(neighbor_id_tuples[i])
-                            round_messages += copies
-                            bits = message._size_cache
-                            if bits is None:
-                                bits = message.size_bits
-                            round_bits += copies * bits
-                            if bits > round_max_bits:
-                                round_max_bits = bits
-                            if sent_this_round is not None:
-                                sent_this_round.append((message, copies))
-                            continue
-                        # ctx.send stamps the node itself as sender; only
-                        # hand-built envelopes take the general check.
-                        if not (message.sender is node
-                                and message.receiver in neighbor_sets[i]) \
-                                and not has_edge(message.sender,
-                                                 message.receiver):
-                            raise NetworkError(
-                                f"{message.sender!r} tried to message "
-                                f"non-neighbor {message.receiver!r}"
-                            )
-                        if check is not None:
-                            check(message)
-                        receiver_id = index[message.receiver]
-                        box = pending[receiver_id]
-                        if not box:
-                            touched_append(receiver_id)
-                        box.append(message)
-                        round_messages += 1
-                        bits = message.size_bits
-                        round_bits += bits
-                        if bits > round_max_bits:
-                            round_max_bits = bits
-                        if sent_this_round is not None:
-                            sent_this_round.append((message, 1))
-                    ctx_outbox.clear()
-                    if ctx.halted:
-                        halted_append(node)
-                    else:
-                        next_active_append(i)
-                active = next_active
-                # Every send this round landed in a pending buffer, so the
-                # in-flight count *is* the round's message count.
-                pending_count = round_messages
-
-                # Drop consumed inboxes (including late messages to nodes
-                # that halted; as in the reference engine they are counted,
-                # trigger one more round, and are never delivered).
-                # Broadcast fan-out records one touched id per copy, so in
-                # dense rounds the touched list (duplicates included) can
-                # exceed n -- then sweeping every buffer is cheaper.
-                if len(inbox_touched) > n:
-                    for box in inboxes:
-                        box.clear()
-                else:
-                    for i in inbox_touched:
-                        inboxes[i].clear()
-                del inbox_touched[:]
-
-                if batch:
-                    batch_rounds += 1
-                    batch_messages += round_messages
-                    batch_bits += round_bits
-                    batch_broadcasts += round_broadcasts
-                    if round_max_bits > batch_max_bits:
-                        batch_max_bits = round_max_bits
-                else:
-                    ledger.charge_round(
-                        messages=round_messages,
-                        bits=round_bits,
-                        max_message_bits=round_max_bits,
-                        broadcasts=round_broadcasts,
-                    )
-                    if observer is not None:
-                        observer.on_round(
-                            round_number, sent_this_round, halted_this_round
-                        )
-                    if stop_when is not None and stop_when(self.programs):
-                        break
-        finally:
-            # Completed rounds are charged even when a program or check
-            # raises mid-run, exactly as the reference engine does.
-            if batch_rounds:
-                ledger.charge_batch(
-                    batch_rounds,
-                    messages=batch_messages,
-                    bits=batch_bits,
-                    max_message_bits=batch_max_bits,
-                    broadcasts=batch_broadcasts,
-                )
-        self.rounds_executed = round_number
-        return ledger
-
-    # ------------------------------------------------------------------
     # Vectorized engine
     # ------------------------------------------------------------------
     def _run_vectorized(self, max_rounds: int) -> CostLedger:
@@ -555,8 +306,8 @@ class Scheduler:
         whose ``prepare`` accepts the population.  Everything else --
         mixed classes, unregistered programs, kernels that decline,
         observers and stop oracles (which need per-node, per-round
-        granularity) -- falls back to :meth:`_run_fast`, which handles
-        any population with identical semantics.  A columns run hands
+        granularity) -- falls back to :meth:`_run_reference`, which
+        handles any population with identical semantics.  A columns run hands
         the kernel its :class:`~repro.sim.kernels.ColumnInputs` instead
         of a program list and builds the programs only to fall back.
         """
@@ -566,7 +317,7 @@ class Scheduler:
         def fall_back(reason: str, warmup_s: float = 0.0) -> CostLedger:
             _record_fallback(reason, warmup_s)
             self._build_programs()
-            return self._run_fast(max_rounds)
+            return self._run_reference(max_rounds)
 
         if self.observer is not None or self.stop_when is not None:
             return fall_back(
@@ -634,7 +385,7 @@ class Scheduler:
                     break
         finally:
             # Completed rounds are charged even when a kernel step
-            # raises mid-run, exactly as the per-node engines do (a
+            # raises mid-run, exactly as the reference engine does (a
             # raising step leaves its own round uncharged).
             if rounds:
                 ledger.charge_batch(

@@ -9,27 +9,9 @@ way to assert *when* something happened, not only that it did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 Node = Hashable
-
-
-def expand_pairs(messages: Iterable) -> Iterator:
-    """Expand a scheduler message feed to one envelope per delivered copy.
-
-    The fast engine hands observers ``(envelope, copies)`` pairs --
-    a broadcast to ``d`` neighbors is one pair, not ``d`` list entries --
-    while the reference engine hands plain envelopes.  This generator
-    normalizes either form to the per-copy stream, for consumers that
-    really do want one item per delivery.
-    """
-    for item in messages:
-        if type(item) is tuple:
-            envelope, copies = item
-            for _ in range(copies):
-                yield envelope
-        else:
-            yield item
 
 
 @dataclass
@@ -55,21 +37,13 @@ class RoundObserver:
     def on_round(self, round_number: int, messages, halted) -> None:
         """Called by the scheduler after each round.
 
-        ``messages``: the round's sent messages -- either plain envelopes
-        (reference engine) or ``(envelope, copies)`` pairs (fast engine,
-        which never materializes per-copy records); ``halted``: nodes
-        that halted this round.  Both feeds aggregate identically.
+        ``messages``: the round's sent messages, one envelope per
+        delivered copy; ``halted``: nodes that halted this round.
         """
         by_tag: Dict[str, int] = {}
         senders = []
         for message in messages:
-            # Envelopes are never tuples, so the pair form is
-            # unambiguous.
-            if type(message) is tuple:
-                message, copies = message
-            else:
-                copies = 1
-            by_tag[message.tag] = by_tag.get(message.tag, 0) + copies
+            by_tag[message.tag] = by_tag.get(message.tag, 0) + 1
             senders.append(message.sender)
         self.records.append(RoundRecord(
             round_number=round_number,

@@ -395,7 +395,7 @@ class AlgebraicRecoloringKernel(RoundKernel):
             return KernelRound(active=0)
         # The fan-out checks already ran interleaved above (a node's
         # recoloring failure must surface before a later node's
-        # bandwidth failure, as in the per-node engines).
+        # bandwidth failure, as in the reference engine).
         copies = columns["total_copies"]
         return KernelRound(
             active=len(colors),

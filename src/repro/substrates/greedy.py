@@ -243,12 +243,12 @@ class _GreedySweepKernel(RoundKernel):
     each node's lower neighbors into the order the per-node ``decided``
     dict would acquire them (class ascending, then sender processing
     order), and then each round touches only that round's deciders --
-    idle "waiting" classes cost nothing, where the per-node engines
-    still dispatch an ``on_round`` no-op for every active node.
+    idle "waiting" classes cost nothing, where the reference engine
+    still dispatches an ``on_round`` no-op for every active node.
 
     Declines non-uniform ``q``/``color_space_size``, mid-run state, and
-    negative classes (which never decide; the fast engine reproduces
-    the reference's run-forever semantics).  ``finalize`` restores
+    negative classes (which never decide; the reference engine keeps
+    its run-forever semantics).  ``finalize`` restores
     ``final_color`` and ``mono_out``; the transient ``neighbor_initial``
     / ``decided`` ingest dicts are not reconstructed.
     """
@@ -580,7 +580,7 @@ class _ColorReductionKernel(RoundKernel):
 
     Round ``t`` retires old color ``q - t + 1``: only nodes *of that
     color* act, so the kernel buckets nodes by color once and each
-    round touches one bucket -- the per-node engines dispatch an
+    round touches one bucket -- the reference engine dispatches an
     ``on_round`` ingest no-op to every other node, which on a
     ``q``-round reduction is almost all of the work.
 

@@ -233,7 +233,7 @@ class TestSeedColorings:
             inflated_seed_coloring(compiled, classes - 1)
 
     def test_matches_scheduler_engines(self):
-        """The streamed facade feeds all three engines identically."""
+        """The streamed facade feeds both engines identically."""
         from repro.sim import CostLedger, use_engine
         from repro.substrates.greedy import greedy_color_reduction
 
@@ -241,12 +241,11 @@ class TestSeedColorings:
         target = compiled.raw_max_degree() + 1
         colors, q = inflated_seed_coloring(compiled, 4 * target)
         results = {}
-        for engine in ("reference", "fast", "vectorized"):
+        for engine in ("reference", "vectorized"):
             ledger = CostLedger()
             with use_engine(engine):
                 out = greedy_color_reduction(compiled, colors, q, target,
                                              ledger=ledger)
             results[engine] = (sorted(out.items()),
                                (ledger.rounds, ledger.messages, ledger.bits))
-        assert results["reference"] == results["fast"] == \
-            results["vectorized"]
+        assert results["reference"] == results["vectorized"]

@@ -318,11 +318,12 @@ class TestModuleSingleton:
     def test_record_run_and_reset(self):
         m.reset_metrics()
         try:
-            m.record_run("fast", rounds=3, messages=10, bits=40,
+            m.record_run("reference", rounds=3, messages=10, bits=40,
                          broadcasts=5, wall_s=0.01)
             snap = m.snapshot()
             runs = snap["repro_sim_runs_total"]["samples"]
-            assert runs == [{"labels": {"engine": "fast"}, "value": 1.0}]
+            assert runs == [{"labels": {"engine": "reference"},
+                             "value": 1.0}]
             assert snap["repro_sim_rounds_total"]["samples"][0]["value"] \
                 == 3.0
         finally:

@@ -44,7 +44,7 @@ def _loaded_registry() -> MetricsRegistry:
     lookups.labels(registry="networks", outcome="miss").inc(1)
     runs = registry.counter("repro_sim_runs_total", "t",
                             labelnames=("engine",))
-    runs.labels(engine="fast").inc(5)
+    runs.labels(engine="reference").inc(5)
     runs.labels(engine="vectorized").inc(2)
     return registry
 
@@ -77,7 +77,7 @@ class TestSummarize:
     def test_engines_and_skew(self):
         summary = summarize_metrics(_loaded_registry().snapshot())
         assert summary["sim"]["runs_by_engine"] == {
-            "fast": 5.0, "vectorized": 2.0,
+            "reference": 5.0, "vectorized": 2.0,
         }
 
     def test_empty_snapshot(self):
@@ -102,7 +102,7 @@ class TestRender:
             assert token in text
         assert "hit-rate=90.0%" in text
         assert "networks=75.0%" in text
-        assert "fast x5" in text
+        assert "reference x5" in text
 
     def test_renders_empty_without_crashing(self):
         text = render_top(summarize_metrics({}))

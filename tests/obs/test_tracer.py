@@ -86,7 +86,7 @@ class TestSpans:
 class TestLogicalView:
     def test_strips_physical_fields(self):
         tracer = Tracer()
-        with tracer.span("run", "r", rounds=5, engine="fast"):
+        with tracer.span("run", "r", rounds=5, engine="reference"):
             pass
         view = logical_view(tracer.events)
         assert view[0]["rounds"] == 5
@@ -107,10 +107,10 @@ class TestLogicalView:
                 tracer.annotate("dispatch", kernel=engine)
             return tracer
 
-        fast = trace("fast")
+        ref = trace("reference")
         vec = trace("vectorized")
-        assert canonical_lines(fast.events) == canonical_lines(vec.events)
-        assert canonical_lines(fast.events)  # and it is non-empty
+        assert canonical_lines(ref.events) == canonical_lines(vec.events)
+        assert canonical_lines(ref.events)  # and it is non-empty
 
     def test_canonical_lines_sort_keys(self):
         tracer = Tracer()

@@ -57,7 +57,12 @@ def loaded_server():
                             max_queue=256)
     requests_per_client = 6
     clients = 4
-    scrapes = {"stats": [], "metrics": [], "errors": []}
+    scrapers = 2
+    # One /stats list per scraper: two threads appending to one list
+    # interleave in append order, not in the order the server took its
+    # snapshots, so only each scraper's own sequence is ordered.
+    scrapes = {"stats": [[] for _ in range(scrapers)], "metrics": [],
+               "errors": []}
     with ServerHandle(server) as handle:
         def drive(worker_index: int) -> None:
             try:
@@ -69,11 +74,12 @@ def loaded_server():
             except Exception as error:  # noqa: BLE001 - surfaced below
                 scrapes["errors"].append(error)
 
-        def scrape() -> None:
+        def scrape(scraper_index: int) -> None:
+            own = scrapes["stats"][scraper_index]
             try:
                 with ServeClient(handle.host, handle.port) as client:
                     for _ in range(4):
-                        scrapes["stats"].append(client.stats())
+                        own.append(client.stats())
                         scrapes["metrics"].append(client.metrics())
             except Exception as error:  # noqa: BLE001 - surfaced below
                 scrapes["errors"].append(error)
@@ -81,7 +87,8 @@ def loaded_server():
         threads = [
             threading.Thread(target=drive, args=(index,))
             for index in range(clients)
-        ] + [threading.Thread(target=scrape) for _ in range(2)]
+        ] + [threading.Thread(target=scrape, args=(index,))
+             for index in range(scrapers)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -135,18 +142,22 @@ class TestUnderLoad:
         assert stats["latency_ms"]["p50"] <= stats["latency_ms"]["p99"]
 
     def test_midbatch_scrapes_monotone(self, loaded_server):
-        """Every mid-batch /stats sees monotonically consistent totals."""
-        sequence = []
-        for payload in loaded_server["scrapes"]["stats"]:
-            snap = payload["metrics"]
-            count, _ = _hist_totals(snap, "repro_request_seconds")
-            served = _counter_total(snap, "repro_http_requests_total",
-                                    route="/color")
-            # The histogram observation lands before the HTTP counter,
-            # so a scrape between them may see count == served + 1.
-            assert 0 <= count - served <= 1
-            sequence.append(served)
-        assert sequence == sorted(sequence)
+        """Every mid-batch /stats sees consistent totals, and each
+        scraper's own scrapes see them monotonically."""
+        for own in loaded_server["scrapes"]["stats"]:
+            assert own
+            sequence = []
+            for payload in own:
+                snap = payload["metrics"]
+                count, _ = _hist_totals(snap, "repro_request_seconds")
+                served = _counter_total(snap, "repro_http_requests_total",
+                                        route="/color")
+                # The histogram observation lands before the HTTP
+                # counter, so a scrape between them may see
+                # count == served + 1.
+                assert 0 <= count - served <= 1
+                sequence.append(served)
+            assert sequence == sorted(sequence)
 
     def test_midbatch_exposition_is_valid(self, loaded_server):
         scripts = str(pathlib.Path(__file__).resolve().parents[2]

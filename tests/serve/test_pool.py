@@ -115,7 +115,7 @@ class TestParallelSweepWithExternalPool:
     def test_external_pool_engine_conflict(self):
         from repro.sim.parallel import parallel_sweep
 
-        with WorkerPool(max_workers=1, engine="fast",
+        with WorkerPool(max_workers=1, engine="vectorized",
                         mode="thread") as pool:
             with pytest.raises(ValueError, match="frozen engine"):
                 parallel_sweep(

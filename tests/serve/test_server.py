@@ -11,6 +11,8 @@ where process pools are unavailable.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 import time
 
@@ -75,6 +77,35 @@ class TestEndpoints:
                                         "algorithm": GREEDY})
         assert status == 400
         assert payload["error"]["type"] == "RequestError"
+
+    @pytest.mark.parametrize(
+        "length", ["-5", "abc", "1_0", " "],
+        ids=["negative", "letters", "underscore", "blank"],
+    )
+    def test_bad_content_length_400(self, daemon, length):
+        """A malformed Content-Length gets a 400 envelope, then close."""
+        request = (
+            "POST /color HTTP/1.1\r\n"
+            f"Host: {daemon.host}\r\n"
+            f"Content-Length: {length}\r\n"
+            "\r\n"
+        ).encode("latin-1")
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        payload = json.loads(body)
+        assert payload["status"] == "error"
+        assert payload["error"]["type"] == "BadRequest"
+        assert "Content-Length" in payload["error"]["message"]
 
     def test_stats_shape(self, client):
         client.color({"topology": RING, "algorithm": GREEDY})

@@ -1,14 +1,13 @@
-"""Reference vs fast vs vectorized engines: byte-identical behavior.
+"""Reference vs vectorized engines: byte-identical behavior.
 
-The reference engine is the oracle.  The fast path (compiled topology,
-active-set scheduling, buffer reuse, batched ledger charging) and the
-vectorized path (array-at-a-time round kernels with transparent
-fallback to fast) must both be observationally identical to it.  These
-tests run representative protocols -- Two-Sweep (Algorithm 1), Linial's
-coloring, greedy color reduction, the greedy arbdefective sweep, and
-the seeded randomized baseline -- over random topologies through all
-three engines and assert equal node outputs, rounds, messages, bit
-totals, max message size, broadcast counts, and per-phase breakdowns.
+The reference engine is the oracle.  The vectorized path (array-at-a-
+time round kernels with transparent fallback to reference) must be
+observationally identical to it.  These tests run representative
+protocols -- Two-Sweep (Algorithm 1), Linial's coloring, greedy color
+reduction, the greedy arbdefective sweep, and the seeded randomized
+baseline -- over random topologies through both engines and assert
+equal node outputs, rounds, messages, bit totals, max message size,
+broadcast counts, and per-phase breakdowns.
 Protocols without a registered kernel (and mixed-class populations)
 exercise the vectorized engine's fallback, which must be just as
 invisible.
@@ -60,7 +59,7 @@ from repro.substrates import (
 )
 
 #: The engines measured against the reference oracle.
-CANDIDATE_ENGINES = ("fast", "vectorized")
+CANDIDATE_ENGINES = ("vectorized",)
 
 
 @pytest.fixture(params=["python", "numpy"])
@@ -227,7 +226,7 @@ def test_inbox_order_matches_reference():
     """Message delivery order inside an inbox is engine-independent.
 
     ``_EchoHalt`` has no registered kernel, so the vectorized engine
-    silently falls back to fast here -- and must still match.
+    silently falls back to reference here -- and must still match.
     """
     network = gnp_graph(40, 0.2, seed=9)
     results = {}
@@ -240,8 +239,8 @@ def test_inbox_order_matches_reference():
 
 
 def test_observer_sees_identical_records():
-    """An attached observer forces the vectorized engine onto the fast
-    path, so all three engines produce identical records."""
+    """An attached observer forces the vectorized engine onto the
+    reference path, so both engines produce identical records."""
     network = gnp_graph(25, 0.2, seed=3)
     records = {}
     for engine in ("reference",) + CANDIDATE_ENGINES:
@@ -396,13 +395,13 @@ class _Storm(NodeProgram):
 
 @pytest.mark.parametrize("congest", [False, True])
 def test_broadcast_storm_on_clique_matches(congest):
-    """Every node broadcasts every round: the dense fan-out fast path.
+    """Every node broadcasts every round: the dense fan-out case.
 
-    The shared-envelope delivery and its analytic accounting (count *
-    size, one bandwidth check per fan-out) must be indistinguishable
-    from the reference engine's per-copy transcription: same inbox
-    contents and order every round, same ledger down to the broadcast
-    counter, with and without the CONGEST checker.
+    ``_Storm`` has no kernel, so the vectorized engine falls back; the
+    run must stay indistinguishable from the reference engine's
+    per-copy transcription: same inbox contents and order every round,
+    same ledger down to the broadcast counter, with and without the
+    CONGEST checker.
     """
     size, rounds = 12, 7
     outputs = {}
@@ -422,7 +421,7 @@ def test_broadcast_storm_on_clique_matches(congest):
         assert outputs[engine] == outputs["reference"]
         assert states[engine] == states["reference"]
     # Sanity: the totals are what a clique storm analytically produces.
-    rounds_run, messages, _, _, broadcasts, _ = states["fast"]
+    rounds_run, messages, _, _, broadcasts, _ = states["vectorized"]
     assert broadcasts == size * rounds
     assert messages == size * (size - 1) * rounds
     assert rounds_run == rounds + 1
@@ -454,12 +453,30 @@ def test_unknown_engine_rejected():
     network = complete_graph(2)
     programs = {node: _EchoHalt(node) for node in network}
     scheduler = Scheduler(network, programs)
-    # A stale selection of the removed engine fails loudly too.
-    for name in ("warp", "sharded"):
+    # A stale selection of a removed engine fails loudly too.
+    for name in ("warp", "sharded", "fast"):
         with pytest.raises(SchedulerError):
             scheduler.run(engine=name)
         with pytest.raises(SchedulerError):
             set_default_engine(name)
+
+
+def test_stale_engine_env_rejected(monkeypatch):
+    """``REPRO_SIM_ENGINE=fast`` left over from an older setup fails the
+    run instead of silently picking another engine."""
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "fast")
+    network = complete_graph(2)
+    programs = {node: _EchoHalt(node) for node in network}
+    with pytest.raises(SchedulerError):
+        Scheduler(network, programs).run()
+
+
+def test_default_engine_is_vectorized(monkeypatch):
+    from repro.sim import scheduler as scheduler_module
+
+    monkeypatch.setattr(scheduler_module, "_engine_override", None)
+    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+    assert default_engine() == "vectorized"
 
 
 def test_use_engine_restores_default():

@@ -4,8 +4,8 @@ Covers the registry contract (exact-class mapping, duplicate
 protection, unregistration), the scheduler's kernel lifecycle
 (prepare/step/finalize, fallback on decline, observer/stop_when
 bypass), a custom kernel with staggered mid-run halting verified
-three-ways against the reference engine, and the supporting
-zero-copy/interning helpers (``expand_pairs``, ``intern_broadcast``).
+against the reference engine, and the supporting broadcast interning
+helper (``intern_broadcast``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.graphs import gnp_graph
 from repro.sim import (
-    Broadcast,
     CongestModel,
     CostLedger,
     KernelRound,
@@ -24,7 +23,6 @@ from repro.sim import (
     RoundLimitExceeded,
     Scheduler,
     clear_payload_memo,
-    expand_pairs,
     intern_broadcast,
     kernel_for,
     kernel_stats,
@@ -224,12 +222,11 @@ def _run_countdown(network, engine, bandwidth=None, **scheduler_kwargs):
 def test_staggered_halting_kernel_matches_reference(
         countdown_kernel, congest):
     results = {}
-    for engine in ("reference", "fast", "vectorized"):
+    for engine in ("reference", "vectorized"):
         network = gnp_graph(40, 0.12, seed=11)
         bandwidth = CongestModel(len(network)) if congest else None
         results[engine] = _run_countdown(network, engine, bandwidth)
     assert results["vectorized"] == results["reference"]
-    assert results["fast"] == results["reference"]
     # The vectorized runs (with and without CONGEST) used the kernel.
     assert _CountdownKernel.prepared == 1
 
@@ -252,7 +249,7 @@ def test_observer_and_stop_when_bypass_kernel(countdown_kernel):
     network = gnp_graph(20, 0.2, seed=23)
     _run_countdown(network, "vectorized", observer=None,
                    stop_when=lambda programs: False)
-    assert _CountdownKernel.prepared == 0  # stop_when forces fast path
+    assert _CountdownKernel.prepared == 0  # stop_when forces reference
 
 
 def test_vectorized_respects_max_rounds(countdown_kernel):
@@ -264,22 +261,9 @@ def test_vectorized_respects_max_rounds(countdown_kernel):
     assert _CountdownKernel.prepared == 1
 
 
-def test_fast_engine_ignores_registry(countdown_kernel):
-    network = gnp_graph(20, 0.2, seed=31)
-    _run_countdown(network, "fast")
-    assert _CountdownKernel.prepared == 0
-
-
 # ----------------------------------------------------------------------
-# Zero-copy observer pairs and broadcast interning
+# Broadcast interning
 # ----------------------------------------------------------------------
-def test_expand_pairs_mixes_envelopes_and_pairs():
-    envelope = Broadcast(sender=0, tag="t", payload=1)
-    other = Broadcast(sender=1, tag="t", payload=2)
-    expanded = list(expand_pairs([envelope, (other, 3), (envelope, 0)]))
-    assert expanded == [envelope, other, other, other]
-
-
 def test_intern_broadcast_shares_envelopes_across_calls():
     clear_payload_memo()
     first = intern_broadcast(5, "color", 12, 8)
@@ -339,11 +323,11 @@ def _two_sweep_path_programs():
 
 def test_two_sweep_mixed_population_falls_back():
     """A Two-Sweep population mixed with another program class must be
-    detected as non-uniform: the vectorized engine falls back to fast
-    (recorded as a ``mixed`` fallback) with identical results."""
+    detected as non-uniform: the vectorized engine falls back to
+    reference (recorded as a ``mixed`` fallback) with identical results."""
     outputs = {}
     ledgers = {}
-    for engine in ("reference", "fast", "vectorized"):
+    for engine in ("reference", "vectorized"):
         network, programs = _two_sweep_path_programs()
         ledger = CostLedger()
         if engine == "vectorized":
@@ -359,15 +343,14 @@ def test_two_sweep_mixed_population_falls_back():
     stats = kernel_stats()
     assert stats["fallbacks"] == 1
     assert stats["by_reason"] == {"mixed": 1}
-    for engine in ("fast", "vectorized"):
-        assert outputs[engine] == outputs["reference"]
-        assert ledgers[engine] == ledgers["reference"]
+    assert outputs["vectorized"] == outputs["reference"]
+    assert ledgers["vectorized"] == ledgers["reference"]
 
 
 def test_two_sweep_trace_declines_kernel():
     """A traced Two-Sweep run cannot be replayed from a bucketed pass:
-    the kernel must decline (recorded as ``declined``) and the fast
-    fallback must produce the same trace as the reference engine."""
+    the kernel must decline (recorded as ``declined``) and the
+    reference fallback must produce the same trace as the reference engine."""
     from repro.coloring import random_oldc_instance
     from repro.core import two_sweep
     from repro.graphs import orient_by_id, sequential_ids

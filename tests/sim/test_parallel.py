@@ -110,9 +110,9 @@ class TestEngineResolution:
     def test_explicit_engine_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
         records = parallel_sweep(
-            measure_engine, [{"n": 1}], max_workers=1, engine="fast"
+            measure_engine, [{"n": 1}], max_workers=1, engine="vectorized"
         )
-        assert records[0]["engine"] == "fast"
+        assert records[0]["engine"] == "vectorized"
 
     def test_serial_path_honors_engine(self):
         records = parallel_sweep(

@@ -93,38 +93,24 @@ class _Envelope:
 
 
 class TestPairForm:
-    """The fast engine feeds observers ``(envelope, copies)`` pairs; every
-    aggregation must match the reference engine's per-copy feed."""
-
-    def test_expand_pairs_mixed_feed(self):
-        from repro.sim import expand_pairs
-
-        one = _Envelope(1)
-        many = _Envelope(2)
-        expanded = list(expand_pairs([one, (many, 3), one]))
-        assert expanded == [one, many, many, many, one]
-
-    def test_expand_pairs_zero_copies(self):
-        from repro.sim import expand_pairs
-
-        assert list(expand_pairs([(_Envelope(1), 0)])) == []
+    """The scheduler feeds observers one entry per delivered copy: a
+    broadcast to ``d`` neighbors is ``d`` entries of one shared
+    envelope, and it must aggregate exactly like ``d`` separate
+    point-to-point envelopes."""
 
     def test_observer_counts_pair_copies(self):
         observer = RoundObserver()
-        observer.on_round(
-            1, [(_Envelope(1, "ping"), 4), _Envelope(2, "ping")], [],
-        )
+        shared = _Envelope(1, "ping")
+        observer.on_round(1, [shared] * 4 + [_Envelope(2, "ping")], [])
         record = observer.records[0]
         assert record.messages_by_tag == {"ping": 5}
         assert record.total_messages == 5
 
     def test_senders_deduplicated_in_first_seen_order(self):
         observer = RoundObserver()
+        three = _Envelope(3)
         observer.on_round(
-            1,
-            [(_Envelope(3), 2), _Envelope(1), (_Envelope(3), 1),
-             _Envelope(2)],
-            [],
+            1, [three, three, _Envelope(1), three, _Envelope(2)], [],
         )
         assert observer.records[0].senders == (3, 1, 2)
 
@@ -135,8 +121,9 @@ class TestPairForm:
 
     def test_timeline_over_pair_feed(self):
         observer = RoundObserver()
-        observer.on_round(1, [(_Envelope(1), 8)], [])
-        observer.on_round(2, [(_Envelope(1), 4)], [])
+        shared = _Envelope(1)
+        observer.on_round(1, [shared] * 8, [])
+        observer.on_round(2, [shared] * 4, [])
         observer.on_round(3, [], [1])
         timeline = observer.timeline()
         assert len(timeline) == 3
@@ -144,9 +131,9 @@ class TestPairForm:
         assert timeline[-1] == " "  # silent round
 
     def test_pair_and_flat_feeds_aggregate_identically(self):
+        shared_feed = RoundObserver()
         flat = RoundObserver()
-        paired = RoundObserver()
         envelope = _Envelope(7, "x")
-        flat.on_round(1, [envelope] * 3, [7])
-        paired.on_round(1, [(envelope, 3)], [7])
-        assert flat.records == paired.records
+        shared_feed.on_round(1, [envelope] * 3, [7])
+        flat.on_round(1, [_Envelope(7, "x") for _ in range(3)], [7])
+        assert flat.records == shared_feed.records

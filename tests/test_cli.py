@@ -17,6 +17,19 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
 
+    def test_removed_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--engine", "fast", "info"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
+
+    def test_workers_help_names_the_pool_variable(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = capsys.readouterr().out
+        assert "REPRO_PARALLEL" in out
+        assert "REPRO_PARALLEL_WORKERS" not in out
+
 
 class TestCommands:
     def test_two_sweep(self, capsys):
@@ -210,7 +223,7 @@ class TestTrace:
     def test_logical_stream_identical_across_engines(self, tmp_path,
                                                      capsys):
         streams = {}
-        for engine in ("reference", "fast", "vectorized"):
+        for engine in ("reference", "vectorized"):
             trace_path = tmp_path / f"{engine}.jsonl"
             assert main([
                 "--engine", engine, "--trace", str(trace_path),
@@ -219,7 +232,6 @@ class TestTrace:
             capsys.readouterr()
             assert main(["trace", str(trace_path), "--logical"]) == 0
             streams[engine] = capsys.readouterr().out
-        assert streams["fast"] == streams["reference"]
         assert streams["vectorized"] == streams["reference"]
 
     def test_kernel_stats_fallback_note(self, capsys):

@@ -89,13 +89,54 @@ class TestDriftGate:
         ])
         assert status == 1
 
-    def test_missing_path_skips(self, drift, reports, capsys):
+    def test_missing_path_fails(self, drift, reports, capsys):
         committed, smoke = reports
         status = drift.main([
             committed, smoke, "--metric", "headline.absent",
         ])
+        assert status == 1
+        assert "::error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("headline, reason", [
+        ({"ratio": 9.0}, "missing from smoke report"),
+        ({"speedup": None}, "unmeasured (None) in smoke report"),
+    ])
+    def test_smoke_metric_missing_or_unmeasured_fails(
+            self, drift, reports, tmp_path, capsys, headline, reason):
+        committed, _ = reports
+        smoke = tmp_path / "renamed.json"
+        smoke.write_text(json.dumps({"headline": headline}))
+        status = drift.main([
+            committed, str(smoke), "--metric", "headline.speedup:0.5",
+        ])
+        assert status == 1
+        assert reason in capsys.readouterr().out
+
+    def test_missing_path_only_warns_under_warn_only(self, drift, reports,
+                                                     capsys):
+        committed, smoke = reports
+        status = drift.main([
+            committed, smoke, "--warn-only",
+            "--metric", "headline.absent",
+        ])
         assert status == 0
-        assert "skipped" in capsys.readouterr().out
+        assert "::warning" in capsys.readouterr().out
+
+    def test_engine_gate_metrics_resolve_in_committed_baseline(self, drift):
+        """Every bench_engine metric CI gates exists, measured, in the
+        committed smoke baseline it is compared against."""
+        root = pathlib.Path(SCRIPTS).parent
+        workflow = (root / ".github" / "workflows" / "ci.yml").read_text()
+        baseline = json.loads(
+            (root / "benchmarks" / "results" /
+             "BENCH_engine_smoke.json").read_text()
+        )
+        assert baseline["smoke"] is True
+        for path in ("workloads[workload=gnp_stragglers].vectorized_speedup",
+                     "vectorized_headline.speedup",
+                     "workloads[workload=linial_algebraic].vectorized_speedup"):
+            assert f"{path}:0.7" in workflow, path
+            assert drift.resolve(baseline, path) > 1.0, path
 
     def test_repo_allowlist_covers_throughputs(self, drift):
         entries = drift.load_allowlist(
