@@ -55,7 +55,6 @@ from repro.graphs.streaming import (
     gnp_edges,
     inflated_seed_coloring,
     regular_edges,
-    ring_edges,
     stream_ring,
 )
 from repro.sim import (
@@ -64,6 +63,7 @@ from repro.sim import (
     shm,
     use_engine,
 )
+from repro.sim.arrays import as_list
 from repro.sim.compiled import CompiledNetwork
 from repro.obs.manifest import peak_rss_kb
 from repro.substrates.greedy import greedy_color_reduction
@@ -100,7 +100,7 @@ SWEEP_WORKERS = [1, 2]
 
 def _solve_ring(compiled: CompiledNetwork, engine: str):
     """One greedy color reduction on a streamed ring; returns
-    ``(colors, q, rounds, wall_s)``."""
+    ``(column, q, rounds, wall_s)`` with the colors as a dense-id list."""
     colors, q = inflated_seed_coloring(compiled, PALETTE)
     target = compiled.raw_max_degree() + 1
     ledger = CostLedger()
@@ -109,10 +109,10 @@ def _solve_ring(compiled: CompiledNetwork, engine: str):
         result = greedy_color_reduction(compiled, colors, q, target,
                                         ledger=ledger)
     wall_s = time.perf_counter() - start
-    return result, q, ledger.rounds, wall_s
+    return as_list(result), q, ledger.rounds, wall_s
 
 
-def _spot_check(compiled: CompiledNetwork, result: Dict) -> None:
+def _spot_check(compiled: CompiledNetwork, result: List[int]) -> None:
     """Cheap validity probe: every ring edge must be bichromatic."""
     indptr, indices = compiled.indptr, compiled.indices
     step = max(1, compiled.n // 1024)
@@ -175,17 +175,20 @@ def _bench_build(smoke: bool) -> List[Dict]:
     gnp_n = 200_000 // scale
     reg_n = 100_000 // scale
     cases = [
-        ("ring", ring_n, lambda: ring_edges(ring_n)),
-        ("gnp", gnp_n, lambda: gnp_edges(gnp_n, 2e-5 * scale, 7)),
-        ("regular", reg_n, lambda: regular_edges(reg_n, 4, 7)),
+        # stream_ring hands the fill one NumPy edge block when the
+        # array backend is on; the random families stream pairs.
+        ("ring", ring_n, lambda: stream_ring(ring_n).indices),
+        ("gnp", gnp_n, lambda: csr_from_edges(
+            gnp_n, gnp_edges(gnp_n, 2e-5 * scale, 7))[1]),
+        ("regular", reg_n, lambda: csr_from_edges(
+            reg_n, regular_edges(reg_n, 4, 7))[1]),
     ]
     rows: List[Dict] = []
-    for name, n, edges in cases:
-        # The generator is created inside the timed region so edge
-        # generation and CSR fill are both on the clock; the stream
+    for name, n, build in cases:
+        # Edge generation and CSR fill are both on the clock; a stream
         # flows straight into the fill, never into a Python list.
         start = time.perf_counter()
-        indptr, indices = csr_from_edges(n, edges())
+        indices = build()
         wall_s = time.perf_counter() - start
         m = len(indices) // 2
         rows.append({
@@ -209,7 +212,7 @@ def _sweep_measure(seed: int, n: int) -> Dict:
     colors, q = inflated_seed_coloring(compiled, PALETTE)
     target = compiled.raw_max_degree() + 1
     result = greedy_color_reduction(compiled, colors, q, target)
-    return {"distinct": len(set(result.values())), "q": q}
+    return {"distinct": len(set(as_list(result))), "q": q}
 
 
 def _bench_sweep(n: int) -> Dict:

@@ -335,7 +335,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         stream_tree,
     )
     from .obs.manifest import peak_rss_kb
-    from .serve.executor import _run_greedy_reduction
+    from .serve.executor import _color_count, _run_greedy_reduction
 
     build_start = time.perf_counter()
     if args.topology == "ring-stream":
@@ -355,7 +355,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     # The same seed -> reduce -> validate path as the daemon's requests.
     ledger = CostLedger()
     solve_start = time.perf_counter()
-    outcome, result = _run_greedy_reduction(
+    outcome, column = _run_greedy_reduction(
         compiled, {"colors": args.colors, "validate": not args.no_validate},
         ledger,
     )
@@ -377,16 +377,16 @@ def cmd_scale(args: argparse.Namespace) -> int:
         _last_ledger = ledger
         # Checksum of the dense int64 color column: a cheap bit-identity
         # probe for comparing runs across engines.
-        column = array("q", (result[node] for node in compiled.order))
-        digest = hashlib.blake2b(column.tobytes(),
-                                 digest_size=16).hexdigest()
+        raw = (column.astype("int64").tobytes() if hasattr(column, "dtype")
+               else array("q", column).tobytes())
+        digest = hashlib.blake2b(raw, digest_size=16).hexdigest()
         print(_json.dumps(envelope(
             "scale-run",
             status="invalid" if invalid else "ok",
             topology={"kind": args.topology, "n": compiled.n,
                       "m": compiled.m, "max_degree": delta},
             result={"q": q, "target": target,
-                    "color_count": len(set(result.values())),
+                    "color_count": _color_count(column),
                     "colors_blake2b": digest,
                     "valid": None if args.no_validate else not invalid,
                     **({"invalid_reason": invalid} if invalid else {})},

@@ -186,9 +186,15 @@ def csr_from_edges(n: int, edges: Iterable[Edge]):
     through a materialized :class:`Network` yields byte-identical
     buffers.  The stream must be simple (no duplicates or self-loops);
     bounds and self-loops are checked, duplicates are the stream's
-    contract.  Takes a NumPy counting-sort path for large streams when
-    the array backend is enabled; both paths are bit-identical.
+    contract.  ``edges`` is an iterable of pairs or, with the array
+    backend on, one int64 ``(m, 2)`` NumPy block holding the stream in
+    order.  Takes a NumPy counting-sort path for blocks and large
+    streams when the array backend is enabled; both paths are
+    bit-identical.
     """
+    np = arrays.get_numpy()
+    if np is not None and isinstance(edges, np.ndarray):
+        return _csr_fill_numpy(np, n, _checked_block(np, n, edges))
     pairs = array(_ID_TYPECODE)
     append = pairs.append
     for u, v in edges:
@@ -198,10 +204,24 @@ def csr_from_edges(n: int, edges: Iterable[Edge]):
             raise NetworkError("edge endpoint out of range")
         append(u)
         append(v)
-    np = arrays.get_numpy()
     if np is not None and len(pairs) >= 2 * _CSR_NUMPY_MIN_EDGES:
         return _csr_fill_numpy(np, n, pairs)
     return _csr_fill_python(n, pairs)
+
+
+def _checked_block(np, n: int, block):
+    """``block`` flattened to ``u0, v0, u1, v1, ...``; raises what the
+    stream loop would raise at the block's first bad edge."""
+    block = np.ascontiguousarray(block, dtype=np.int64).reshape(-1, 2)
+    u = block[:, 0]
+    v = block[:, 1]
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if u[k] == v[k]:
+            raise NetworkError("self-loops are not allowed")
+        raise NetworkError("edge endpoint out of range")
+    return block.reshape(-1)
 
 
 def _csr_fill_python(n: int, pairs: array):
@@ -226,16 +246,12 @@ def _csr_fill_python(n: int, pairs: array):
     return indptr, indices
 
 
-def _csr_fill_numpy(np, n: int, pairs: array):
-    flat = np.frombuffer(pairs, dtype=np.int64)
-    ends = flat.reshape(-1, 2)
+def _csr_fill_numpy(np, n: int, pairs):
+    """CSR from the flat int64 endpoints ``u0, v0, u1, v1, ...`` (any
+    contiguous int64 buffer)."""
     # Directed incidence in stream order: (u -> v, v -> u) per edge.
-    src = np.empty(flat.shape[0], dtype=np.int64)
-    dst = np.empty(flat.shape[0], dtype=np.int64)
-    src[0::2] = ends[:, 0]
-    src[1::2] = ends[:, 1]
-    dst[0::2] = ends[:, 1]
-    dst[1::2] = ends[:, 0]
+    src = np.frombuffer(pairs, dtype=np.int64)
+    dst = src.reshape(-1, 2)[:, ::-1].reshape(-1)
     counts = np.bincount(src, minlength=n)
     indptr_np = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr_np[1:])
@@ -253,7 +269,7 @@ def _csr_fill_numpy(np, n: int, pairs: array):
 # ----------------------------------------------------------------------
 # Streamed topologies (CompiledNetwork, no Network anywhere)
 # ----------------------------------------------------------------------
-def _stream_compiled(key, n: int, factory) -> CompiledNetwork:
+def _stream_compiled(key, n: int, factory, block=None) -> CompiledNetwork:
     from ..sim import shm
     from ..substrates.cache import record_lookup
 
@@ -266,29 +282,64 @@ def _stream_compiled(key, n: int, factory) -> CompiledNetwork:
         return shared
 
     def build() -> CompiledNetwork:
-        indptr, indices = csr_from_edges(n, factory())
+        # A deterministic family hands the CSR fill its whole stream as
+        # one NumPy edge block, in stream order, when the backend is on.
+        np = arrays.get_numpy()
+        edges = block(np) if block is not None and np is not None \
+            else factory()
+        indptr, indices = csr_from_edges(n, edges)
         return CompiledNetwork.from_csr(indptr, indices)
 
     return _interned(key, build, nodes=n)
 
 
+def _ring_block(np, n: int):
+    """:func:`ring_edges` as one int64 ``(n, 2)`` block."""
+    if n < 3:
+        raise NetworkError("a ring needs at least 3 nodes")
+    tail = np.arange(n, dtype=np.int64)
+    return np.stack([tail, (tail + 1) % n], axis=1)
+
+
+def _grid_block(np, rows: int, cols: int):
+    """:func:`grid_edges` as one int64 ``(m, 2)`` block, same order."""
+    node = np.arange(max(rows, 0) * max(cols, 0), dtype=np.int64)
+    pairs = np.empty((node.shape[0], 2, 2), dtype=np.int64)
+    pairs[:, :, 0] = node[:, None]
+    pairs[:, 0, 1] = node + 1
+    pairs[:, 1, 1] = node + cols
+    # Per node: its right edge, then its down edge, when present.
+    present = np.stack([node % cols + 1 < cols, node // cols + 1 < rows],
+                       axis=1)
+    return pairs[present]
+
+
+def _tree_block(np, depth: int):
+    """:func:`tree_edges` as one int64 ``(n - 1, 2)`` block."""
+    child = np.arange(1, 2 ** (depth + 1) - 1, dtype=np.int64)
+    return np.stack([child, (child - 1) // 2], axis=1)
+
+
 def stream_ring(n: int) -> CompiledNetwork:
     """The cycle on ``n`` nodes, streamed straight to CSR."""
     return _stream_compiled(("ring-stream", n), n,
-                            lambda: ring_edges(n))
+                            lambda: ring_edges(n),
+                            lambda np: _ring_block(np, n))
 
 
 def stream_grid(rows: int, cols: int) -> CompiledNetwork:
     """The rows x cols grid, streamed straight to CSR."""
     return _stream_compiled(("grid-stream", rows, cols), rows * cols,
-                            lambda: grid_edges(rows, cols))
+                            lambda: grid_edges(rows, cols),
+                            lambda np: _grid_block(np, rows, cols))
 
 
 def stream_tree(depth: int) -> CompiledNetwork:
     """The complete binary tree, streamed straight to CSR."""
     n = 2 ** (depth + 1) - 1
     return _stream_compiled(("tree-stream", depth), n,
-                            lambda: tree_edges(depth))
+                            lambda: tree_edges(depth),
+                            lambda np: _tree_block(np, depth))
 
 
 def stream_gnp(n: int, p: float, seed: int) -> CompiledNetwork:
@@ -312,14 +363,35 @@ def stream_regular(n: int, degree: int, seed: int) -> CompiledNetwork:
 # ----------------------------------------------------------------------
 # Seed colorings for scale workloads
 # ----------------------------------------------------------------------
-def greedy_seed_coloring(compiled: CompiledNetwork) -> array:
+#: Mean degree (``2m / n``) up to which the greedy seed runs on NumPy.
+#: Denser inputs resolve in many thin frontiers (G(4000, 0.15): about
+#: 900), where the plain loop is faster.
+_SEED_NUMPY_MAX_MEAN_DEGREE = 32
+
+
+def greedy_seed_coloring(compiled: CompiledNetwork):
     """Sequential greedy coloring over dense ids -- O(n + m), <= Delta+1.
 
     The scale workloads need a proper input coloring without touching
     node objects or dicts; scanning nodes in dense order and taking the
-    smallest color unused by lower-id neighbors gives one with at most
-    ``max_degree + 1`` classes, returned as an ``array('q')``.
+    smallest color unused by lower-id neighbors (first fit) gives one
+    with at most ``max_degree + 1`` classes.  Returns the dense-id
+    column: an int64 ndarray from the exact NumPy form
+    (:func:`_greedy_seed_numpy`) when the array backend is on and the
+    mean degree is at most :data:`_SEED_NUMPY_MAX_MEAN_DEGREE`, an
+    ``array('q')`` from the plain loop otherwise -- the same colors
+    either way.
     """
+    np = arrays.get_numpy()
+    n = compiled.n
+    if (np is not None and n >= arrays.MIN_BATCH
+            and compiled.indptr[n] <= _SEED_NUMPY_MAX_MEAN_DEGREE * n):
+        return _greedy_seed_numpy(np, compiled)
+    return _greedy_seed_loop(compiled)
+
+
+def _greedy_seed_loop(compiled: CompiledNetwork) -> array:
+    """First fit by dense id, one node at a time."""
     indptr = compiled.indptr
     indices = compiled.indices
     n = compiled.n
@@ -337,28 +409,123 @@ def greedy_seed_coloring(compiled: CompiledNetwork) -> array:
     return colors
 
 
+def _gather_rows(np, indptr, values, rows):
+    """``values[indptr[r]:indptr[r + 1]]`` for each of ``rows``, joined,
+    and each element's position in ``rows``."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.shape[0]), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    positions = np.arange(owner.shape[0]) + (starts - offsets)[owner]
+    return values[positions], owner
+
+
+def _greedy_seed_numpy(np, compiled: CompiledNetwork):
+    """:func:`_greedy_seed_loop`'s colors, computed array-at-a-time.
+
+    A node's first-fit color depends only on its lower-id neighbors:
+
+    * none: color 0;
+    * exactly one (its *parent*): color ``[parent color == 0]``.  Chains
+      of such nodes are collapsed by pointer jumping: each finds its
+      chain root (the first ancestor without exactly one lower
+      neighbor) and the parity of its distance to it.  At odd distance
+      the color is ``[root color == 0]``, at even distance ``[root
+      color != 0]``;
+    * two or more: the mex of their colors.  These nodes wait on the
+      chain roots of their lower neighbors and are resolved frontier by
+      frontier in topological order (Kahn's algorithm), each frontier's
+      mex from one presence table.
+    """
+    indptr, indices, degrees = compiled.numpy_views()
+    n = compiled.n
+    source = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    lower = indices < source
+    low_src = source[lower]
+    low_nbr = indices[lower]
+    counts = np.bincount(low_src, minlength=n)
+    low_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=low_ptr[1:])
+
+    chain = counts == 1
+    linked = chain[low_src]
+    root = np.arange(n, dtype=np.int64)
+    root[low_src[linked]] = low_nbr[linked]
+    odd = chain.copy()
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            break
+        odd ^= odd[root]
+        root = jumped
+
+    colors = np.zeros(n, dtype=np.int64)
+    # Dependency DAG over the non-chain nodes: each low entry of a
+    # multi-parent node waits for its neighbor's chain root (lower id).
+    waits = counts[low_src] >= 2
+    waiter = low_src[waits]
+    dependency = root[low_nbr[waits]]
+    by_dependency = np.argsort(dependency, kind="stable")
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dependency, minlength=n), out=out_ptr[1:])
+    out_dst = waiter[by_dependency]
+    pending = counts.copy()
+    frontier = np.flatnonzero(counts == 0)
+    while True:
+        released = _gather_rows(np, out_ptr, out_dst, frontier)[0]
+        released, times = np.unique(released, return_counts=True)
+        pending[released] -= times
+        frontier = released[pending[released] == 0]
+        if not frontier.shape[0]:
+            break
+        width = int(counts[frontier].max()) + 1
+        for lo, hi in arrays.iter_chunks(
+                frontier.shape[0], max(1, arrays.MAX_MATCH_ELEMENTS // width)):
+            rows = frontier[lo:hi]
+            neighbor, owner = _gather_rows(np, low_ptr, low_nbr, rows)
+            base = colors[root[neighbor]]
+            value = np.where(chain[neighbor], (base == 0) == odd[neighbor],
+                             base)
+            # A mex is at most the row's lower-neighbor count < width.
+            seen = np.zeros((rows.shape[0], width + 1), dtype=bool)
+            seen[owner, np.minimum(value, width)] = True
+            colors[rows] = seen[:, :width].argmin(axis=1)
+    base = colors[root]
+    return np.where(chain, (base == 0) == odd, base)
+
+
 def inflated_seed_coloring(compiled: CompiledNetwork, q: int):
     """A proper q-coloring for scale runs: greedy classes blown up.
 
     Spreads the greedy seed classes over ``q`` colors by an interleaved
-    blow-up (``color * factor + node mod factor``), preserving
+    blow-up (``color * factor + id mod factor``), preserving
     properness: adjacent nodes differ in the greedy class, hence in the
-    inflated color.  Returns ``(colors_dict, q_used)`` where ``q_used =
-    classes * factor <= q`` is the actual palette bound; requires ``q``
-    at least the number of greedy classes.
+    inflated color.  Returns ``(column, q_used)``: ``column`` holds the
+    colors in dense-id order (``compiled.order``) -- an int64 ndarray
+    when the array backend is on, a list of ints otherwise -- and
+    ``q_used = classes * factor <= q`` is the actual palette bound;
+    requires ``q`` at least the number of greedy classes.
     """
     seed = greedy_seed_coloring(compiled)
-    classes = (max(seed) + 1) if len(seed) else 1
+    n = compiled.n
+    np = arrays.get_numpy()
+    if np is not None:
+        seed = np.frombuffer(seed, dtype=np.int64) \
+            if isinstance(seed, array) else seed
+        classes = int(seed.max()) + 1 if n else 1
+    else:
+        classes = max(seed) + 1 if n else 1
     if q < classes:
         raise NetworkError(
             f"palette q={q} smaller than the {classes} greedy classes"
         )
     factor = q // classes
-    colors = {
-        node: seed[i] * factor + (i % factor)
-        for i, node in enumerate(compiled.order)
-    }
-    return colors, classes * factor
+    if np is not None and q <= arrays.MAX_COLOR:
+        column = seed * factor + np.arange(n, dtype=np.int64) % factor
+    else:
+        column = [int(color) * factor + i % factor
+                  for i, color in enumerate(seed)]
+    return column, classes * factor
 
 
 __all__ = [

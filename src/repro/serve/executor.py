@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..sim.errors import SimulationError
 from ..sim.metrics import CostLedger
@@ -143,39 +143,128 @@ def _describe(kind: str, compiled: Any) -> Dict[str, Any]:
     }
 
 
-def _colors_payload(colors: Dict[Any, int], n: int,
+def _colors_payload(compiled: Any, column: Sequence[Any],
                     include_colors: bool) -> Dict[str, Any]:
-    """Summarize a coloring: class count, stable checksum, optional map.
+    """Summarize a dense-id coloring: class count, checksum, optional map.
 
-    The blake2b checksum over the dense ``(node, color)`` sequence lets
-    two payloads be compared for bit-identical colorings without
-    shipping (or even keeping) million-entry mappings.
+    ``column`` holds the colors in ``compiled.order``.  The blake2b
+    checksum runs over ``f"{node!r}={color}:"`` for every node, nodes in
+    ``repr``-sorted order, so two payloads can be compared for
+    bit-identical colorings without shipping (or even keeping)
+    million-entry mappings.  For ``range(n)`` nodes and non-negative
+    int colors the bytes are written by NumPy (:func:`_digest_bytes`)
+    and hashed in one update; otherwise node by node.  Only the inline
+    map (``include_colors``, at most ``_COLORS_INLINE_LIMIT`` nodes)
+    builds a ``{node: color}`` dict.
     """
     import hashlib
 
+    from ..sim.arrays import as_list, get_numpy, int64_column
+
     hasher = hashlib.blake2b(digest_size=16)
-    for node in sorted(colors, key=repr):
-        hasher.update(f"{node!r}={colors[node]}:".encode())
+    order = compiled.order
+    np = get_numpy()
+    values = (int64_column(np, column)
+              if np is not None and order == range(compiled.n) else None)
+    if values is not None and values.shape[0] and int(values.min()) >= 0:
+        hasher.update(_digest_bytes(np, values))
+    else:
+        for i in sorted(range(len(order)), key=lambda i: repr(order[i])):
+            hasher.update(f"{order[i]!r}={column[i]}:".encode())
     payload: Dict[str, Any] = {
-        "color_count": len(set(colors.values())),
+        "color_count": _color_count(column),
         "colors_blake2b": hasher.hexdigest(),
     }
-    if include_colors and n <= _COLORS_INLINE_LIMIT:
-        payload["colors"] = {str(node): color
-                             for node, color in colors.items()}
+    if include_colors and compiled.n <= _COLORS_INLINE_LIMIT:
+        payload["colors"] = dict(zip(map(str, order), as_list(column)))
     return payload
+
+
+def _decimal_lengths(np: Any, values: Any) -> Any:
+    """Digit counts of the non-negative int64 ``values``."""
+    lengths = np.ones(values.shape[0], dtype=np.int64)
+    top = int(values.max()) if values.shape[0] else 0
+    bound = 10
+    while bound <= top:
+        lengths += values >= bound
+        bound *= 10
+    return lengths
+
+
+def _decimal_cells(np: Any, values: Any) -> Tuple[Any, Any]:
+    """``(digits, keep)``: each non-negative value's decimal digits as
+    one right-aligned uint8 row, and which cells hold its digits (the
+    leading zeros are dropped, a lone ``0`` kept)."""
+    lengths = _decimal_lengths(np, values)
+    width = int(lengths.max())
+    digits = np.empty((values.shape[0], width), dtype=np.uint8)
+    rest = values
+    for k in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        digits[:, k] = digit
+    digits += ord("0")
+    keep = np.arange(width) >= (width - lengths)[:, None]
+    return digits, keep
+
+
+def _digest_bytes(np: Any, values: Any) -> Any:
+    """The checksum bytes ``f"{i}={values[i]}:"`` of a ``range(n)``
+    coloring, ``i`` in ``repr``-sorted order, as one uint8 array.
+
+    The ``repr`` order of ``0..n-1`` is numeric: left-align every id to
+    the width of ``n - 1`` (append zeros), then a prefix sorts before
+    its extensions (shorter first).  Each entry is one row of byte
+    cells -- id digits, ``=``, color digits, ``:`` -- and the unused
+    cells are masked out, so one compaction writes the whole stream.
+    """
+    ids = np.arange(values.shape[0], dtype=np.int64)
+    lengths = _decimal_lengths(np, ids)
+    width = int(lengths[-1])
+    powers = np.array([10 ** k for k in range(width)], dtype=np.int64)
+    aligned = ids * powers[width - lengths]
+    # The keys are distinct, so any sort gives this order; the stable
+    # one is faster on these presorted runs and is the sort the kernels
+    # already use, so a worker maps no further NumPy code for it.
+    ids = np.argsort(aligned * (width + 1) + lengths, kind="stable")
+    id_digits, id_keep = _decimal_cells(np, ids)
+    color_digits, color_keep = _decimal_cells(np, values[ids])
+    fixed = np.ones((ids.shape[0], 1), dtype=bool)
+    cells = np.hstack([id_digits, np.full_like(fixed, ord("="), np.uint8),
+                       color_digits, np.full_like(fixed, ord(":"), np.uint8)])
+    return cells[np.hstack([id_keep, fixed, color_keep, fixed])]
+
+
+def _color_count(column: Sequence[Any]) -> int:
+    """Distinct colors in a dense-id column.
+
+    A bincount for the reduction's small non-negative colors: the
+    default ``np.unique`` takes NumPy's hash-based path, whose code and
+    table raised a serving worker's peak RSS by about 1.5 MiB.
+    """
+    from ..sim.arrays import get_numpy
+
+    np = get_numpy()
+    if np is not None and isinstance(column, np.ndarray):
+        n = column.shape[0]
+        if not n:
+            return 0
+        if 0 <= int(column.min()) and int(column.max()) <= 2 * n:
+            return int(np.count_nonzero(np.bincount(column)))
+        return int(np.unique(column).shape[0])
+    return len(set(column))
 
 
 def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
                           ledger: CostLedger
-                          ) -> Tuple[Dict[str, Any], Dict[Any, int]]:
+                          ) -> Tuple[Dict[str, Any], Sequence[int]]:
     """The ``repro scale`` workload: inflated palette down to Delta+1.
 
     The one seed -> reduce -> validate path behind both ``repro
     scale`` and the daemon's ``greedy-reduction``.  Returns ``(payload,
-    colors)``: ``payload`` holds ``q``/``target``, plus ``valid`` -- and
+    column)``: ``payload`` holds ``q``/``target``, plus ``valid`` -- and
     ``invalid_reason`` when false -- if ``params["validate"]`` is set;
-    ``colors`` maps node to color.
+    ``column`` holds the colors in dense-id order (an int64 ndarray on
+    the NumPy path; no ``{node: color}`` dict is built).
     """
     from ..graphs.streaming import inflated_seed_coloring
     from ..substrates.greedy import greedy_color_reduction
@@ -185,26 +274,24 @@ def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
     # Floor the palette at 2 * target: the inflated palette then always
     # strictly exceeds the target, so the reduction performs real rounds
     # on every family instead of degenerating to a no-op on dense ones.
-    colors, q = inflated_seed_coloring(compiled,
-                                       max(params["colors"], 2 * target))
-    result = greedy_color_reduction(compiled, colors, q, target,
+    seed, q = inflated_seed_coloring(compiled,
+                                     max(params["colors"], 2 * target))
+    column = greedy_color_reduction(compiled, seed, q, target,
                                     ledger=ledger)
     payload: Dict[str, Any] = {"q": q, "target": target}
     if params["validate"]:
-        reason = _coloring_violation(
-            compiled, [result[node] for node in compiled.order], target
-        )
+        reason = _coloring_violation(compiled, column, target)
         payload["valid"] = reason is None
         if reason is not None:
             payload["invalid_reason"] = reason
-    return payload, result
+    return payload, column
 
 
 #: CSR entries one NumPy validation chunk gathers (bounds temporaries).
 _VALIDATE_CHUNK = 1 << 18
 
 
-def _coloring_violation(compiled: Any, column: List[Any],
+def _coloring_violation(compiled: Any, column: Sequence[Any],
                         target: int) -> Optional[str]:
     """How the dense-id ``column`` fails as a proper coloring below
     ``target``, or ``None``.
@@ -212,18 +299,16 @@ def _coloring_violation(compiled: Any, column: List[Any],
     Every edge is checked in :meth:`CompiledNetwork.edge_ids` order
     (the first monochromatic one is reported), then the ``< target``
     bound -- with NumPy over CSR chunks when the array backend is on
-    and the colors are plain ints, in a plain loop otherwise.
+    and the colors are plain ints (or an int64 ndarray), in a plain
+    loop otherwise.
     """
     n = compiled.n
     views = compiled.numpy_views()
-    if views is not None and n and set(map(type, column)) == {int}:
-        from ..sim.arrays import get_numpy
+    if views is not None and n:
+        from ..sim.arrays import get_numpy, int64_column
 
         np = get_numpy()
-        try:
-            values = np.array(column, dtype=np.int64)
-        except OverflowError:
-            values = None
+        values = int64_column(np, column)
         if values is not None:
             indptr, indices, degrees = views
             lo = 0
@@ -252,15 +337,18 @@ def _coloring_violation(compiled: Any, column: List[Any],
             j = indices[k]
             if i < j and column[j] == color:
                 return f"edge ({i}, {int(j)}) is monochromatic"
-    if column and max(column) >= target:
+    if len(column) and max(column) >= target:
         return f"color >= target {target}"
     return None
 
 
 def _run_sweep(compiled: Any, params: Dict[str, Any],
                ledger: CostLedger, fast: bool
-               ) -> Tuple[Dict[str, Any], Dict[Any, int]]:
-    """Algorithm 1 / 2 on a seeded OLDC instance over the topology."""
+               ) -> Tuple[Dict[str, Any], List[int]]:
+    """Algorithm 1 / 2 on a seeded OLDC instance over the topology.
+
+    Returns ``(payload, column)`` like :func:`_run_greedy_reduction`.
+    """
     from ..coloring.random_instances import random_oldc_instance
     from ..coloring.validate import check_oldc
     from ..core.fast_two_sweep import fast_two_sweep
@@ -312,7 +400,7 @@ def _run_sweep(compiled: Any, params: Dict[str, Any],
         "stats": {k: v for k, v in result.stats.items()
                   if isinstance(v, (int, float, str, bool))},
     }
-    return payload, result.colors
+    return payload, [result.colors[node] for node in compiled.order]
 
 
 def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -353,11 +441,11 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
             if scope is not None:
                 scope.__enter__()
             if algorithm["name"] == "greedy-reduction":
-                result, colors = _run_greedy_reduction(
+                result, column = _run_greedy_reduction(
                     compiled, algorithm, ledger
                 )
             else:
-                result, colors = _run_sweep(
+                result, column = _run_sweep(
                     compiled, algorithm, ledger,
                     fast=algorithm["name"] == "fast-two-sweep",
                 )
@@ -365,7 +453,7 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
             if scope is not None:
                 scope.__exit__(None, None, None)
         solve_s = time.perf_counter() - solve_start
-        result.update(_colors_payload(colors, compiled.n,
+        result.update(_colors_payload(compiled, column,
                                       spec.get("include_colors", False)))
         payload["status"] = "ok"
         payload["result"] = result

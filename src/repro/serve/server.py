@@ -55,6 +55,12 @@ from .schema import (
 #: Refuse request bodies above this size (inline edge lists included).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Refuse requests with more header lines than this.
+MAX_HEADERS = 100
+
+#: The longest request or header line: the listener's stream limit.
+MAX_LINE_BYTES = 64 * 1024
+
 #: Rolling window for the /stats latency percentiles.
 _LATENCY_WINDOW = 2048
 
@@ -133,7 +139,8 @@ class ColoringServer:
         }
         self.batcher.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection, self.host, self._requested_port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_monotonic = time.monotonic()
@@ -214,21 +221,27 @@ class ColoringServer:
 
         Returns ``(method, path, headers, body)``; an oversized body is
         *not* read -- the body slot carries its length as an ``int``.
-        Raises :class:`BadRequest` when ``Content-Length`` is not a
-        plain decimal byte count.
+        Raises :class:`BadRequest` for a malformed request line, a line
+        over :data:`MAX_LINE_BYTES`, more than :data:`MAX_HEADERS`
+        headers, or a ``Content-Length`` that is not a plain decimal
+        byte count.
         """
-        line = await reader.readline()
+        line = await ColoringServer._read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            raise ValueError(f"malformed request line: {line!r}")
+            raise BadRequest(f"malformed request line: {line[:80]!r}")
         method, path, _version = parts
         headers: Dict[str, str] = {}
+        count = 0
         while True:
-            raw = await reader.readline()
+            raw = await ColoringServer._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
+            count += 1
+            if count > MAX_HEADERS:
+                raise BadRequest(f"more than {MAX_HEADERS} headers")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "0")
@@ -239,6 +252,15 @@ class ColoringServer:
             return method, path, headers, length
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # readline's form of LimitOverrunError
+            raise BadRequest(
+                f"request or header line over {MAX_LINE_BYTES} bytes"
+            ) from None
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Any,

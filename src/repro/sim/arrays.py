@@ -176,6 +176,29 @@ def iter_chunks(total: int, chunk: int):
 
 
 # ----------------------------------------------------------------------
+# Dense-id columns
+# ----------------------------------------------------------------------
+def int64_column(np, column):
+    """``column`` as an int64 ndarray, or ``None`` unless every entry is
+    a plain ``int`` that fits; an int64 ndarray is returned as is (not
+    copied)."""
+    if isinstance(column, np.ndarray):
+        return column if column.dtype == np.int64 else None
+    if set(map(type, column)) != {int}:
+        return None
+    try:
+        return np.array(column, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def as_list(column) -> list:
+    """A dense-id column (list, ``array('q')`` or ndarray) as a list of
+    Python scalars."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
+
+
+# ----------------------------------------------------------------------
 # Batched modular Horner over F_m
 # ----------------------------------------------------------------------
 def field_fits(m: int, q: int) -> bool:

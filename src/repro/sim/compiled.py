@@ -274,7 +274,9 @@ class CompiledNetwork:
     def max_degree(self) -> int:
         """Maximum degree without the paper's floor of 2 (cached)."""
         if self._max_degree is None:
-            self._max_degree = max(self.degrees, default=0)
+            views = self.numpy_views()
+            self._max_degree = (int(views[2].max()) if views is not None
+                                and self.n else max(self.degrees, default=0))
         return self._max_degree
 
     def has_edge_ids(self, i: int, j: int) -> bool:

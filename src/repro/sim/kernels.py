@@ -58,7 +58,7 @@ and benchmarks register kernels for their synthetic stress programs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..obs import metrics as obs_metrics
 from .compiled import CompiledNetwork
@@ -166,7 +166,9 @@ class ColumnInputs:
     parameters; ``build_programs()`` returns the equivalent ``{node:
     program}`` population and is called only when the run cannot stay
     on the kernel.  After a kernel run, ``outputs`` holds the dense-id
-    column of what ``NodeProgram.output()`` would have returned.
+    column of what ``NodeProgram.output()`` would have returned, in the
+    kernel's own representation (a list, or an int64 ndarray on the
+    NumPy backend).
     """
 
     __slots__ = ("program_class", "data", "build_programs", "outputs")
@@ -176,7 +178,7 @@ class ColumnInputs:
         self.program_class = program_class
         self.data = data
         self.build_programs = build_programs
-        self.outputs: Optional[List[Any]] = None
+        self.outputs: Optional[Sequence[Any]] = None
 
 
 # ----------------------------------------------------------------------
@@ -342,4 +344,9 @@ def fanout_totals(compiled: CompiledNetwork) -> Tuple[int, int]:
     queues nothing, so zero-degree nodes send -- and count -- nothing).
     """
     total = int(compiled.indptr[compiled.n])
+    views = compiled.numpy_views()
+    if views is not None:
+        from .arrays import get_numpy
+
+        return total, int(get_numpy().count_nonzero(views[2]))
     return total, sum(1 for d in compiled.degrees if d)

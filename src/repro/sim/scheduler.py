@@ -60,7 +60,7 @@ import os
 import time
 from contextlib import contextmanager
 from typing import (TYPE_CHECKING, Dict, Hashable, Iterator, List, Mapping,
-                    Optional, Tuple)
+                    Optional, Sequence, Tuple)
 
 from ..obs import metrics as obs_metrics
 from ..obs.tracer import current_tracer
@@ -505,9 +505,24 @@ class Scheduler:
     def outputs(self) -> Dict[Node, object]:
         """Collect every node's declared output."""
         if self.programs is None:
+            from .arrays import as_list
+
             return dict(zip(self.network.compile().order,
-                            self.columns.outputs))
+                            as_list(self.columns.outputs)))
         return {node: program.output() for node, program in self.programs.items()}
+
+    def output_column(self) -> Sequence[object]:
+        """Every node's declared output in ``compiled.order``.
+
+        A columns run that stayed on its kernel returns the kernel's
+        output column as it is (a list, or an int64 ndarray on the
+        NumPy backend); otherwise the programs' outputs as a list.
+        """
+        if self.programs is None:
+            return self.columns.outputs
+        programs = self.programs
+        return [programs[node].output()
+                for node in self.network.compile().order]
 
 
 def run_protocol(network: Network,
@@ -533,7 +548,7 @@ def run_columns(network: Network,
                 ledger: Optional[CostLedger] = None,
                 max_rounds: int = DEFAULT_MAX_ROUNDS,
                 engine: Optional[str] = None
-                ) -> Tuple[Dict[Node, object], CostLedger]:
+                ) -> Tuple[Sequence[object], CostLedger]:
     """:func:`run_protocol` for a population given as columns.
 
     ``columns`` (a :class:`~repro.sim.kernels.ColumnInputs`) stands for
@@ -543,9 +558,11 @@ def run_columns(network: Network,
     vectorized fallback, builds the programs and runs them as
     :func:`run_protocol` would.  Ledger, trace and metrics bookkeeping
     are :meth:`Scheduler.run`'s, so both entries are indistinguishable
-    by output, ledger and logical trace.
+    by output, ledger and logical trace.  Columns in, column out:
+    returns ``(outputs, ledger)`` with ``outputs`` the dense-id output
+    column (:meth:`Scheduler.output_column`), not a node-keyed dict.
     """
     scheduler = Scheduler(network, None, bandwidth=bandwidth, ledger=ledger,
                           columns=columns)
     scheduler.run(max_rounds=max_rounds, engine=engine)
-    return scheduler.outputs(), scheduler.ledger
+    return scheduler.output_column(), scheduler.ledger

@@ -17,7 +17,7 @@ Three roles in the reproduction:
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..coloring.instance import ArbdefectiveInstance
 from ..coloring.result import ColoringResult
@@ -619,13 +619,20 @@ class _ColorReductionKernel(RoundKernel):
         return columns
 
     def from_columns(self, compiled, colors, q, target, bandwidth):
-        """Column state for a reduction of the dense-id ``colors``."""
-        colors = list(colors)
+        """Column state for a reduction of the dense-id ``colors``.
+
+        ``colors`` is any sequence; an int64 ndarray is taken as the
+        NumPy color column without a round trip through Python ints.
+        """
         state = self._prepare_arrays(compiled, colors, q, target)
         by_color: Dict[int, list] = {}
         if state is None:
+            colors = arrays.as_list(colors)
             for i, color in enumerate(colors):
                 by_color.setdefault(color, []).append(i)
+        else:
+            # The NumPy column is authoritative; round 1 reads it.
+            colors = None
         total_copies, envelopes = fanout_totals(compiled)
         return {
             # Failure messages name programs[i].node when the run came
@@ -639,6 +646,7 @@ class _ColorReductionKernel(RoundKernel):
             "indices": compiled.indices,
             "indptr": compiled.indptr,
             "arrays": state,
+            "n": compiled.n,
             "colors": colors,
             "by_color": by_color,
             "q": q,
@@ -654,22 +662,24 @@ class _ColorReductionKernel(RoundKernel):
         """NumPy state for the whole-bucket mex, or ``None`` to decline.
 
         Engages when the backend is enabled, the population reaches
-        ``MIN_BATCH``, every color is a plain ``int`` within
-        ``MAX_COLOR`` and one presence-table row (``target + 1``
-        cells) fits ``MAX_MATCH_ELEMENTS``.  Buckets of the deciding
+        ``MIN_BATCH``, every color is a plain ``int`` (or the column is
+        an int64 ndarray) within ``MAX_COLOR`` and one presence-table
+        row (``target + 1`` cells) fits ``MAX_MATCH_ELEMENTS``.  The
+        mirror is always a copy: the caller's column is never written.
+        Buckets of the deciding
         colors ``target..q-1`` are cut once from a stable sort, so each
         holds its dense ids ascending; ``rows`` bounds one batched mex
         call by the table cap and ``REPRO_SIM_CHUNK``.
         """
         np = arrays.get_numpy()
         if (np is None or compiled.n < arrays.MIN_BATCH
-                or not 0 < target < arrays.MAX_MATCH_ELEMENTS
-                or set(map(type, colors)) != {int}):
+                or not 0 < target < arrays.MAX_MATCH_ELEMENTS):
             return None
-        try:
-            mirror = np.array(colors, dtype=np.int64)
-        except OverflowError:
+        mirror = arrays.int64_column(np, colors)
+        if mirror is None:
             return None
+        if mirror is colors:
+            mirror = colors.copy()
         if (int(mirror.min()) < -arrays.MAX_COLOR
                 or int(mirror.max()) > arrays.MAX_COLOR):
             return None
@@ -705,17 +715,20 @@ class _ColorReductionKernel(RoundKernel):
     def step(self, round_number, columns, inboxes) -> KernelRound:
         colors = columns["colors"]
         bits = columns["bits"]
-        n = len(colors)
+        n = columns["n"]
+        state = columns["arrays"]
         if round_number == 1:
             check_fanout = columns["check_fanout"]
             if check_fanout is not None:
                 order = columns["order"]
+                read = (colors.__getitem__ if state is None
+                        else state["colors"].item)
                 for i, degree in enumerate(columns["degrees"]):
                     if degree:
                         check_fanout(
                             intern_broadcast(
                                 order[i], _ColorReductionProgram._TAG,
-                                colors[i], bits,
+                                read(i), bits,
                             ),
                             degree,
                         )
@@ -731,7 +744,6 @@ class _ColorReductionKernel(RoundKernel):
         active_color = columns["q"] - round_number + 1
         if active_color < target:
             return KernelRound(active=0)
-        state = columns["arrays"]
         if state is None:
             deciders = columns["by_color"].get(active_color)
             if not deciders:
@@ -837,11 +849,13 @@ class _ColorReductionKernel(RoundKernel):
 
     def finalize(self, columns, programs) -> None:
         state = columns["arrays"]
+        if isinstance(programs, ColumnInputs):
+            # The column itself (an int64 ndarray on the NumPy path).
+            programs.outputs = (columns["colors"] if state is None
+                                else state["colors"])
+            return
         colors = (columns["colors"] if state is None
                   else state["colors"].tolist())
-        if isinstance(programs, ColumnInputs):
-            programs.outputs = colors
-            return
         for program, color in zip(programs, colors):
             program.color = color
 
@@ -852,28 +866,40 @@ register_kernel(_ColorReductionProgram, _ColorReductionKernel)
 
 
 def greedy_color_reduction(network: Network,
-                           colors: Mapping[Node, Color],
+                           colors: Union[Mapping[Node, Color],
+                                         Sequence[Color]],
                            q: int,
                            target: int,
                            ledger: Optional[CostLedger] = None,
                            bandwidth: Optional[BandwidthModel] = None
-                           ) -> Dict[Node, Color]:
+                           ):
     """Reduce a proper ``q``-coloring to ``target`` colors, one per round.
 
     ``target`` must be at least ``Delta + 1``.  Rounds: ``q - target + 1``.
     Combined with Linial this yields the classic O(Delta^2 + log* n)
     ``(Delta + 1)``-coloring baseline.
+
+    ``colors`` is a ``{node: color}`` mapping, answered with a
+    ``{node: color}`` dict, or a dense-id column (colors in
+    ``network.compile().order``; an int64 ndarray is used as is),
+    answered with the dense-id output column -- an int64 ndarray when
+    the NumPy kernel ran, a list otherwise.  The column form builds no
+    per-node object on the vectorized engine.
     """
     if target < network.raw_max_degree() + 1:
         raise InstanceError("target must be at least Delta + 1")
     ledger = ensure_ledger(ledger)
-    if q <= target:
-        return dict(colors)  # nothing to reduce, zero rounds
+    order = network.compile().order
+    mapped = isinstance(colors, Mapping)
+    column = [colors[node] for node in order] if mapped else colors
+    if q <= target:  # nothing to reduce, zero rounds
+        return dict(colors) if mapped else arrays.as_list(column)
 
     def build_programs():
+        values = arrays.as_list(column)
         return {
-            node: _ColorReductionProgram(node, colors[node], q, target)
-            for node in network
+            node: _ColorReductionProgram(node, values[i], q, target)
+            for i, node in enumerate(order)
         }
 
     # Columns first: on the vectorized engine the kernel runs from the
@@ -881,12 +907,12 @@ def greedy_color_reduction(network: Network,
     # builds the programs.
     inputs = ColumnInputs(
         _ColorReductionProgram,
-        {"colors": [colors[node] for node in network.compile().order],
-         "q": q, "target": target},
+        {"colors": column, "q": q, "target": target},
         build_programs,
     )
     with ledger.phase("color-reduction"):
         outputs, _ = run_columns(
             network, inputs, bandwidth=bandwidth, ledger=ledger
         )
-    return outputs
+    return dict(zip(order, arrays.as_list(outputs))) if mapped else outputs
+

@@ -1,0 +1,154 @@
+"""Seeded differential tests: the NumPy greedy seed and edge blocks.
+
+``_greedy_seed_numpy`` (chain collapse by pointer jumping plus Kahn
+frontiers) must equal the first-fit loop it replaces, node for node, on
+every family; the NumPy edge blocks of the deterministic families must
+fill the same CSR bytes as their edge streams.  Draws come from
+stdlib ``random`` with fixed seeds.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.graphs import streaming
+from repro.graphs.streaming import (
+    csr_from_edges,
+    grid_edges,
+    inflated_seed_coloring,
+    ring_edges,
+    stream_gnp,
+    stream_grid,
+    stream_regular,
+    stream_ring,
+    stream_tree,
+    tree_edges,
+)
+from repro.sim import arrays
+from repro.sim.compiled import CompiledNetwork
+from repro.sim.errors import NetworkError
+
+np = pytest.importorskip("numpy")
+
+
+@pytest.fixture(autouse=True)
+def _numpy_backend():
+    """These tests compare the NumPy forms with the loops, so the array
+    backend is on whatever ``REPRO_SIM_ARRAYS`` says."""
+    previous = arrays.set_arrays_override(True)
+    yield
+    arrays.set_arrays_override(previous)
+
+
+def _edges_graph(rng: random.Random) -> CompiledNetwork:
+    """A random simple graph on ``n`` nodes, some of them isolated."""
+    n = rng.randint(1, 120)
+    pairs = set()
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    edges = sorted(pairs)
+    rng.shuffle(edges)
+    return CompiledNetwork.from_csr(*csr_from_edges(
+        n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]))
+
+
+def _draw(rng: random.Random) -> CompiledNetwork:
+    family = rng.choice(["ring-odd", "ring-even", "grid", "tree", "gnp",
+                         "gnp-dense", "regular", "edges"])
+    if family == "ring-odd":
+        return stream_ring(rng.choice([3, 5, 7, 2 * rng.randint(2, 300) + 1]))
+    if family == "ring-even":
+        return stream_ring(rng.choice([4, 6, 2 * rng.randint(2, 300)]))
+    if family == "grid":
+        return stream_grid(rng.randint(1, 30), rng.randint(1, 30))
+    if family == "tree":
+        return stream_tree(rng.randint(0, 9))
+    if family == "gnp":
+        n = rng.randint(2, 400)
+        return stream_gnp(n, rng.uniform(0.0, 4.0 / n), rng.randrange(10**6))
+    if family == "gnp-dense":
+        return stream_gnp(rng.randint(2, 120), rng.uniform(0.2, 1.0),
+                          rng.randrange(10**6))
+    if family == "regular":
+        n = 2 * rng.randint(3, 100)
+        return stream_regular(n, rng.randint(1, 5), rng.randrange(10**6))
+    return _edges_graph(rng)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_numpy_seed_matches_loop(seed):
+    rng = random.Random(4100 + seed)
+    for case in range(40):
+        compiled = _draw(rng)
+        want = list(streaming._greedy_seed_loop(compiled))
+        got = streaming._greedy_seed_numpy(np, compiled)
+        assert got.dtype == np.int64
+        assert got.tolist() == want, (seed, case, compiled.n, compiled.m)
+
+
+def test_seed_path_follows_mean_degree():
+    sparse = stream_gnp(400, 3.0 / 400, 1)
+    dense = stream_gnp(200, 0.5, 1)
+    assert isinstance(streaming.greedy_seed_coloring(sparse), np.ndarray)
+    assert not isinstance(streaming.greedy_seed_coloring(dense), np.ndarray)
+    previous = arrays.set_arrays_override(False)
+    try:
+        assert not isinstance(streaming.greedy_seed_coloring(sparse),
+                              np.ndarray)
+    finally:
+        arrays.set_arrays_override(previous)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_inflated_column_on_both_backends(enabled):
+    compiled = stream_grid(12, 17)
+    previous = arrays.set_arrays_override(enabled)
+    try:
+        column, q_used = inflated_seed_coloring(compiled, 30)
+    finally:
+        arrays.set_arrays_override(previous)
+    seed = list(streaming._greedy_seed_loop(compiled))
+    factor = 30 // (max(seed) + 1)
+    assert q_used == (max(seed) + 1) * factor
+    assert [int(c) for c in column] == [
+        color * factor + i % factor for i, color in enumerate(seed)
+    ]
+
+
+@pytest.mark.parametrize("stream, block, n", [
+    (lambda: ring_edges(3), lambda: streaming._ring_block(np, 3), 3),
+    (lambda: ring_edges(9000), lambda: streaming._ring_block(np, 9000),
+     9000),
+    (lambda: grid_edges(1, 7), lambda: streaming._grid_block(np, 1, 7), 7),
+    (lambda: grid_edges(7, 1), lambda: streaming._grid_block(np, 7, 1), 7),
+    (lambda: grid_edges(63, 65), lambda: streaming._grid_block(np, 63, 65),
+     63 * 65),
+    (lambda: tree_edges(0), lambda: streaming._tree_block(np, 0), 1),
+    (lambda: tree_edges(12), lambda: streaming._tree_block(np, 12),
+     2 ** 13 - 1),
+], ids=["ring3", "ring9000", "grid1x7", "grid7x1", "grid63x65", "tree0",
+        "tree12"])
+def test_edge_block_fills_stream_bytes(stream, block, n):
+    want = csr_from_edges(n, stream())
+    got = csr_from_edges(n, block())
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_ring_block_rejects_tiny_ring():
+    with pytest.raises(NetworkError, match="at least 3"):
+        streaming._ring_block(np, 2)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (2, 2), (0, 9)], "self-loops"),
+    ([(0, 1), (0, 9), (2, 2)], "out of range"),
+    ([(-1, 0)], "out of range"),
+])
+def test_block_checks_match_stream_checks(pairs, message):
+    for edges in (iter(pairs), np.array(pairs, dtype=np.int64)):
+        with pytest.raises(NetworkError, match=message):
+            csr_from_edges(3, edges)

@@ -141,6 +141,12 @@ class TestDeterminism:
     def test_warm_second_request_reports_cache_hits(self):
         # The warm-pool contract: the first request pays the build
         # (misses), an identical second request rides the registries.
+        # The interned-network table is cleared whenever it is full, and
+        # earlier tests leave it at a fill level that varies from run to
+        # run; start it empty so the second request cannot meet a clear.
+        from repro.substrates.cache import registry
+
+        registry("networks").clear()
         spec = _spec({"kind": "gnp", "n": 27, "density": 0.2, "seed": 11},
                      "greedy-reduction")
         first = execute_request(spec)
@@ -217,6 +223,68 @@ class TestColoringViolation:
                 f"edge ({first[0]}, {first[1]}) is monochromatic"
         finally:
             arrays.set_arrays_override(previous)
+
+
+class TestColumnDigest:
+    """The column checksum hashes the bytes the node-keyed dict did:
+    ``f"{node!r}={color}:"`` in ``repr``-sorted node order."""
+
+    @staticmethod
+    def _dict_payload(colors, n, include_colors):
+        import hashlib
+
+        hasher = hashlib.blake2b(digest_size=16)
+        for node in sorted(colors, key=repr):
+            hasher.update(f"{node!r}={colors[node]}:".encode())
+        payload = {"color_count": len(set(colors.values())),
+                   "colors_blake2b": hasher.hexdigest()}
+        if include_colors and n <= 4096:
+            payload["colors"] = {str(node): color
+                                 for node, color in colors.items()}
+        return payload
+
+    @pytest.mark.parametrize("n", [9, 10, 99, 100, 1001])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_dense_column_matches_dict(self, n, enabled):
+        import random
+
+        from repro.graphs.streaming import stream_ring
+        from repro.serve.executor import _colors_payload
+        from repro.sim import arrays
+
+        np = arrays._import_numpy()
+        if enabled and np is None:
+            pytest.skip("NumPy not installed")
+        compiled = stream_ring(n)
+        rng = random.Random(n)
+        top = rng.choice([1, 9, 10, 11, 10**6, 10**12, (1 << 62) - 1])
+        colors = [rng.randint(0, top) for _ in range(n)]
+        colors[rng.randrange(n)] = top
+        want = self._dict_payload(dict(enumerate(colors)), n, True)
+        columns = [colors]
+        if np is not None:
+            columns.append(np.array(colors, dtype=np.int64))
+        previous = arrays.set_arrays_override(enabled)
+        try:
+            for column in columns:
+                got = _colors_payload(compiled, column, True)
+                assert got == want
+                assert list(got["colors"]) == list(want["colors"])
+                assert all(type(c) is int for c in got["colors"].values())
+        finally:
+            arrays.set_arrays_override(previous)
+
+    def test_non_dense_nodes_match_dict(self):
+        from repro.serve.executor import _colors_payload
+        from repro.sim.network import Network
+
+        nodes = ["b", 12, "a", 3, (1, 2), -4]
+        network = Network.from_edges(nodes, [("b", 12), (3, -4)])
+        compiled = network.compile()
+        colors = {node: i % 3 - 1 for i, node in enumerate(nodes)}
+        column = [colors[node] for node in compiled.order]
+        assert _colors_payload(compiled, column, True) == \
+            self._dict_payload(colors, len(nodes), True)
 
 
 class TestEdgesTopology:
