@@ -18,7 +18,7 @@ the slack notion they expose.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..graphs.oriented import BidirectedView, OrientedGraph
 from ..sim.errors import InstanceError
@@ -69,17 +69,40 @@ def _normalize_lists(nodes: Iterable[Node],
 
 
 class _ListInstanceBase:
-    """Shared list/defect bookkeeping for the three problem flavors."""
+    """Shared list/defect bookkeeping for the three problem flavors.
 
-    def __init__(self, nodes: Iterable[Node],
+    Lists and defect functions are stored as dense-id columns over the
+    instance network's ``compile()`` order: node ``i``'s list is
+    ``list_colors[list_indptr[i]:list_indptr[i + 1]]`` and
+    ``list_defects`` holds the matching ``d_v(x)`` values (three Python
+    lists).  The node-keyed :attr:`lists` / :attr:`defects` dicts are
+    read views built from the columns on first use (the mapping
+    constructor keeps the ones its validation already built).
+    """
+
+    def __init__(self, network,
                  lists: Mapping[Node, Iterable[Color]],
                  defects: Mapping[Node, Mapping[Color, int]],
                  color_space_size: Optional[int] = None):
-        self.lists, self.defects = _normalize_lists(nodes, lists, defects)
-        observed = max(
-            (max(colors) for colors in self.lists.values() if colors),
-            default=0,
+        norm_lists, norm_defects = _normalize_lists(
+            network.nodes, lists, defects
         )
+        indptr = [0]
+        colors: List[Color] = []
+        values: List[int] = []
+        for node in network.compile().order:
+            node_colors = norm_lists[node]
+            defect_fn = norm_defects[node]
+            colors.extend(node_colors)
+            values.extend([defect_fn[color] for color in node_colors])
+            indptr.append(len(colors))
+        self._set_columns(network, indptr, colors, values, color_space_size)
+        self._lists = norm_lists
+        self._defects = norm_defects
+
+    def _set_columns(self, network, indptr, colors, defects,
+                     color_space_size: Optional[int]) -> None:
+        observed = max(colors, default=0)
         if color_space_size is None:
             color_space_size = observed + 1
         elif observed >= color_space_size:
@@ -89,10 +112,54 @@ class _ListInstanceBase:
             )
         #: Size ``C`` of the global color space {0, ..., C-1}.
         self.color_space_size = color_space_size
+        self._compiled = network.compile()
+        self.list_indptr = indptr
+        self.list_colors = colors
+        self.list_defects = defects
+        self._lists = None
+        self._defects = None
+
+    # ------------------------------------------------------------------
+    # Node-keyed views
+    # ------------------------------------------------------------------
+    def _view_rows(self):
+        """``(node, start, end)`` per node, in the order the mapping
+        constructor's validation has always produced (``set`` order)."""
+        compiled = self._compiled
+        index = compiled.index
+        ptr = self.list_indptr
+        for node in set(compiled.order):
+            i = index[node]
+            yield node, ptr[i], ptr[i + 1]
+
+    @property
+    def lists(self) -> Dict[Node, ColorList]:
+        """``{node: L_v}`` (a view of the columns)."""
+        if self._lists is None:
+            colors = self.list_colors
+            self._lists = {node: tuple(colors[lo:hi])
+                           for node, lo, hi in self._view_rows()}
+        return self._lists
+
+    @property
+    def defects(self) -> Dict[Node, DefectFn]:
+        """``{node: {x: d_v(x)}}`` (a view of the columns)."""
+        if self._defects is None:
+            colors = self.list_colors
+            values = self.list_defects
+            self._defects = {
+                node: dict(zip(colors[lo:hi], values[lo:hi]))
+                for node, lo, hi in self._view_rows()
+            }
+        return self._defects
 
     # ------------------------------------------------------------------
     # Per-node quantities
     # ------------------------------------------------------------------
+    def _bounds(self, node: Node) -> Tuple[int, int]:
+        i = self._compiled.index[node]
+        return self.list_indptr[i], self.list_indptr[i + 1]
+
     def list_of(self, node: Node) -> ColorList:
         """The color list ``L_v``."""
         return self.lists[node]
@@ -103,24 +170,27 @@ class _ListInstanceBase:
 
     def weight(self, node: Node) -> int:
         """``sum_{x in L_v} (d_v(x) + 1)`` -- the slack numerator."""
-        defect_fn = self.defects[node]
-        return sum(defect_fn[color] + 1 for color in self.lists[node])
+        lo, hi = self._bounds(node)
+        return sum(self.list_defects[lo:hi]) + hi - lo
 
     def list_size(self, node: Node) -> int:
         """``|L_v|``."""
-        return len(self.lists[node])
+        lo, hi = self._bounds(node)
+        return hi - lo
 
     def max_list_size(self) -> int:
         """``Lambda``: the maximum list size over all nodes."""
-        return max((len(colors) for colors in self.lists.values()), default=0)
+        ptr = self.list_indptr
+        return max((ptr[i + 1] - ptr[i] for i in range(len(ptr) - 1)),
+                   default=0)
 
     def total_list_entries(self) -> int:
         """Sum of all list sizes (instance size measure)."""
-        return sum(len(colors) for colors in self.lists.values())
+        return len(self.list_colors)
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(nodes={len(self.lists)}, "
+            f"{type(self).__name__}(nodes={len(self.list_indptr) - 1}, "
             f"C={self.color_space_size}, Lambda={self.max_list_size()})"
         )
 
@@ -136,8 +206,23 @@ class OLDCInstance(_ListInstanceBase):
             raise InstanceError(
                 "OLDCInstance needs an OrientedGraph (or BidirectedView)"
             )
-        super().__init__(graph.nodes, lists, defects, color_space_size)
+        super().__init__(graph.network, lists, defects, color_space_size)
         self.graph = graph
+
+    @classmethod
+    def from_columns(cls, graph, list_indptr: List[int],
+                     list_colors: List[Color], list_defects: List[int],
+                     color_space_size: Optional[int] = None
+                     ) -> "OLDCInstance":
+        """An instance over dense-id list columns (``graph.compiled``
+        order), taken as they are: each list distinct non-negative ints,
+        each defect a non-negative int.  Only the color space is
+        checked."""
+        instance = cls.__new__(cls)
+        instance._set_columns(graph.network, list_indptr, list_colors,
+                              list_defects, color_space_size)
+        instance.graph = graph
+        return instance
 
     @property
     def network(self) -> Network:
@@ -161,6 +246,32 @@ class OLDCInstance(_ListInstanceBase):
         )
         return self.weight(node) > threshold
 
+    def first_unsatisfied(self, p: int, epsilon: Optional[float] = None,
+                          exempt_sinks: bool = True) -> Optional[int]:
+        """Dense id of the first node failing Eq. (2) (``epsilon=None``)
+        or Eq. (7), else ``None``: :meth:`satisfies_eq2` /
+        :meth:`satisfies_eq7` over the columns, in node order.
+
+        With ``exempt_sinks`` a node without out-neighbors and with a
+        non-empty list is skipped: it never sees a conflict (its
+        ``beta_v`` floor of 1 would otherwise reject tiny lists).
+        """
+        ptr = self.list_indptr
+        values = self.list_defects
+        for i, outdegree in enumerate(self.graph.out_degrees):
+            lo, hi = ptr[i], ptr[i + 1]
+            size = hi - lo
+            if exempt_sinks and outdegree == 0 and size > 0:
+                continue
+            beta = max(1, outdegree)
+            if epsilon is None:
+                threshold = max(p, size / p) * beta
+            else:
+                threshold = (1.0 + epsilon) * max(p, size / p) * beta
+            if not sum(values[lo:hi]) + size > threshold:
+                return i
+        return None
+
     def restrict(self, nodes: Iterable[Node]) -> "OLDCInstance":
         """Induced sub-instance (subgraph keeps the input orientation)."""
         keep = set(nodes)
@@ -181,7 +292,7 @@ class _UndirectedInstanceBase(_ListInstanceBase):
                  color_space_size: Optional[int] = None):
         if not isinstance(network, Network):
             raise InstanceError("expected a Network")
-        super().__init__(network.nodes, lists, defects, color_space_size)
+        super().__init__(network, lists, defects, color_space_size)
         self.network = network
 
     def degree(self, node: Node) -> int:

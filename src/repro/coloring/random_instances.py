@@ -10,7 +10,7 @@ uniform one.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..graphs.oriented import OrientedGraph
 from ..sim.network import Network
@@ -42,23 +42,30 @@ def random_oldc_instance(graph: OrientedGraph, p: int, seed: int,
         color_space_size = max(2 * list_size, list_size + 1)
     if color_space_size < list_size:
         raise ValueError("color space smaller than the required list size")
-    lists: Dict[Node, Tuple[Color, ...]] = {}
-    defects: Dict[Node, Dict[Color, int]] = {}
-    for node in graph.nodes:
-        beta = graph.beta(node)
-        base = int((1.0 + epsilon) * beta / p)  # floor
-        colors = tuple(sorted(rng.sample(range(color_space_size), list_size)))
-        defect_fn = {}
-        for color in colors:
-            extra = rng.randint(0, max(1, base)) if jitter else 0
-            defect_fn[color] = base + extra
-        lists[node] = colors
-        defects[node] = defect_fn
-    instance = OLDCInstance(graph, lists, defects, color_space_size)
-    for node in graph.nodes:
-        assert instance.satisfies_eq7(p, epsilon, node), (
-            "generator bug: instance misses Eq.(7) at node %r" % (node,)
-        )
+    # Dense-id columns, drawn node by node in graph order: the same
+    # ``random.Random`` calls in the same order as a per-node dict build.
+    population = range(color_space_size)
+    sample = rng.sample
+    randint = rng.randint
+    colors: List[Color] = []
+    defects: List[int] = []
+    for outdegree in graph.out_degrees:
+        base = int((1.0 + epsilon) * max(1, outdegree) / p)  # floor
+        colors.extend(sorted(sample(population, list_size)))
+        if jitter:
+            top = max(1, base)
+            defects.extend([base + randint(0, top)
+                            for _ in range(list_size)])
+        else:
+            defects.extend([base] * list_size)
+    indptr = list(range(0, len(colors) + 1, list_size))
+    instance = OLDCInstance.from_columns(graph, indptr, colors, defects,
+                                         color_space_size)
+    failed = instance.first_unsatisfied(p, epsilon, exempt_sinks=False)
+    assert failed is None, (
+        "generator bug: instance misses Eq.(7) at node %r"
+        % (graph.compiled.order[failed],)
+    )
     return instance
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Hashable, List, Mapping, Tuple
 
+from ..sim import arrays
 from ..sim.errors import AlgorithmFailure
 from ..sim.network import Network
 from .instance import (
@@ -84,23 +85,49 @@ def check_list_defective(instance: ListDefectiveInstance,
 
 def check_oldc(instance: OLDCInstance,
                colors: Mapping[Node, Color]) -> List[str]:
-    """OLDC validity: same-colored *out*-neighbors within ``d_v(x_v)``."""
+    """OLDC validity: same-colored *out*-neighbors within ``d_v(x_v)``.
+
+    Runs on the instance's list and out-neighbor CSR columns.
+    """
     violations = check_complete(instance.graph.nodes, colors)
     if violations:
         return violations
-    violations = check_list_membership(instance.lists, colors)
-    for node in instance.graph.nodes:
-        color = colors[node]
-        conflicts = sum(
-            1
-            for neighbor in instance.graph.out_neighbors(node)
-            if colors[neighbor] == color
-        )
-        allowed = instance.defects[node].get(color, 0)
-        if conflicts > allowed:
+    graph = instance.graph
+    compiled = graph.compiled
+    order = compiled.order
+    ptr = instance.list_indptr
+    list_colors = instance.list_colors
+    list_defects = instance.list_defects
+    column = [colors[node] for node in order]
+    # Each node's allowed defect for its color; None: outside its list.
+    allowed = []
+    for i, color in enumerate(column):
+        lo = ptr[i]
+        node_colors = list_colors[lo:ptr[i + 1]]
+        allowed.append(list_defects[lo + node_colors.index(color)]
+                       if color in node_colors else None)
+    if None in allowed or len(colors) != len(order):
+        # In the mapping's order; a key outside the graph raises the
+        # KeyError a node-keyed lookup always raised.
+        index = compiled.index
+        for node, color in colors.items():
+            if allowed[index[node]] is None:
+                violations.append(
+                    f"node {node!r} chose color {color} outside its list"
+                )
+    out_ptr = graph.out_indptr
+    outs = arrays.as_list(graph.out_indices)
+    for i, color in enumerate(column):
+        conflicts = 0
+        for j in outs[out_ptr[i]:out_ptr[i + 1]]:
+            if column[j] == color:
+                conflicts += 1
+        # Out-of-list colors (already reported above) allow no defect.
+        limit = allowed[i] or 0
+        if conflicts > limit:
             violations.append(
-                f"node {node!r}: {conflicts} same-colored out-neighbors "
-                f"exceed defect {allowed} for color {color}"
+                f"node {order[i]!r}: {conflicts} same-colored out-neighbors "
+                f"exceed defect {limit} for color {color}"
             )
     return violations
 

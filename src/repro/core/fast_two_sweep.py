@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from typing import Dict, Hashable, List, Mapping, Optional
+from typing import Hashable, List, Mapping, Optional
 
-from ..coloring.defects import drop_negative_defects
 from ..obs.tracer import current_tracer
 from ..coloring.instance import OLDCInstance
 from ..coloring.result import ColoringResult
@@ -47,18 +46,16 @@ def check_fast_two_sweep_preconditions(instance: OLDCInstance,
         raise InstanceError("p must be at least 1")
     if epsilon < 0.0:
         raise InstanceError("epsilon must be non-negative")
-    for node in instance.graph.nodes:
-        # Out-degree-0 nodes never see conflicts; see two_sweep.py.
-        if (instance.graph.outdegree(node) == 0
-                and instance.list_size(node) > 0):
-            continue
-        if not instance.satisfies_eq7(p, epsilon, node):
-            raise InfeasibleInstanceError(
-                node,
-                f"Eq. (7) fails: weight {instance.weight(node)} <= "
-                f"(1+{epsilon}) * max({p}, {instance.list_size(node)}/{p}) "
-                f"* beta {instance.beta(node)}",
-            )
+    # Out-degree-0 nodes never see conflicts; see two_sweep.py.
+    failed = instance.first_unsatisfied(p, epsilon)
+    if failed is not None:
+        node = instance.graph.compiled.order[failed]
+        raise InfeasibleInstanceError(
+            node,
+            f"Eq. (7) fails: weight {instance.weight(node)} <= "
+            f"(1+{epsilon}) * max({p}, {instance.list_size(node)}/{p}) "
+            f"* beta {instance.beta(node)}",
+        )
 
 
 def fast_two_sweep(instance: OLDCInstance,
@@ -126,41 +123,41 @@ def _fast_two_sweep_route(instance, initial_colors, q, p, epsilon, alpha,
             graph, initial_colors, q, alpha,
             ledger=ledger, bandwidth=bandwidth,
         )
+    order = graph.compiled.order
+    psi = [psi[node] for node in order]
 
     # G': drop the (few) monochromatic edges of the defective coloring.
-    monochromatic = [
-        (u, v)
-        for u in graph.nodes
-        for v in graph.out_neighbors(u)
-        if psi[u] == psi[v]
-    ]
-    reduced_graph = graph.without_edges(monochromatic)
+    reduced_graph = graph.without_monochromatic(psi)
 
     # d'_v(x) = d_v(x) - floor(beta_v * eps / p); drop negative colors.
-    reduction = {
-        node: int(math.floor(graph.beta(node) * epsilon / p))
-        for node in graph.nodes
-    }
-    reduced_defects: Dict[Node, Dict[Color, int]] = {
-        node: {
-            color: instance.defects[node][color] - reduction[node]
-            for color in instance.lists[node]
-        }
-        for node in graph.nodes
-    }
-    lists2, defects2 = drop_negative_defects(instance.lists, reduced_defects)
-    inner = OLDCInstance(
-        reduced_graph, lists2, defects2, instance.color_space_size
+    ptr = instance.list_indptr
+    colors = instance.list_colors
+    defects = instance.list_defects
+    list_indptr = [0]
+    list_colors: List[Color] = []
+    list_defects: List[int] = []
+    for i, outdegree in enumerate(graph.out_degrees):
+        reduction = int(math.floor(max(1, outdegree) * epsilon / p))
+        lo, hi = ptr[i], ptr[i + 1]
+        if reduction == 0:  # defects are non-negative: the list stays
+            list_colors.extend(colors[lo:hi])
+            list_defects.extend(defects[lo:hi])
+        else:
+            for color, defect in zip(colors[lo:hi], defects[lo:hi]):
+                if defect >= reduction:
+                    list_colors.append(color)
+                    list_defects.append(defect - reduction)
+        list_indptr.append(len(list_colors))
+    inner = OLDCInstance.from_columns(
+        reduced_graph, list_indptr, list_colors, list_defects,
+        instance.color_space_size,
     )
-    for node in inner.graph.nodes:
-        if (inner.graph.outdegree(node) == 0
-                and inner.list_size(node) > 0):
-            continue
-        if not inner.satisfies_eq2(p, node):
-            raise AlgorithmFailure(
-                f"node {node!r}: reduced instance lost Eq. (2) -- "
-                f"Theorem 1.1's slack bookkeeping is violated"
-            )
+    failed = inner.first_unsatisfied(p)
+    if failed is not None:
+        raise AlgorithmFailure(
+            f"node {order[failed]!r}: reduced instance lost Eq. (2) -- "
+            f"Theorem 1.1's slack bookkeeping is violated"
+        )
     result = two_sweep(
         inner, psi, palette, p,
         ledger=ledger, bandwidth=bandwidth, check=False, trace=trace,

@@ -46,6 +46,7 @@ from ..sim.errors import (
     InstanceError,
 )
 from ..sim.kernels import (
+    ColumnInputs,
     KernelRound,
     RoundKernel,
     fanout_totals,
@@ -54,7 +55,7 @@ from ..sim.kernels import (
 from ..sim.message import Message, color_bits, intern_broadcast
 from ..sim.metrics import CostLedger, ensure_ledger
 from ..sim.node import NodeProgram, RoundContext
-from ..sim.scheduler import run_protocol
+from ..sim.scheduler import run_columns
 
 Node = Hashable
 Color = int
@@ -198,38 +199,52 @@ class TwoSweepProgram(NodeProgram):
         return self.final_color
 
 
+def _initial_column(initial_colors, order) -> list:
+    """A ``{node: color}`` mapping or a dense-id column, as a list."""
+    if isinstance(initial_colors, Mapping):
+        return [initial_colors[node] for node in order]
+    return arrays.as_list(initial_colors)
+
+
 def check_two_sweep_preconditions(instance: OLDCInstance,
                                   initial_colors: Mapping[Node, Color],
                                   q: int, p: int) -> None:
-    """Raise unless the inputs satisfy Algorithm 1's requirements."""
+    """Raise unless the inputs satisfy Algorithm 1's requirements.
+
+    ``initial_colors`` is a ``{node: color}`` mapping or a dense-id
+    column; the checks run on the instance's columns, in node order.
+    """
     if p < 1:
         raise InstanceError("p must be at least 1")
-    for node in instance.graph.nodes:
-        color = initial_colors.get(node)
+    graph = instance.graph
+    order = graph.compiled.order
+    if isinstance(initial_colors, Mapping):
+        column = [initial_colors.get(node) for node in order]
+    else:
+        column = arrays.as_list(initial_colors)
+    for node, color in zip(order, column):
         if color is None or not 0 <= color < q:
             raise InstanceError(
                 f"node {node!r}: initial color {color!r} outside 0..{q - 1}"
             )
-    for u in instance.graph.nodes:
-        for v in instance.graph.out_neighbors(u):
-            if initial_colors[u] == initial_colors[v]:
+    ptr = graph.out_indptr
+    outs = graph.out_indices
+    for i, own in enumerate(column):
+        for j in outs[ptr[i]:ptr[i + 1]]:
+            if column[j] == own:
                 raise InstanceError(
-                    f"initial coloring is not proper: edge {u!r}-{v!r}"
+                    f"initial coloring is not proper: edge "
+                    f"{order[i]!r}-{order[j]!r}"
                 )
-    for node in instance.graph.nodes:
-        # Nodes without out-neighbors can never see a conflict; any
-        # non-empty list suffices for them (beta_v is floored at 1 in the
-        # paper's convention, which would otherwise reject tiny lists).
-        if (instance.graph.outdegree(node) == 0
-                and instance.list_size(node) > 0):
-            continue
-        if not instance.satisfies_eq2(p, node):
-            raise InfeasibleInstanceError(
-                node,
-                f"Eq. (2) fails: weight {instance.weight(node)} <= "
-                f"max({p}, {instance.list_size(node)}/{p}) * "
-                f"beta {instance.beta(node)}",
-            )
+    failed = instance.first_unsatisfied(p)
+    if failed is not None:
+        node = order[failed]
+        raise InfeasibleInstanceError(
+            node,
+            f"Eq. (2) fails: weight {instance.weight(node)} <= "
+            f"max({p}, {instance.list_size(node)}/{p}) * "
+            f"beta {instance.beta(node)}",
+        )
 
 
 def two_sweep(instance: OLDCInstance,
@@ -247,7 +262,8 @@ def two_sweep(instance: OLDCInstance,
     instance:
         The oriented list defective coloring instance.
     initial_colors:
-        A proper coloring with colors ``0..q-1``.
+        A proper coloring with colors ``0..q-1``: a ``{node: color}``
+        mapping or a dense-id column (``instance.graph.compiled.order``).
     p:
         The sub-list size parameter of Theorem 1.1.
     check:
@@ -259,41 +275,71 @@ def two_sweep(instance: OLDCInstance,
     trace:
         Optional list collecting per-node phase events (used by the
         Figure 1 sweep-mechanics benchmark).
+
+    Columns first: on the vectorized engine :class:`TwoSweepKernel` runs
+    from the instance's columns and no program object is built; every
+    other engine, and any fallback (a ``trace`` among them), builds the
+    programs.
     """
     ledger = ensure_ledger(ledger)
     if check:
         check_two_sweep_preconditions(instance, initial_colors, q, p)
     graph = instance.graph
-    programs = {
-        node: TwoSweepProgram(
-            node=node,
-            initial_color=initial_colors[node],
-            q=q,
-            p=p,
-            color_list=instance.lists[node],
-            defect_fn=instance.defects[node],
-            out_neighbors=frozenset(graph.out_neighbors(node)),
-            color_space_size=instance.color_space_size,
-            trace=trace,
-        )
-        for node in graph.nodes
-    }
+    order = graph.compiled.order
+    initial = _initial_column(initial_colors, order)
+    color_space_size = instance.color_space_size
+    lists = (instance.list_indptr, instance.list_colors,
+             instance.list_defects)
+    outs = (graph.out_indptr, graph.out_indices)
+    built: List[Dict[Node, TwoSweepProgram]] = []
+
+    def build_programs() -> Dict[Node, TwoSweepProgram]:
+        ptr, colors, defects = lists
+        out_ptr, out_ids = outs
+        programs = {
+            node: TwoSweepProgram(
+                node=node,
+                initial_color=initial[i],
+                q=q,
+                p=p,
+                color_list=tuple(colors[ptr[i]:ptr[i + 1]]),
+                defect_fn=dict(zip(colors[ptr[i]:ptr[i + 1]],
+                                   defects[ptr[i]:ptr[i + 1]])),
+                out_neighbors=frozenset(
+                    order[j] for j in out_ids[out_ptr[i]:out_ptr[i + 1]]
+                ),
+                color_space_size=color_space_size,
+                trace=trace,
+            )
+            for i, node in enumerate(order)
+        }
+        built.append(programs)
+        return programs
+
+    inputs = ColumnInputs(
+        TwoSweepProgram,
+        {"initial": initial, "q": q, "p": p,
+         "color_space_size": color_space_size, "lists": lists,
+         "outs": outs, "trace": trace},
+        build_programs,
+    )
     # Algorithm-level span: instance parameters are logical attributes
     # (identical whichever engine runs the sweep), so traced runs can be
     # grouped by workload; the nested phase span carries the charges.
     tracer = current_tracer()
     scope = (
         tracer.span("algorithm", "two-sweep",
-                    nodes=len(programs), q=q, p=p)
+                    nodes=len(order), q=q, p=p)
         if tracer is not None else nullcontext()
     )
     with scope, ledger.phase("two-sweep"):
-        outputs, _ = run_protocol(
-            graph.network, programs, bandwidth=bandwidth, ledger=ledger
+        outputs, _ = run_columns(
+            graph.network, inputs, bandwidth=bandwidth, ledger=ledger
         )
-    work = [program.local_work for program in programs.values()]
+    work = ([program.local_work for program in built[0].values()]
+            if built else inputs.extras["local_work"])
     return ColoringResult(
-        colors=dict(outputs),
+        colors=dict(zip(order, arrays.as_list(outputs))),
         orientation=None,
         ledger=ledger,
         stats={
@@ -301,6 +347,86 @@ def two_sweep(instance: OLDCInstance,
             "total_local_work": sum(work),
         },
     )
+
+
+def _sweep_columns(compiled, programs):
+    """The one programs -> columns extractor of the sweep.
+
+    Returns the :meth:`TwoSweepKernel.from_columns` arguments after
+    ``compiled``, or ``None`` unless the population is a fresh uniform
+    run: shared ``q``/``p``/``color_space_size``, no trace, no mid-run
+    state, and a defect for every listed color.
+    """
+    first = programs[0]
+    q = first.q
+    p = first.p
+    color_space_size = first.color_space_size
+    order = compiled.order
+    indptr = compiled.indptr
+    indices = compiled.indices
+    list_indptr = [0]
+    colors: List[Color] = []
+    defects: List[int] = []
+    out_indptr = [0]
+    out_indices: List[int] = []
+    for i, program in enumerate(programs):
+        defect_fn = program.defect_fn
+        if (program.q != q or program.p != p
+                or program.color_space_size != color_space_size
+                or program.trace is not None
+                or program.final_color is not None
+                or program.sublist or program.neighbor_initial
+                or program.local_work
+                or any(program.k.values()) or any(program.r.values())
+                or not all(color in defect_fn
+                           for color in program.color_list)):
+            return None
+        colors.extend(program.color_list)
+        defects.extend([defect_fn[color] for color in program.color_list])
+        list_indptr.append(len(colors))
+        outs = program.out_neighbors
+        out_indices.extend(j for j in indices[indptr[i]:indptr[i + 1]]
+                           if order[j] in outs)
+        out_indptr.append(len(out_indices))
+    initial = [program.initial_color for program in programs]
+    return (initial, q, p, color_space_size,
+            (list_indptr, colors, defects), (out_indptr, out_indices))
+
+
+def _split_rows(indptr, indices, initial):
+    """Each node's CSR entries of smaller / larger initial color.
+
+    Returns ``(smaller_ptr, smaller_ids, larger_ptr, larger_ids)`` as
+    lists, entries in row order: two masks over the rows.
+    """
+    np = arrays.get_numpy()
+    if np is not None:
+        column = arrays.int64_column(np, initial)
+        if column is not None:
+            ptr = np.asarray(indptr, dtype=np.int64)
+            ids = np.asarray(indices, dtype=np.int64)
+            rows = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64),
+                             np.diff(ptr))
+            other = column[ids]
+            own = column[rows]
+            result = []
+            for keep in (other < own, other > own):
+                kept = np.concatenate(([0], np.cumsum(keep,
+                                                      dtype=np.int64)))
+                result.append(kept[ptr].tolist())
+                result.append(ids[keep].tolist())
+            return tuple(result)
+    smaller_ptr, smaller, larger_ptr, larger = [0], [], [0], []
+    for i, own in enumerate(initial):
+        for j in indices[indptr[i]:indptr[i + 1]]:
+            other = initial[j]
+            if other < own:
+                smaller.append(j)
+            elif other > own:
+                larger.append(j)
+        smaller_ptr.append(len(smaller))
+        larger_ptr.append(len(larger))
+    return smaller_ptr, smaller, larger_ptr, larger
 
 
 class TwoSweepKernel(RoundKernel):
@@ -329,10 +455,20 @@ class TwoSweepKernel(RoundKernel):
     smaller initial color), giving the same clean quiescence round as
     the reference engine.
 
+    :meth:`from_columns` is the one columns constructor: ``two_sweep``
+    reaches it through the scheduler's columns entry with the
+    instance's list and out-neighbor CSR columns, and the program-list
+    ``prepare`` is an adapter over the same columns
+    (:func:`_sweep_columns`).  Everything a step reads is fixed up
+    front: the per-class decider lists from the initial-color column,
+    and the earlier/later out-neighbor and earlier-receiver lists as
+    masks over the CSR rows.
+
     Declines traces (per-round events cannot be replayed from a bucketed
-    pass), mid-run state, non-uniform ``q``/``color_space_size``, and
-    initial colors outside ``[0, q)``.  ``finalize`` restores
-    ``final_color``, ``sublist``, ``k``, ``r`` and ``local_work``; the
+    pass), mid-run state, non-uniform ``q``/``p``/``color_space_size``,
+    and initial colors outside ``[0, q)``.  ``finalize`` restores
+    ``final_color``, ``sublist``, ``k``, ``r`` and ``local_work`` (or
+    fills ``ColumnInputs.outputs`` and its ``local_work`` extra); the
     ``neighbor_initial`` ingest dict is not reconstructed (same
     convention as the greedy-sweep kernel), and on a ``max_rounds``-
     truncated run nodes that never reached a turn keep zeroed ``k`` /
@@ -340,77 +476,97 @@ class TwoSweepKernel(RoundKernel):
     """
 
     def prepare(self, compiled, programs, bandwidth):
-        first = programs[0]
-        q = first.q
-        color_space_size = first.color_space_size
-        for program in programs:
-            if (program.q != q
-                    or program.color_space_size != color_space_size
-                    or program.trace is not None
-                    or program.final_color is not None
-                    or program.sublist or program.neighbor_initial
-                    or program.local_work
-                    or any(program.k.values()) or any(program.r.values())
-                    or not 0 <= program.initial_color < q):
+        if isinstance(programs, ColumnInputs):
+            data = programs.data
+            if data["trace"] is not None:
                 return None
-        order = compiled.order
-        indptr = compiled.indptr
-        indices = compiled.indices
-        initial = [program.initial_color for program in programs]
-        out_earlier: List[list] = []
-        out_later: List[list] = []
-        recv_earlier: List[list] = []
-        by_class: Dict[int, list] = {}
+            return self.from_columns(
+                compiled, data["initial"], data["q"], data["p"],
+                data["color_space_size"], data["lists"], data["outs"],
+                bandwidth,
+            )
+        extracted = _sweep_columns(compiled, programs)
+        if extracted is None:
+            return None
+        columns = self.from_columns(compiled, *extracted, bandwidth)
+        if columns is not None:
+            columns["names"] = [program.node for program in programs]
+        return columns
+
+    def from_columns(self, compiled, initial, q, p, color_space_size,
+                     lists, outs, bandwidth):
+        """Column state for a sweep over dense-id columns.
+
+        ``initial`` is the initial-color column, ``lists`` the list
+        columns ``(indptr, colors, defects)`` and ``outs`` the
+        out-neighbor CSR ``(indptr, indices)``, all in
+        ``compiled.order``.  Returns ``None`` (decline) unless every
+        initial color lies in ``[0, q)``.
+        """
+        if not all(0 <= color < q for color in initial):
+            return None
+        n = compiled.n
+        by_class: Dict[int, List[int]] = {}
         for i, own in enumerate(initial):
-            outs = programs[i].out_neighbors
-            earlier: List[int] = []
-            later: List[int] = []
-            receivers: List[int] = []
-            # Row order is ``ctx.neighbors`` order, which fixes the
-            # CONGEST per-message check order for the Phase II sends.
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                other = initial[j]
-                if other < own:
-                    receivers.append(j)
-                    if order[j] in outs:
-                        earlier.append(j)
-                elif other > own and order[j] in outs:
-                    later.append(j)
-            out_earlier.append(earlier)
-            out_later.append(later)
-            recv_earlier.append(receivers)
             by_class.setdefault(own, []).append(i)
+        # Out-neighbors earlier / later in the sweep, and the earlier
+        # neighbors a Phase II final goes to -- the latter in CSR row
+        # order, which fixes the CONGEST per-message check order.
+        earlier_ptr, earlier, later_ptr, later = _split_rows(
+            outs[0], outs[1], initial
+        )
+        receivers_ptr, receivers, _, _ = _split_rows(
+            compiled.indptr, compiled.indices, initial
+        )
+        list_indptr = arrays.as_list(lists[0])
+        list_colors = arrays.as_list(lists[1])
+        list_defects = arrays.as_list(lists[2])
+        state = self._prepare_arrays(n, p, list_colors, earlier_ptr,
+                                     later_ptr)
+        sublists = [()] * n
+        kdicts = [None] * n
+        # Each decider's {color: d_v(color)}, from its Phase I turn on.
+        defect_fns = [None] * n
+        finals = [None] * n
+        work = [0] * n
+        order = compiled.order
+        degrees = compiled.degrees
+        bits_color = color_bits(color_space_size)
+        local = type(bandwidth) is LocalModel
         total_copies, envelopes = fanout_totals(compiled)
-        n = len(programs)
-        state = self._prepare_arrays(programs, out_earlier, out_later)
         return {
-            "programs": programs,
+            # Failure messages name the node; the program adapter puts
+            # each program's ``node`` here.
+            "names": order,
             "order": order,
             "initial": initial,
-            "arrays": state,
-            "out_earlier": out_earlier,
-            "out_later": out_later,
-            "recv_earlier": recv_earlier,
-            "by_class": by_class,
-            "sublists": [()] * n,
-            "kdicts": [None] * n,
-            "rcounts": [None] * n,
-            "finals": [None] * n,
-            "work": [0] * n,
-            "remaining": n,
             "q": q,
+            "arrays": state,
+            "by_class": by_class,
+            "sublists": sublists,
+            "kdicts": kdicts,
+            "rcounts": [None] * n,
+            "finals": finals,
+            "work": work,
+            "remaining": n,
+            "idle": KernelRound(n),
             "total_copies": total_copies,
             "envelopes": envelopes,
             "bits_initial": color_bits(q),
-            "bits_color": color_bits(color_space_size),
-            "check": (None if type(bandwidth) is LocalModel
-                      else bandwidth.check),
-            "check_fanout": (None if type(bandwidth) is LocalModel
-                             else bandwidth.check_fanout),
-            "degrees": compiled.degrees,
+            "check_fanout": None if local else bandwidth.check_fanout,
+            "degrees": degrees,
+            # What each phase's step reads, unpacked once per round.
+            "phase1": (p, order, earlier_ptr, earlier, list_indptr,
+                       list_colors, list_defects, sublists, kdicts,
+                       defect_fns, work, degrees, bits_color,
+                       None if local else bandwidth.check_fanout, state),
+            "phase2": (order, later_ptr, later, receivers_ptr, receivers,
+                       sublists, kdicts, defect_fns, finals, work,
+                       bits_color, None if local else bandwidth.check,
+                       state),
         }
 
-    def _prepare_arrays(self, programs, out_earlier, out_later):
+    def _prepare_arrays(self, n, p, list_colors, earlier_ptr, later_ptr):
         """NumPy column state for the tally paths, or ``None`` to decline.
 
         The array path adds two columns next to the Python ones: a lazy
@@ -423,27 +579,26 @@ class TwoSweepKernel(RoundKernel):
         be pure overhead) keep the pure-Python columns.
         """
         np = arrays.get_numpy()
-        if np is None or len(programs) < arrays.MIN_BATCH:
+        if np is None or n < arrays.MIN_BATCH:
             return None
         if not any(
-            len(out_earlier[i]) * programs[i].p >= arrays.MIN_TALLY
-            or len(out_later[i]) >= arrays.MIN_TALLY
-            for i in range(len(programs))
+            (earlier_ptr[i + 1] - earlier_ptr[i]) * p >= arrays.MIN_TALLY
+            or later_ptr[i + 1] - later_ptr[i] >= arrays.MIN_TALLY
+            for i in range(n)
         ):
             return None
-        for program in programs:
-            colors = program.color_list
-            if colors and not (-arrays.MAX_COLOR <= min(colors)
-                               and max(colors) <= arrays.MAX_COLOR):
-                return None
+        if list_colors and not (-arrays.MAX_COLOR <= min(list_colors)
+                                and max(list_colors) <= arrays.MAX_COLOR):
+            return None
         self.backend = "numpy"
         return {
             "np": np,
-            "pool": [None] * len(programs),
-            "finals": np.full(len(programs), -1, dtype=np.int64),
+            "pool": [None] * n,
+            "finals": np.full(n, -1, dtype=np.int64),
         }
 
     def step(self, round_number, columns, inboxes) -> KernelRound:
+        q = columns["q"]
         if round_number == 1:
             bits = columns["bits_initial"]
             check_fanout = columns["check_fanout"]
@@ -466,81 +621,57 @@ class TwoSweepKernel(RoundKernel):
                 max_message_bits=bits if copies else 0,
                 broadcasts=columns["envelopes"],
             )
-        q = columns["q"]
         if round_number <= q + 1:
-            return self._step_phase1(round_number - 2, columns)
-        return self._step_phase2(2 * q + 1 - round_number, columns)
+            deciders = columns["by_class"].get(round_number - 2)
+            if deciders is None:
+                return columns["idle"]
+            return self._step_phase1(deciders, columns)
+        deciders = columns["by_class"].get(2 * q + 1 - round_number)
+        if deciders is None:
+            return KernelRound(columns["remaining"])
+        return self._step_phase2(deciders, columns)
 
-    def _step_phase1(self, color_class: int, columns) -> KernelRound:
-        deciders = columns["by_class"].get(color_class, ())
+    def _step_phase1(self, deciders, columns) -> KernelRound:
         messages = 0
         bits = 0
         max_bits = 0
         envelopes = 0
-        if deciders:
-            programs = columns["programs"]
-            order = columns["order"]
-            out_earlier = columns["out_earlier"]
-            sublists = columns["sublists"]
-            kdicts = columns["kdicts"]
-            work = columns["work"]
-            degrees = columns["degrees"]
-            bits_color = columns["bits_color"]
-            check_fanout = columns["check_fanout"]
-            state = columns["arrays"]
+        (p, order, earlier_ptr, earlier, list_indptr, list_colors,
+         list_defects, sublists, kdicts, defect_fns, work, degrees,
+         bits_color, check_fanout, state) = columns["phase1"]
         for i in deciders:
-            program = programs[i]
-            defect = program.defect_fn
-            earlier = out_earlier[i]
+            lo = list_indptr[i]
+            hi = list_indptr[i + 1]
+            clist = list_colors[lo:hi]
+            row = earlier[earlier_ptr[i]:earlier_ptr[i + 1]]
             # Each earlier sub-list holds at most p colors, so
-            # len(earlier) * p bounds the fold size; only pay for the
+            # len(row) * p bounds the fold size; only pay for the
             # exact sum once that cheap bound clears the threshold.
             total = 0
-            if state is not None and earlier \
-                    and len(earlier) * program.p >= arrays.MIN_TALLY:
-                total = sum(len(sublists[j]) for j in earlier)
-            if total >= arrays.MIN_TALLY and earlier \
-                    and state is not None:
-                # Batched k_v fold: concatenate the earlier sub-lists
-                # from the int64 pool (each converted at most once) and
-                # tally them against the node's color list in C.
-                np = state["np"]
-                pool = state["pool"]
-                rows = []
-                for j in earlier:
-                    row = pool[j]
-                    if row is None:
-                        sub_j = sublists[j]
-                        row = pool[j] = np.fromiter(
-                            sub_j, np.int64, len(sub_j)
-                        )
-                    rows.append(row)
-                vals = np.concatenate(rows)
-                clist = program.color_list
-                list_np = np.fromiter(clist, np.int64, len(clist))
-                candidates, inverse = np.unique(
-                    list_np, return_inverse=True
-                )
-                counts = arrays.membership_counts(np, vals, candidates)
-                k = dict(zip(clist, counts[inverse].tolist()))
+            if state is not None and row \
+                    and len(row) * p >= arrays.MIN_TALLY:
+                total = sum(len(sublists[j]) for j in row)
+            if total >= arrays.MIN_TALLY and row and state is not None:
+                k = self._fold_batched(state, sublists, row, clist)
                 lw = total
             else:
-                k = {color: 0 for color in program.color_list}
+                k = dict.fromkeys(clist, 0)
                 lw = 0
-                for j in earlier:
+                for j in row:
                     for color in sublists[j]:
                         lw += 1
                         if color in k:
                             k[color] += 1
+            defect = dict(zip(clist, list_defects[lo:hi]))
             ranked = sorted(
-                program.color_list,
-                key=lambda color: (-(defect[color] - k[color]), color),
+                clist, key=lambda color: (k[color] - defect[color], color)
             )
-            size = len(program.color_list)
+            size = hi - lo
             lw += size * max(1, (size - 1).bit_length())
-            sub = tuple(ranked[:program.p])
+            sub = tuple(ranked[:p])
             sublists[i] = sub
             kdicts[i] = k
+            defect_fns[i] = defect
             work[i] += lw
             degree = degrees[i]
             if degree:
@@ -557,61 +688,48 @@ class TwoSweepKernel(RoundKernel):
                 if payload_bits > max_bits:
                     max_bits = payload_bits
                 envelopes += 1
-        return KernelRound(
-            active=columns["remaining"],
-            messages=messages,
-            bits=bits,
-            max_message_bits=max_bits,
-            broadcasts=envelopes,
-        )
+        return KernelRound(columns["remaining"], messages, bits, max_bits,
+                           envelopes)
 
-    def _step_phase2(self, color_class: int, columns) -> KernelRound:
-        deciders = columns["by_class"].get(color_class, ())
+    @staticmethod
+    def _fold_batched(state, sublists, row, clist):
+        """Batched ``k_v`` fold: concatenate the earlier sub-lists from
+        the int64 pool (each converted at most once) and tally them
+        against the node's color list in C."""
+        np = state["np"]
+        pool = state["pool"]
+        rows = []
+        for j in row:
+            converted = pool[j]
+            if converted is None:
+                sub_j = sublists[j]
+                converted = pool[j] = np.fromiter(sub_j, np.int64,
+                                                  len(sub_j))
+            rows.append(converted)
+        vals = np.concatenate(rows)
+        list_np = np.fromiter(clist, np.int64, len(clist))
+        candidates, inverse = np.unique(list_np, return_inverse=True)
+        counts = arrays.membership_counts(np, vals, candidates)
+        return dict(zip(clist, counts[inverse].tolist()))
+
+    def _step_phase2(self, deciders, columns) -> KernelRound:
         messages = 0
-        if deciders:
-            programs = columns["programs"]
-            order = columns["order"]
-            out_later = columns["out_later"]
-            recv_earlier = columns["recv_earlier"]
-            sublists = columns["sublists"]
-            kdicts = columns["kdicts"]
-            rcounts = columns["rcounts"]
-            finals = columns["finals"]
-            work = columns["work"]
-            bits_color = columns["bits_color"]
-            check = columns["check"]
-            state = columns["arrays"]
+        (order, later_ptr, later, receivers_ptr, receivers, sublists,
+         kdicts, defect_fns, finals, work, bits_color, check,
+         state) = columns["phase2"]
+        rcounts = columns["rcounts"]
         for i in deciders:
-            program = programs[i]
+            # k and the defect dict are keyed by the list, in list order.
             k = kdicts[i]
-            defect = program.defect_fn
-            later = out_later[i]
-            if state is not None and len(later) >= arrays.MIN_TALLY:
-                # Batched r_v tally: gather the later out-neighbors'
-                # committed finals from the int64 mirror and count them
-                # against the color list; only seen colors enter rc,
-                # matching the Python dict's contents exactly.
-                np = state["np"]
-                row_np = np.fromiter(later, np.int64, len(later))
-                committed = state["finals"][row_np]
-                clist = program.color_list
-                candidates = np.unique(
-                    np.fromiter(clist, np.int64, len(clist))
-                )
-                tallies = arrays.membership_counts(
-                    np, committed, candidates
-                )
-                rc = {
-                    color: count
-                    for color, count in zip(candidates.tolist(),
-                                            tallies.tolist())
-                    if count
-                }
-                lw = len(later)
+            defect = defect_fns[i]
+            row = later[later_ptr[i]:later_ptr[i + 1]]
+            if state is not None and len(row) >= arrays.MIN_TALLY:
+                rc = self._tally_batched(state, row, list(k))
+                lw = len(row)
             else:
                 rc = {}
                 lw = 0
-                for j in later:
+                for j in row:
                     lw += 1
                     neighbor_final = finals[j]
                     if neighbor_final in k:
@@ -623,10 +741,10 @@ class TwoSweepKernel(RoundKernel):
                     chosen = color
                     break
             if chosen is None:
-                r = {color: 0 for color in program.color_list}
+                r = dict.fromkeys(k, 0)
                 r.update(rc)
                 raise AlgorithmFailure(
-                    f"node {program.node!r}: no color in S_v = "
+                    f"node {columns['names'][i]!r}: no color in S_v = "
                     f"{sublists[i]} satisfies Eq. (5); k={k} r={r} -- "
                     f"Eq. (2) must have been violated"
                 )
@@ -635,31 +753,46 @@ class TwoSweepKernel(RoundKernel):
                 state["finals"][i] = chosen
             rcounts[i] = rc
             work[i] += lw
-            receivers = recv_earlier[i]
-            if receivers:
+            targets = receivers[receivers_ptr[i]:receivers_ptr[i + 1]]
+            if targets:
                 if check is not None:
                     sender = order[i]
-                    for j in receivers:
+                    for j in targets:
                         check(Message(
                             sender, order[j], _TAG_FINAL, chosen, bits_color
                         ))
-                messages += len(receivers)
+                messages += len(targets)
         remaining = columns["remaining"] - len(deciders)
         columns["remaining"] = remaining
-        bits_color = columns["bits_color"]
-        return KernelRound(
-            active=remaining,
-            messages=messages,
-            bits=messages * bits_color,
-            max_message_bits=bits_color if messages else 0,
-        )
+        return KernelRound(remaining, messages, messages * bits_color,
+                           bits_color if messages else 0)
+
+    @staticmethod
+    def _tally_batched(state, row, clist):
+        """Batched ``r_v`` tally: gather the later out-neighbors'
+        committed finals from the int64 mirror and count them against
+        the color list; only seen colors enter the result, matching the
+        Python dict's contents exactly."""
+        np = state["np"]
+        committed = state["finals"][np.fromiter(row, np.int64, len(row))]
+        candidates = np.unique(np.fromiter(clist, np.int64, len(clist)))
+        tallies = arrays.membership_counts(np, committed, candidates)
+        return {
+            color: count
+            for color, count in zip(candidates.tolist(), tallies.tolist())
+            if count
+        }
 
     def finalize(self, columns, programs) -> None:
+        finals = columns["finals"]
+        work = columns["work"]
+        if isinstance(programs, ColumnInputs):
+            programs.outputs = finals
+            programs.extras["local_work"] = work
+            return
         sublists = columns["sublists"]
         kdicts = columns["kdicts"]
         rcounts = columns["rcounts"]
-        finals = columns["finals"]
-        work = columns["work"]
         for i, program in enumerate(programs):
             program.sublist = sublists[i]
             program.final_color = finals[i]

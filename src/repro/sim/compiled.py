@@ -12,10 +12,10 @@ of a network into flat arrays:
   are the dense ids of node ``i``'s neighbors, in the same order as
   ``Network.neighbors`` returns them;
 * per-node views the scheduler needs every round (neighbor object tuples,
-  neighbor sets, neighbor-id tuples, degrees) are built lazily on first
-  use and cached -- a run that never touches them (the vectorized engine
-  over CSR-only kernels) holds nothing but the flat arrays, which is what
-  makes n = 10^6 topologies fit.
+  neighbor sets, degrees) are built lazily on first use and cached -- a
+  run that never touches them (the vectorized engine over CSR-only
+  kernels) holds nothing but the flat arrays, which is what makes
+  n = 10^6 topologies fit.
 
 Because :class:`Network` is immutable, the compilation is cached on the
 network itself: ``network.compile()`` builds it on first use and returns
@@ -89,7 +89,6 @@ class CompiledNetwork:
         "_max_degree",
         "_neighbor_objects",
         "_neighbor_sets",
-        "_neighbor_id_tuples",
         "_numpy_views",
     )
 
@@ -107,7 +106,6 @@ class CompiledNetwork:
         self._max_degree = None
         self._neighbor_objects = neighbor_objects
         self._neighbor_sets = neighbor_sets
-        self._neighbor_id_tuples = None
         self._numpy_views = None
 
     # ------------------------------------------------------------------
@@ -127,8 +125,8 @@ class CompiledNetwork:
             indices.extend(index[neighbor] for neighbor in neighbors)
             indptr.append(len(indices))
         # The network's own neighbor tuples/frozensets are captured by
-        # reference (no new per-node objects); the id tuples and degree
-        # array are left to the lazy properties.
+        # reference (no new per-node objects); the degree array is left
+        # to the lazy property.
         neighbor_sets = tuple(
             network.neighbor_set(node) for node in order
         )
@@ -222,22 +220,6 @@ class CompiledNetwork:
                 frozenset(row) for row in self.neighbor_objects
             )
         return self._neighbor_sets
-
-    @property
-    def neighbor_id_tuples(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-node CSR rows materialized as tuples of plain ints, for
-        kernels that iterate a node's full neighbor row repeatedly
-        (tuple iteration beats repeated ``array`` indexing).  Built on
-        first use; runs that never ask never pay for it.
-        """
-        if self._neighbor_id_tuples is None:
-            indptr = self.indptr
-            indices = self.indices
-            self._neighbor_id_tuples = tuple(
-                tuple(int(j) for j in indices[indptr[i]:indptr[i + 1]])
-                for i in range(self.n)
-            )
-        return self._neighbor_id_tuples
 
     # ------------------------------------------------------------------
     # Queries (dense-id domain)

@@ -168,10 +168,12 @@ class ColumnInputs:
     on the kernel.  After a kernel run, ``outputs`` holds the dense-id
     column of what ``NodeProgram.output()`` would have returned, in the
     kernel's own representation (a list, or an int64 ndarray on the
-    NumPy backend).
+    NumPy backend), and ``extras`` any further dense-id result columns
+    the kernel reports by name (the sweep's per-node ``local_work``).
     """
 
-    __slots__ = ("program_class", "data", "build_programs", "outputs")
+    __slots__ = ("program_class", "data", "build_programs", "outputs",
+                 "extras")
 
     def __init__(self, program_class: type, data: Dict[str, Any],
                  build_programs: Callable[[], Dict[Any, Any]]):
@@ -179,6 +181,7 @@ class ColumnInputs:
         self.data = data
         self.build_programs = build_programs
         self.outputs: Optional[Sequence[Any]] = None
+        self.extras: Dict[str, Sequence[Any]] = {}
 
 
 # ----------------------------------------------------------------------

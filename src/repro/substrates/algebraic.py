@@ -20,12 +20,18 @@ from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 from ..sim import arrays
 from ..sim.congest import BandwidthModel, LocalModel
 from ..sim.errors import AlgorithmFailure, InstanceError
-from ..sim.kernels import KernelRound, RoundKernel, fanout_totals, register_kernel
+from ..sim.kernels import (
+    ColumnInputs,
+    KernelRound,
+    RoundKernel,
+    fanout_totals,
+    register_kernel,
+)
 from ..sim.message import color_bits, intern_broadcast
 from ..sim.metrics import CostLedger, ensure_ledger
 from ..sim.network import Network
 from ..sim.node import NodeProgram, RoundContext
-from ..sim.scheduler import run_protocol
+from ..sim.scheduler import run_columns
 from .cover_free import RecoloringStep
 
 Node = Hashable
@@ -131,18 +137,23 @@ class AlgebraicRecoloringKernel(RoundKernel):
     textbook homogeneous workload: every node broadcasts its color,
     evaluates the *same* polynomial family over the *same* schedule, and
     halts together after the last step.  The kernel keeps the colors as
-    one column, pre-filters each node's relevant-neighbor dense ids
-    once, and memoizes each color's evaluation row ``(P_c(0), ...,
-    P_c(m-1))`` per step so the inner scan is pure list/tuple work --
-    no contexts, envelopes, or ``received()`` dict builds.
+    one column, reads each node's relevant neighbors from one CSR (the
+    adjacency itself, or an orientation's out-neighbor columns), and
+    memoizes each color's evaluation row ``(P_c(0), ..., P_c(m-1))``
+    per step so the inner scan is pure list/tuple work -- no contexts,
+    envelopes, or ``received()`` dict builds.
 
-    Declines populations with differing schedules or mid-run state.
-    ``finalize`` restores ``color`` and ``_step_index``; the transient
+    :meth:`from_columns` is the one columns constructor: ``run_recoloring``
+    reaches it through the scheduler's columns entry, and the
+    program-list ``prepare`` is an adapter over the same columns
+    (:func:`_relevant_rows`).  Declines populations with differing
+    schedules or mid-run state.  ``finalize`` restores ``color`` and
+    ``_step_index`` (or fills ``ColumnInputs.outputs``); the transient
     per-round inbox views have no program-side counterpart to restore.
 
     When the NumPy backend (:mod:`repro.sim.arrays`) is available and
-    every step's field fits the int64 overflow bounds, ``prepare``
-    additionally builds ndarray columns: the color column as one int64
+    every step's field fits the int64 overflow bounds,
+    :meth:`from_columns` additionally builds ndarray columns: the color column as one int64
     vector and the relevant-neighbor relation as flat ``(src, dst)``
     edge arrays.  Each step then evaluates the whole population through
     the family's batched-Horner value table and counts rival agreements
@@ -152,6 +163,11 @@ class AlgebraicRecoloringKernel(RoundKernel):
     """
 
     def prepare(self, compiled, programs, bandwidth):
+        if isinstance(programs, ColumnInputs):
+            data = programs.data
+            return self.from_columns(compiled, data["colors"],
+                                     data["schedule"], data["relevant"],
+                                     bandwidth)
         first = programs[0]
         schedule = first.schedule
         for program in programs:
@@ -159,34 +175,36 @@ class AlgebraicRecoloringKernel(RoundKernel):
                     program.schedule is not schedule
                     and program.schedule != schedule):
                 return None
-        order = compiled.order
-        indptr = compiled.indptr
-        indices = compiled.indices
-        neighbor_sets = compiled.neighbor_sets
-        id_rows = compiled.neighbor_id_tuples
-        relevant_ids: list = []
-        full_rows = True
-        for i, program in enumerate(programs):
-            relevant = program.relevant
-            if relevant == neighbor_sets[i]:
-                # Every neighbor is relevant (undirected Linial): the
-                # CSR row itself is the filtered list.
-                relevant_ids.append(id_rows[i])
-            else:
-                full_rows = False
-                relevant_ids.append([
-                    j for j in indices[indptr[i]:indptr[i + 1]]
-                    if order[j] in relevant
-                ])
+        columns = self.from_columns(
+            compiled, [program.color for program in programs], schedule,
+            _relevant_rows(compiled,
+                           [program.relevant for program in programs]),
+            bandwidth,
+        )
+        columns["names"] = [program.node for program in programs]
+        return columns
+
+    def from_columns(self, compiled, colors, schedule, relevant,
+                     bandwidth):
+        """Column state for a recoloring of the dense-id ``colors``.
+
+        ``relevant`` is ``None`` when every neighbor is relevant
+        (undirected Linial), else each node's relevant neighbors as a
+        CSR ``(indptr, indices)`` over the dense ids (an orientation's
+        out-neighbor columns).
+        """
+        full_rows = relevant is None
+        if full_rows:
+            relevant = (compiled.indptr, compiled.indices)
         total_copies, envelopes = fanout_totals(compiled)
         columns = {
-            "programs": programs,
-            "order": order,
+            "names": compiled.order,
+            "order": compiled.order,
             "degrees": compiled.degrees,
             "schedule": schedule,
             "families": [step.family() for step in schedule],
-            "relevant_ids": relevant_ids,
-            "colors": [program.color for program in programs],
+            "relevant": relevant,
+            "colors": arrays.as_list(colors),
             "total_copies": total_copies,
             "envelopes": envelopes,
             # One evaluation-row memo per step: color -> tuple of the
@@ -220,9 +238,8 @@ class AlgebraicRecoloringKernel(RoundKernel):
             return None
         if not all(arrays.field_fits(step.m, step.q) for step in schedule):
             return None
-        relevant_ids = columns["relevant_ids"]
-        edges = (len(compiled.indices) if full_rows
-                 else sum(len(row) for row in relevant_ids))
+        rel_indptr, rel_indices = columns["relevant"]
+        edges = rel_indptr[n]
         max_m = max(step.m for step in schedule)
         # Chunked rounds only ever materialize one chunk's match matrix,
         # so the allocation guard applies to the widest chunk -- this is
@@ -230,17 +247,10 @@ class AlgebraicRecoloringKernel(RoundKernel):
         # chunk width is frozen here: one run never mixes granularities.
         chunk = arrays.chunk_size()
         if chunk and chunk < n:
-            if full_rows:
-                indptr = compiled.indptr
-                gate_edges = max(
-                    indptr[hi] - indptr[lo]
-                    for lo, hi in arrays.iter_chunks(n, chunk)
-                )
-            else:
-                gate_edges = max(
-                    sum(len(relevant_ids[i]) for i in range(lo, hi))
-                    for lo, hi in arrays.iter_chunks(n, chunk)
-                )
+            gate_edges = max(
+                rel_indptr[hi] - rel_indptr[lo]
+                for lo, hi in arrays.iter_chunks(n, chunk)
+            )
         else:
             gate_edges = edges
         if gate_edges * max_m > arrays.MAX_MATCH_ELEMENTS:
@@ -252,19 +262,12 @@ class AlgebraicRecoloringKernel(RoundKernel):
         if full_rows:
             # The relevant relation is the CSR adjacency itself: use
             # the zero-copy views, no per-edge Python work.
-            _, indices_np, degrees_np = compiled.numpy_views()
-            src = np.repeat(np.arange(n, dtype=np.int64), degrees_np)
-            dst = indices_np
+            _, dst, degrees = compiled.numpy_views()
         else:
-            src = np.repeat(
-                np.arange(n, dtype=np.int64),
-                np.fromiter(map(len, relevant_ids), dtype=np.int64,
-                            count=n),
-            )
-            dst = np.fromiter(
-                (j for row in relevant_ids for j in row),
-                dtype=np.int64, count=edges,
-            )
+            ptr = np.asarray(rel_indptr, dtype=np.int64)
+            degrees = np.diff(ptr)
+            dst = np.asarray(rel_indices, dtype=np.int64)
+        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
         return {"np": np, "colors": colors, "src": src, "dst": dst,
                 "chunk": chunk}
 
@@ -320,8 +323,8 @@ class AlgebraicRecoloringKernel(RoundKernel):
         defective = step.alpha_step != 0.0
         evaluate = columns["families"][step_index].evaluate
         rows = columns["rows"][step_index]
-        programs = columns["programs"]
-        relevant_ids = columns["relevant_ids"]
+        names = columns["names"]
+        rel_indptr, rel_indices = columns["relevant"]
         colors = columns["colors"]
         old = list(colors)
         last = step_index + 1 >= len(schedule)
@@ -333,14 +336,14 @@ class AlgebraicRecoloringKernel(RoundKernel):
         for i, own in enumerate(old):
             if own >= q:
                 raise AlgorithmFailure(
-                    f"node {programs[i].node!r}: color {own} outside the "
+                    f"node {names[i]!r}: color {own} outside the "
                     f"declared {q}-coloring"
                 )
             # Rival colors as a multiset: counts drive the defective
             # scan, distinct keys the proper scan, the total the proper
             # failure message -- exactly what the per-node lists yield.
             rival_counts: Dict[int, int] = {}
-            for j in relevant_ids[i]:
+            for j in rel_indices[rel_indptr[i]:rel_indptr[i + 1]]:
                 color = old[j]
                 if color != own:
                     rival_counts[color] = rival_counts.get(color, 0) + 1
@@ -365,7 +368,7 @@ class AlgebraicRecoloringKernel(RoundKernel):
                         break
                 else:
                     raise AlgorithmFailure(
-                        f"node {programs[i].node!r}: no collision-free "
+                        f"node {names[i]!r}: no collision-free "
                         f"point over F_{m} with "
                         f"{sum(rival_counts.values())} rivals of degree "
                         f"{step.k} -- the step parameters violate "
@@ -566,7 +569,7 @@ class AlgebraicRecoloringKernel(RoundKernel):
     @staticmethod
     def _raise_no_point(columns, i, step, rival_counts):
         raise AlgorithmFailure(
-            f"node {columns['programs'][i].node!r}: no collision-free "
+            f"node {columns['names'][i]!r}: no collision-free "
             f"point over F_{step.m} with "
             f"{int(rival_counts[i])} rivals of degree "
             f"{step.k} -- the step parameters violate "
@@ -575,6 +578,11 @@ class AlgebraicRecoloringKernel(RoundKernel):
 
     def finalize(self, columns, programs) -> None:
         state = columns["arrays"]
+        if isinstance(programs, ColumnInputs):
+            # The column itself (an int64 ndarray on the NumPy path).
+            programs.outputs = (columns["colors"] if state is None
+                                else state["colors"])
+            return
         colors = (state["colors"].tolist() if state is not None
                   else columns["colors"])
         steps = len(columns["schedule"])
@@ -586,19 +594,50 @@ class AlgebraicRecoloringKernel(RoundKernel):
 register_kernel(AlgebraicRecoloringProgram, AlgebraicRecoloringKernel)
 
 
+def _relevant_rows(compiled, relevant) -> Optional[Tuple[list, list]]:
+    """Per-node relevant-neighbor sets (dense-id order) as a CSR.
+
+    Returns ``(indptr, indices)`` of each CSR row filtered by its set,
+    in row order, or ``None`` when every set is the full neighbor set.
+    """
+    order = compiled.order
+    indptr = compiled.indptr
+    indices = compiled.indices
+    neighbor_sets = compiled.neighbor_sets
+    rel_indptr = [0]
+    rel_indices: list = []
+    full_rows = True
+    for i, members in enumerate(relevant):
+        row = indices[indptr[i]:indptr[i + 1]]
+        if members == neighbor_sets[i]:
+            rel_indices.extend(row)
+        else:
+            full_rows = False
+            rel_indices.extend(j for j in row if order[j] in members)
+        rel_indptr.append(len(rel_indices))
+    return None if full_rows else (rel_indptr, rel_indices)
+
+
 def run_recoloring(network: Network,
                    initial_colors: Mapping[Node, Color],
                    schedule: Sequence[RecoloringStep],
-                   relevant: Mapping[Node, frozenset],
+                   relevant,
                    ledger: Optional[CostLedger] = None,
                    bandwidth: Optional[BandwidthModel] = None,
                    phase: str = "algebraic-recoloring"
                    ) -> Tuple[Dict[Node, Color], int]:
     """Run the schedule on every node; returns (colors, final palette size).
 
-    ``relevant[v]`` is the set of neighbors whose polynomials node ``v``
-    must account for.  Validation of the *initial* coloring is the
-    caller's job (proper overall vs. proper towards out-neighbors).
+    ``relevant`` names the neighbors whose polynomials each node must
+    account for: ``None`` for every neighbor, an out-neighbor CSR
+    ``(indptr, indices)`` over ``network.compile()`` (an orientation's
+    ``out_indptr``/``out_indices``), or a ``{node: frozenset}`` mapping.
+    Validation of the *initial* coloring is the caller's job (proper
+    overall vs. proper towards out-neighbors).
+
+    Columns first: on the vectorized engine the kernel runs from the
+    color column and the relevant CSR and no program object is built;
+    every other engine, and any fallback, builds the programs.
     """
     ledger = ensure_ledger(ledger)
     for node in network:
@@ -611,14 +650,39 @@ def run_recoloring(network: Network,
     # (steps are immutable) and the kernel's uniformity scan reduces to
     # identity checks.
     schedule = tuple(schedule)
-    programs = {
-        node: AlgebraicRecoloringProgram(
-            node, initial_colors[node], schedule, relevant[node]
-        )
-        for node in network
-    }
+    compiled = network.compile()
+    order = compiled.order
+    if isinstance(relevant, Mapping):
+        sets = [relevant[node] for node in order]
+        relevant = _relevant_rows(compiled, sets)
+    else:
+        sets = None
+    colors = [initial_colors[node] for node in order]
+
+    def build_programs():
+        if sets is not None:
+            members = sets
+        elif relevant is None:
+            members = compiled.neighbor_sets
+        else:
+            ptr, ids = relevant
+            members = [frozenset(order[j] for j in ids[ptr[i]:ptr[i + 1]])
+                       for i in range(compiled.n)]
+        return {
+            node: AlgebraicRecoloringProgram(
+                node, colors[i], schedule, members[i]
+            )
+            for i, node in enumerate(order)
+        }
+
+    inputs = ColumnInputs(
+        AlgebraicRecoloringProgram,
+        {"colors": colors, "schedule": schedule, "relevant": relevant},
+        build_programs,
+    )
     with ledger.phase(phase):
-        outputs, _ = run_protocol(
-            network, programs, bandwidth=bandwidth, ledger=ledger
+        outputs, _ = run_columns(
+            network, inputs, bandwidth=bandwidth, ledger=ledger
         )
-    return dict(outputs), schedule[-1].palette_size
+    return (dict(zip(order, arrays.as_list(outputs))),
+            schedule[-1].palette_size)

@@ -95,16 +95,18 @@ def registry(name: str, limit: int = REGISTRY_LIMIT) -> Dict[Any, Any]:
     only provides the shared lifecycle (clear / snapshot / restore) and
     the ``REPRO_SIM_CACHE`` switch.  Callers should check
     :func:`cache_enabled` before reading or writing.  ``limit`` caps the
-    table size before it is cleared rather than growing without bound --
-    registries holding heavy values (e.g. the interned networks with
-    their compiled CSR topologies) pass a much smaller cap than the
-    default, which is sized for scalar derivations.
+    table size rather than letting it grow without bound: a full table
+    drops its oldest entries (dict insertion order) to make room for one
+    more, so the newest stay warm.  Registries holding heavy values (e.g.
+    the interned networks with their compiled CSR topologies) pass a
+    much smaller cap than the default, which is sized for scalar
+    derivations.
     """
     table = _registries.get(name)
     if table is None:
         table = _registries[name] = {}
-    elif len(table) >= limit:
-        table.clear()
+    while len(table) >= limit:
+        del table[next(iter(table))]
     return table
 
 

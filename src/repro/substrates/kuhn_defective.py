@@ -65,11 +65,9 @@ def kuhn_defective_coloring(graph,
             f"{sorted(map(repr, bad))[:5]}"
         )
     schedule = defective_schedule(q, alpha)
-    relevant = {
-        node: frozenset(graph.out_neighbors(node)) for node in graph.nodes
-    }
     return run_recoloring(
-        graph.network, initial_colors, schedule, relevant,
+        graph.network, initial_colors, schedule,
+        (graph.out_indptr, graph.out_indices),
         ledger=ledger, bandwidth=bandwidth, phase="kuhn-defective",
     )
 

@@ -46,9 +46,8 @@ def linial_coloring(network: Network,
     _check_initial(initial_colors, q)
     avoid = network.raw_max_degree()
     schedule = proper_schedule(q, avoid)
-    relevant = {node: network.neighbor_set(node) for node in network}
     return run_recoloring(
-        network, initial_colors, schedule, relevant,
+        network, initial_colors, schedule, None,
         ledger=ledger, bandwidth=bandwidth, phase="linial",
     )
 
@@ -68,11 +67,9 @@ def linial_oriented_coloring(graph: OrientedGraph,
     _check_initial(initial_colors, q)
     avoid = graph.max_outdegree()
     schedule = proper_schedule(q, avoid)
-    relevant = {
-        node: frozenset(graph.out_neighbors(node)) for node in graph.nodes
-    }
     return run_recoloring(
-        graph.network, initial_colors, schedule, relevant,
+        graph.network, initial_colors, schedule,
+        (graph.out_indptr, graph.out_indices),
         ledger=ledger, bandwidth=bandwidth, phase="linial-oriented",
     )
 

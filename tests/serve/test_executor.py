@@ -140,13 +140,8 @@ class TestDeterminism:
 
     def test_warm_second_request_reports_cache_hits(self):
         # The warm-pool contract: the first request pays the build
-        # (misses), an identical second request rides the registries.
-        # The interned-network table is cleared whenever it is full, and
-        # earlier tests leave it at a fill level that varies from run to
-        # run; start it empty so the second request cannot meet a clear.
-        from repro.substrates.cache import registry
-
-        registry("networks").clear()
+        # (misses), an identical second request rides the registries,
+        # whatever fill level earlier tests left the tables at.
         spec = _spec({"kind": "gnp", "n": 27, "density": 0.2, "seed": 11},
                      "greedy-reduction")
         first = execute_request(spec)
@@ -158,6 +153,29 @@ class TestDeterminism:
         assert nets_first.get("misses", 0) >= 1
         assert nets_second.get("hits", 0) >= 1
         assert nets_second.get("misses", 0) == 0
+
+    def test_full_network_table_keeps_newest_warm(self):
+        # A full interned-network table evicts its oldest entry, not
+        # every entry: with one free slot left, the first request fills
+        # it and an identical second request still hits.
+        from repro.graphs.generators import _NETWORK_REGISTRY_LIMIT
+        from repro.substrates.cache import registry
+
+        table = registry("networks", limit=_NETWORK_REGISTRY_LIMIT)
+        table.clear()
+        dummies = [("dummy", k) for k in range(_NETWORK_REGISTRY_LIMIT - 1)]
+        table.update(dict.fromkeys(dummies))
+        try:
+            spec = _spec({"kind": "gnp", "n": 27, "density": 0.2,
+                          "seed": 12}, "greedy-reduction")
+            execute_request(spec)
+            second = execute_request(spec)
+            nets = second["manifest"]["cache_counters"]["networks"]
+            assert nets == {"hits": 1, "misses": 0}
+            assert dummies[0] not in table and dummies[1] in table
+        finally:
+            for key in dummies:
+                table.pop(key, None)
 
 
 class TestEnginesAgree:
@@ -195,6 +213,18 @@ class TestColoringViolation:
 
     @pytest.mark.parametrize("enabled", [False, True])
     def test_first_violation_and_bound(self, enabled):
+        self._check_first_violation_and_bound(enabled)
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_first_violation_across_chunks(self, enabled, monkeypatch):
+        # Many chunks: the first clash must survive chunk borders.
+        from repro.serve import executor
+
+        monkeypatch.setattr(executor, "_VALIDATE_CHUNK", 64)
+        self._check_first_violation_and_bound(enabled)
+
+    @staticmethod
+    def _check_first_violation_and_bound(enabled):
         from repro.graphs.streaming import stream_gnp
         from repro.serve import executor
         from repro.sim import arrays

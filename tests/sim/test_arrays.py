@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from repro.graphs import binary_tree, gnp_graph, orient_by_id, sequential_ids
-from repro.coloring import random_oldc_instance
+from repro.coloring import OLDCInstance, random_oldc_instance
 from repro.core import two_sweep
 from repro.sim import CostLedger, use_engine
 from repro.sim import arrays
@@ -231,15 +231,14 @@ def test_failure_messages_identical_across_backends(force_arrays):
     """A genuinely stuck node raises the same error on both backends."""
     network = gnp_graph(40, 0.3, seed=2)
     graph = orient_by_id(network)
-    instance = random_oldc_instance(graph, p=2, seed=17)
-    # Sabotage every defect so Eq. (2) fails at run time.
-    for node in instance.defects:
-        instance.defects[node] = {
-            color: 0 for color in instance.defects[node]
-        }
-    instance.lists = {
-        node: instance.lists[node][:1] for node in instance.lists
-    }
+    drawn = random_oldc_instance(graph, p=2, seed=17)
+    # Sabotage every list and defect so Eq. (2) fails at run time.
+    instance = OLDCInstance(
+        graph,
+        {node: drawn.lists[node][:1] for node in drawn.lists},
+        {node: {drawn.lists[node][0]: 0} for node in drawn.lists},
+        drawn.color_space_size,
+    )
     errors = {}
     for enabled in (True, False):
         arrays.set_arrays_override(enabled)

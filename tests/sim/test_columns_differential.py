@@ -1,4 +1,4 @@
-"""Seeded differential test: the columns entry against the reference.
+"""Seeded differential tests: the columns entry against the reference.
 
 The color reduction's vectorized path runs straight from dense-id color
 columns (:func:`repro.sim.scheduler.run_columns`) with a whole-bucket batched mex,
@@ -11,6 +11,13 @@ colors past ``q``, bools, colors above ``MAX_COLOR``), ``q``/``target``
 senders, the array backend on/off, ``REPRO_SIM_CHUNK`` and the batching
 thresholds -- and asserts identical outputs, exception type and text,
 ledger (at failure too) and canonical logical trace.
+
+The sweep pair gets the same treatment: Two-Sweep, Fast-Two-Sweep and
+the algebraic recoloring (Lemma 3.4, both Linial variants, and
+``run_recoloring`` with a relevant-set mapping) over drawn orientations
+(by id, random, degeneracy, all-out), feasible and infeasible
+instances, random identifier spaces, tripping bandwidth models and both
+array backends, vectorized against reference.
 """
 
 from __future__ import annotations
@@ -19,6 +26,22 @@ import random
 
 import pytest
 
+from repro.coloring import (
+    OLDCInstance,
+    minimal_slack_oldc_instance,
+    random_nonuniform_oldc_instance,
+    random_oldc_instance,
+)
+from repro.coloring.validate import check_oldc
+from repro.core.fast_two_sweep import fast_two_sweep
+from repro.core.two_sweep import TwoSweepProgram, two_sweep
+from repro.graphs import random_ids, sequential_ids
+from repro.graphs.oriented import (
+    orient_all_out,
+    orient_by_id,
+    orient_low_outdegree,
+    orient_random,
+)
 from repro.graphs.streaming import (
     stream_gnp,
     stream_grid,
@@ -41,6 +64,13 @@ from repro.sim import (
 from repro.sim.kernels import ColumnInputs, RoundKernel, register_kernel
 from repro.sim.scheduler import run_columns
 from repro.substrates import greedy as greedy_module
+from repro.substrates.algebraic import (
+    AlgebraicRecoloringProgram,
+    run_recoloring,
+)
+from repro.substrates.cover_free import defective_schedule
+from repro.substrates.kuhn_defective import kuhn_defective_coloring
+from repro.substrates.linial import linial_coloring, linial_oriented_coloring
 from repro.substrates.greedy import (
     _ColorReductionProgram,
     greedy_color_reduction,
@@ -285,3 +315,181 @@ def test_columns_run_without_columns_constructor_falls_back():
     assert got == want
     assert built == [True]
     assert kernel_stats()["fallbacks"] == before + 1
+
+
+# ----------------------------------------------------------------------
+# The sweep pair: Two-Sweep and the algebraic (Linial / Lemma 3.4)
+# recoloring, both run from orientation and instance columns.
+# ----------------------------------------------------------------------
+#: Sweep cases per seed (each runs the reference engine for O(q) rounds).
+SWEEP_CASES = 12
+
+
+def _orientation(rng, network):
+    """An orientation from one of the repository's constructors."""
+    names = [orient_random, orient_low_outdegree, orient_all_out]
+    if all(type(node) is int for node in network.compile().order):
+        names.append(orient_by_id)  # the named nodes do not compare
+    orient = rng.choice(names)
+    if orient is orient_random:
+        return orient(network, random.Random(rng.randrange(1000)))
+    return orient(network)
+
+
+def _instance(rng, graph, p, epsilon):
+    """``(instance, check)``: a feasible draw, or an infeasible one run
+    with ``check=False``."""
+    kind = rng.choice(["random", "nonuniform", "minimal", "stuck"])
+    if kind == "random":
+        return random_oldc_instance(graph, p, rng.randrange(1000),
+                                    epsilon=epsilon), True
+    if kind == "nonuniform":
+        return random_nonuniform_oldc_instance(
+            graph, p, rng.randrange(1000)), epsilon == 0.0
+    if kind == "minimal":
+        return minimal_slack_oldc_instance(graph, p, epsilon), True
+    drawn = random_oldc_instance(graph, p, rng.randrange(1000))
+    # Short lists, in descending order: the failure text's k/r dicts
+    # follow list order, not color order.
+    lists = {node: colors[:rng.randint(1, 2)][::-1]
+             for node, colors in drawn.lists.items()}
+    return OLDCInstance(
+        graph, lists,
+        {node: {color: rng.randint(0, 1) for color in colors}
+         for node, colors in lists.items()},
+        drawn.color_space_size,
+    ), False
+
+
+def _result_outcome(call):
+    """``(outputs, error, ledger, logical trace)`` of one protocol call."""
+    def run(ledger):
+        result = call(ledger)
+        if isinstance(result, tuple):  # (colors, palette)
+            colors, palette = result
+            return {"colors": list(colors.items()), "palette": palette}
+        return {"colors": list(result.colors.items()),
+                "stats": result.stats}
+
+    ledger = CostLedger()
+    tracer = Tracer()
+    outputs = error = None
+    with use_tracer(tracer):
+        try:
+            outputs = repr(run(ledger))
+        except Exception as exc:  # compared by type and text below
+            error = (type(exc).__name__, str(exc))
+    return outputs, error, _ledger_state(ledger), \
+        canonical_lines(tracer.events)
+
+
+def _sweep_call(rng, network):
+    """One drawn protocol run, as ``call(ledger)``, plus its label."""
+    graph = _orientation(rng, network)
+    n = len(network)
+    bits = rng.choice([0, 7])
+    ids = (random_ids(network, rng.randrange(1000), bits=bits) if bits
+           else sequential_ids(network))
+    q = max(n, 1 << bits) if bits else n
+    protocol = rng.choice(["two-sweep", "fast-two-sweep"] * 3
+                          + ["kuhn", "linial", "linial-oriented",
+                             "mapping"])
+    p = rng.choice([1, 2, 3])
+    epsilon = rng.choice([0.25, 0.5]) if protocol == "fast-two-sweep" \
+        else 0.0
+    bandwidth = LocalModel()
+    if rng.random() < 0.4:
+        tripped = rng.sample(list(network.compile().order),
+                             max(1, n // rng.choice([1, 2, 6])))
+        payloads = set(rng.sample(range(12), 3))
+        if rng.random() < 0.5:  # spare round 1: trip on sent finals
+            payloads -= {ids[node] for node in tripped}
+        bandwidth = TrippingModel(tripped, payloads)
+    if protocol in ("two-sweep", "fast-two-sweep"):
+        instance, check = _instance(rng, graph, p, epsilon)
+
+        def call(ledger):
+            if protocol == "two-sweep":
+                return two_sweep(instance, ids, q, p, ledger=ledger,
+                                 bandwidth=bandwidth, check=check)
+            return fast_two_sweep(instance, ids, q, p, epsilon,
+                                  ledger=ledger, bandwidth=bandwidth,
+                                  check=check)
+    elif protocol == "kuhn":
+        alpha = rng.choice([0.1, 0.25, 0.5])
+
+        def call(ledger):
+            return kuhn_defective_coloring(graph, ids, q, alpha,
+                                           ledger=ledger,
+                                           bandwidth=bandwidth)
+    elif protocol == "linial":
+        def call(ledger):
+            return linial_coloring(network, ids, q, ledger=ledger,
+                                   bandwidth=bandwidth)
+    elif protocol == "linial-oriented":
+        def call(ledger):
+            return linial_oriented_coloring(graph, ids, q, ledger=ledger,
+                                            bandwidth=bandwidth)
+    else:
+        # run_recoloring with a {node: frozenset} relevant mapping.
+        relevant = {node: frozenset(graph.out_neighbors(node))
+                    for node in network}
+        schedule = defective_schedule(q, 0.25)
+
+        def call(ledger):
+            return run_recoloring(network, ids, schedule, relevant,
+                                  ledger=ledger, bandwidth=bandwidth)
+    return call, (protocol, type(graph).__name__, n, q, p, epsilon)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_pair_matches_reference(seed, monkeypatch):
+    rng = random.Random(8100 + seed)
+    monkeypatch.setattr(arrays, "MIN_BATCH", 0)
+    for case in range(SWEEP_CASES):
+        network = _topology(rng)
+        monkeypatch.setenv(arrays.ARRAYS_ENV, rng.choice(["0", "1"]))
+        monkeypatch.setenv(arrays.CHUNK_ENV, rng.choice(["", "3"]))
+        monkeypatch.setattr(arrays, "MIN_TALLY", rng.choice([0, 6, 512]))
+        call, context = _sweep_call(rng, network)
+
+        def on(engine):
+            def run(ledger):
+                with use_engine(engine):
+                    return call(ledger)
+            return run
+
+        want = _result_outcome(on("reference"))
+        got = _result_outcome(on("vectorized"))
+        assert got == want, (seed, case) + context
+
+
+def test_oldc_sweep_trial_builds_no_programs(monkeypatch):
+    """One oldc-sweep-shaped trial (G(2000, 4/1999), p = 2, epsilon =
+    0.25, both sweeps and check_oldc) stays on the kernels: every run
+    is a kernel hit and no sweep or recoloring program is built."""
+    built = []
+    for cls in (TwoSweepProgram, AlgebraicRecoloringProgram):
+        original = cls.__init__
+
+        def counting_init(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    n = 2000
+    compiled = stream_gnp(n, 4.0 / (n - 1), 11)
+    before = kernel_stats()
+    with use_engine("vectorized"):
+        graph = orient_by_id(compiled)
+        plain = random_oldc_instance(graph, p=2, seed=5)
+        fast = random_oldc_instance(graph, p=2, seed=5, epsilon=0.25)
+        ids = sequential_ids(compiled)
+        swept = two_sweep(plain, ids, n, 2)
+        fasted = fast_two_sweep(fast, ids, n, 2, 0.25)
+    after = kernel_stats()
+    assert check_oldc(plain, swept.colors) == []
+    assert check_oldc(fast, fasted.colors) == []
+    assert built == []
+    assert after["fallbacks"] == before["fallbacks"]
+    assert after["hits"] - before["hits"] == 3  # sweep, Kuhn, inner sweep
