@@ -363,9 +363,11 @@ def stream_regular(n: int, degree: int, seed: int) -> CompiledNetwork:
 # ----------------------------------------------------------------------
 # Seed colorings for scale workloads
 # ----------------------------------------------------------------------
-#: Mean degree (``2m / n``) up to which the greedy seed runs on NumPy.
-#: Denser inputs resolve in many thin frontiers (G(4000, 0.15): about
-#: 900), where the plain loop is faster.
+#: Mean degree (``2m / n``) up to which the greedy seed takes the
+#: frontier form (:func:`_greedy_seed_numpy`); denser inputs take the
+#: row form (:func:`_greedy_seed_rows`).  Dense inputs resolve in many
+#: thin frontiers (G(4000, 0.15): about 900), where one NumPy mex per
+#: node is faster; on G(n, p) the two forms cross at mean degree 24-28.
 _SEED_NUMPY_MAX_MEAN_DEGREE = 32
 
 
@@ -375,19 +377,27 @@ def greedy_seed_coloring(compiled: CompiledNetwork):
     The scale workloads need a proper input coloring without touching
     node objects or dicts; scanning nodes in dense order and taking the
     smallest color unused by lower-id neighbors (first fit) gives one
-    with at most ``max_degree + 1`` classes.  Returns the dense-id
-    column: an int64 ndarray from the exact NumPy form
-    (:func:`_greedy_seed_numpy`) when the array backend is on and the
-    mean degree is at most :data:`_SEED_NUMPY_MAX_MEAN_DEGREE`, an
-    ``array('q')`` from the plain loop otherwise -- the same colors
-    either way.
+    with at most ``max_degree + 1`` classes.  Three exact forms compute
+    the same colors:
+
+    * the frontier form (:func:`_greedy_seed_numpy`) when the array
+      backend is on, ``n >= arrays.MIN_BATCH`` and the mean degree is at
+      most :data:`_SEED_NUMPY_MAX_MEAN_DEGREE`;
+    * the row form (:func:`_greedy_seed_rows`) under the same conditions
+      but a higher mean degree;
+    * the plain loop (:func:`_greedy_seed_loop`) without NumPy or below
+      ``arrays.MIN_BATCH`` nodes.
+
+    Returns the dense-id column: an int64 ndarray from either NumPy
+    form, an ``array('q')`` from the loop.
     """
     np = arrays.get_numpy()
     n = compiled.n
-    if (np is not None and n >= arrays.MIN_BATCH
-            and compiled.indptr[n] <= _SEED_NUMPY_MAX_MEAN_DEGREE * n):
+    if np is None or n < arrays.MIN_BATCH:
+        return _greedy_seed_loop(compiled)
+    if compiled.indptr[n] <= _SEED_NUMPY_MAX_MEAN_DEGREE * n:
         return _greedy_seed_numpy(np, compiled)
-    return _greedy_seed_loop(compiled)
+    return _greedy_seed_rows(np, compiled)
 
 
 def _greedy_seed_loop(compiled: CompiledNetwork) -> array:
@@ -406,6 +416,36 @@ def _greedy_seed_loop(compiled: CompiledNetwork) -> array:
         while color in used:
             color += 1
         colors[i] = color
+    return colors
+
+
+def _greedy_seed_rows(np, compiled: CompiledNetwork):
+    """:func:`_greedy_seed_loop`'s colors, each node's mex on NumPy.
+
+    Still one node at a time in dense-id order, but a node's mex is a
+    few array operations over its whole CSR row.  ``colors`` starts at
+    ``n``, above any color, so the not yet colored (higher-id) neighbors
+    need no mask and rows need not be sorted.  A row of ``d`` entries
+    has a mex of at most ``d``, so values are clipped to ``d`` and
+    marked in the first ``d + 1`` slots of one reused presence buffer;
+    a clipped sentinel can only land above the mex.  Extra memory is
+    O(n + Delta): no per-row table.
+    """
+    indptr = compiled.indptr
+    indices = compiled.numpy_views()[1]
+    n = compiled.n
+    colors = np.full(n, n, dtype=np.int64)
+    seen = np.empty(compiled.max_degree() + 1, dtype=bool)
+    take = colors.take
+    minimum = np.minimum
+    for i in range(n):
+        lo = indptr[i]
+        hi = indptr[i + 1]
+        d = hi - lo
+        present = seen[:d + 1]
+        present.fill(False)
+        present[minimum(take(indices[lo:hi]), d)] = True
+        colors[i] = present.argmin()
     return colors
 
 

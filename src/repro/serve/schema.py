@@ -31,6 +31,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from ..sim.scheduler import DEFAULT_MAX_ROUNDS
+
 #: Version stamp carried by every response body this repo emits.
 #: v2 (over v1): ``scale-run`` and daemon results carry ``peak_rss_kb``
 #: (renamed from ``rss_kb``), a top-level ``nodes_per_s``, and a
@@ -206,6 +208,14 @@ def parse_algorithm(spec: Any) -> Dict[str, Any]:
     out["p"] = _require_int(spec, "p", 1, 64, default=2)
     out["seed"] = _require_int(spec, "seed", 0, 2 ** 31 - 1, default=0)
     out["id_bits"] = _require_int(spec, "id_bits", 0, 62, default=0)
+    # Algorithm 1 sweeps the 2^id_bits id colors twice, one round each,
+    # so a larger id space could only end in RoundLimitExceeded.
+    rounds = 2 * 2 ** out["id_bits"] + 1
+    if name == "two-sweep" and rounds > DEFAULT_MAX_ROUNDS:
+        raise RequestError(
+            f"id_bits={out['id_bits']} needs {rounds} two-sweep rounds, "
+            f"over the {DEFAULT_MAX_ROUNDS} round limit"
+        )
     out["check"] = bool(spec.get("check", True))
     lists = spec.get("lists", "random")
     if lists not in ("random", "stuck"):

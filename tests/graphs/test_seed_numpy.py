@@ -1,15 +1,17 @@
-"""Seeded differential tests: the NumPy greedy seed and edge blocks.
+"""Seeded differential tests: the NumPy greedy seeds and edge blocks.
 
 ``_greedy_seed_numpy`` (chain collapse by pointer jumping plus Kahn
-frontiers) must equal the first-fit loop it replaces, node for node, on
-every family; the NumPy edge blocks of the deterministic families must
-fill the same CSR bytes as their edge streams.  Draws come from
-stdlib ``random`` with fixed seeds.
+frontiers) and ``_greedy_seed_rows`` (one NumPy mex per node) must equal
+the first-fit loop they replace, node for node, on every family; the
+NumPy edge blocks of the deterministic families must fill the same CSR
+bytes as their edge streams.  Draws come from stdlib ``random`` with
+fixed seeds.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.graphs.streaming import (
 from repro.sim import arrays
 from repro.sim.compiled import CompiledNetwork
 from repro.sim.errors import NetworkError
+from repro.sim.network import Network
 
 np = pytest.importorskip("numpy")
 
@@ -90,17 +93,122 @@ def test_numpy_seed_matches_loop(seed):
         assert got.tolist() == want, (seed, case, compiled.n, compiled.m)
 
 
-def test_seed_path_follows_mean_degree():
+def _dense_gnp(rng: random.Random, n: int) -> CompiledNetwork:
+    """G(n, p) with mean degree drawn from 33-800 (capped at n - 1)."""
+    mean = rng.uniform(33.0, max(33.0, min(800.0, n - 1.0)))
+    return stream_gnp(n, min(1.0, mean / (n - 1)), rng.randrange(10**6))
+
+
+def _random_pairs(rng: random.Random, n: int, density: float):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < density]
+
+
+def _shuffled_network(rng: random.Random) -> CompiledNetwork:
+    """A dense ``Network`` compiled with shuffled node and neighbor
+    insertion order, so CSR rows are not sorted by dense id."""
+    n = rng.randint(40, 160)
+    labels = [f"v{k}" for k in range(n)]
+    rng.shuffle(labels)
+    adjacency = {label: [] for label in labels}
+    for u, v in _random_pairs(rng, n, rng.uniform(0.3, 0.9)):
+        adjacency[labels[u]].append(labels[v])
+        adjacency[labels[v]].append(labels[u])
+    for neighbors in adjacency.values():
+        rng.shuffle(neighbors)
+    return Network(adjacency).compile()
+
+
+def _with_isolated(rng: random.Random) -> CompiledNetwork:
+    """A dense core with isolated nodes scattered over the id range, on
+    int64 ndarray CSR buffers."""
+    core = rng.randint(40, 120)
+    n = core + rng.randint(1, 40)
+    ids = sorted(rng.sample(range(n), core))
+    edges = [(ids[u], ids[v])
+             for u, v in _random_pairs(rng, core, rng.uniform(0.5, 1.0))]
+    rng.shuffle(edges)
+    indptr, indices = csr_from_edges(n, edges)
+    return CompiledNetwork.from_csr(np.asarray(indptr), np.asarray(indices))
+
+
+def _hub_clique(rng: random.Random, n: int, clique: int) -> CompiledNetwork:
+    """A star hub joined to every node plus a dense clique: one row of
+    length n - 1 next to short ones (skewed Delta)."""
+    hub = rng.randrange(n)
+    others = [v for v in range(n) if v != hub]
+    members = rng.sample(others, clique)
+    edges = [(hub, v) for v in others]
+    edges += [(members[a], members[b]) for a in range(clique)
+              for b in range(a + 1, clique)]
+    rng.shuffle(edges)
+    return CompiledNetwork.from_csr(*csr_from_edges(n, edges))
+
+
+def _draw_dense(rng: random.Random) -> CompiledNetwork:
+    family = rng.choice(["gnp", "network", "isolated", "hub", "min-batch"])
+    if family == "gnp":
+        return _dense_gnp(rng, rng.randint(40, 900))
+    if family == "network":
+        return _shuffled_network(rng)
+    if family == "isolated":
+        return _with_isolated(rng)
+    if family == "hub":
+        n = rng.randint(40, 400)
+        return _hub_clique(rng, n, rng.randint(2, min(n - 1, 60)))
+    return stream_gnp(arrays.MIN_BATCH + rng.choice([-1, 0, 1]),
+                      rng.uniform(0.5, 1.0), rng.randrange(10**6))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_seed_matches_loop(seed):
+    rng = random.Random(5200 + seed)
+    for case in range(25):
+        compiled = _draw_dense(rng)
+        want = list(streaming._greedy_seed_loop(compiled))
+        got = streaming._greedy_seed_rows(np, compiled)
+        assert got.dtype == np.int64
+        assert got.tolist() == want, (seed, case, compiled.n, compiled.m)
+
+
+def test_rows_seed_memory_is_linear_on_a_hub():
+    """A hub of degree n - 1 must not cost an n x Delta table: the row
+    form's peak allocation stays within a small multiple of n + Delta."""
+    n = 20000
+    compiled = _hub_clique(random.Random(7), n, 80)
+    want = list(streaming._greedy_seed_loop(compiled))
+    tracemalloc.start()
+    try:
+        got = streaming._greedy_seed_rows(np, compiled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want
+    assert peak < 64 * (n + compiled.max_degree())
+
+
+def test_seed_path_follows_mean_degree(monkeypatch):
+    taken = []
+    for form in ("_greedy_seed_loop", "_greedy_seed_numpy",
+                 "_greedy_seed_rows"):
+        def spy(*args, _form=form, _run=getattr(streaming, form)):
+            taken.append(_form)
+            return _run(*args)
+        monkeypatch.setattr(streaming, form, spy)
     sparse = stream_gnp(400, 3.0 / 400, 1)
     dense = stream_gnp(200, 0.5, 1)
     assert isinstance(streaming.greedy_seed_coloring(sparse), np.ndarray)
-    assert not isinstance(streaming.greedy_seed_coloring(dense), np.ndarray)
+    assert isinstance(streaming.greedy_seed_coloring(dense), np.ndarray)
+    assert taken == ["_greedy_seed_numpy", "_greedy_seed_rows"]
     previous = arrays.set_arrays_override(False)
     try:
         assert not isinstance(streaming.greedy_seed_coloring(sparse),
                               np.ndarray)
+        assert not isinstance(streaming.greedy_seed_coloring(dense),
+                              np.ndarray)
     finally:
         arrays.set_arrays_override(previous)
+    assert taken[2:] == ["_greedy_seed_loop", "_greedy_seed_loop"]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

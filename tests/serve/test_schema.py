@@ -140,6 +140,18 @@ class TestAlgorithmParsing:
         with pytest.raises(RequestError, match="'lists'"):
             parse_algorithm({"name": "two-sweep", "lists": "evil"})
 
+    def test_two_sweep_id_bits_bounded_by_round_limit(self):
+        # Algorithm 1 runs 2 * 2^id_bits + 1 rounds: 524,289 at 18 bits
+        # fits DEFAULT_MAX_ROUNDS = 10^6, 1,048,577 at 19 does not.
+        assert parse_algorithm({"name": "two-sweep",
+                                "id_bits": 18})["id_bits"] == 18
+        with pytest.raises(RequestError,
+                           match=r"id_bits=19 needs 1048577 two-sweep rounds"):
+            parse_algorithm({"name": "two-sweep", "id_bits": 19})
+        # Algorithm 2 does not sweep the id colors one round apiece.
+        assert parse_algorithm({"name": "fast-two-sweep",
+                                "id_bits": 19})["id_bits"] == 19
+
 
 class TestRequestParsing:
     def test_full_request(self):

@@ -97,6 +97,15 @@ class TestEndpoints:
         assert status == 400
         assert payload["error"]["type"] == "RequestError"
 
+    def test_unrunnable_id_bits_400(self, client):
+        status, payload = client.color({
+            "topology": RING,
+            "algorithm": {"name": "two-sweep", "id_bits": 19},
+        })
+        assert status == 400
+        assert payload["error"]["type"] == "RequestError"
+        assert "round limit" in payload["error"]["message"]
+
     @pytest.mark.parametrize(
         "length", ["-5", "abc", "1_0", " "],
         ids=["negative", "letters", "underscore", "blank"],
