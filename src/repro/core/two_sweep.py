@@ -32,7 +32,9 @@ colors (``p log C`` bits), and a final color (``log C`` bits).
 
 from __future__ import annotations
 
+import operator
 from contextlib import nullcontext
+from itertools import accumulate, repeat
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..coloring.instance import OLDCInstance
@@ -393,29 +395,33 @@ def _sweep_columns(compiled, programs):
             (list_indptr, colors, defects), (out_indptr, out_indices))
 
 
-def _split_rows(indptr, indices, initial):
+def _split_arrays(np, indptr, indices, column):
     """Each node's CSR entries of smaller / larger initial color.
 
-    Returns ``(smaller_ptr, smaller_ids, larger_ptr, larger_ids)`` as
-    lists, entries in row order: two masks over the rows.
+    ``column`` is the int64 initial-color column.  Returns
+    ``(smaller_ptr, smaller_ids, larger_ptr, larger_ids)`` as int64
+    ndarrays, entries in row order: two masks over the rows.
     """
+    ptr = np.asarray(indptr, dtype=np.int64)
+    ids = np.asarray(indices, dtype=np.int64)
+    own = np.repeat(column, np.diff(ptr))
+    other = column[ids]
+    result = []
+    for keep in (other < own, other > own):
+        kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
+        result.append(kept[ptr])
+        result.append(ids[keep])
+    return tuple(result)
+
+
+def _split_rows(indptr, indices, initial):
+    """:func:`_split_arrays` as lists, for any initial column."""
     np = arrays.get_numpy()
     if np is not None:
         column = arrays.int64_column(np, initial)
         if column is not None:
-            ptr = np.asarray(indptr, dtype=np.int64)
-            ids = np.asarray(indices, dtype=np.int64)
-            rows = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64),
-                             np.diff(ptr))
-            other = column[ids]
-            own = column[rows]
-            result = []
-            for keep in (other < own, other > own):
-                kept = np.concatenate(([0], np.cumsum(keep,
-                                                      dtype=np.int64)))
-                result.append(kept[ptr].tolist())
-                result.append(ids[keep].tolist())
-            return tuple(result)
+            return tuple(part.tolist() for part in
+                         _split_arrays(np, indptr, indices, column))
     smaller_ptr, smaller, larger_ptr, larger = [0], [], [0], []
     for i, own in enumerate(initial):
         for j in indices[indptr[i]:indptr[i + 1]]:
@@ -429,40 +435,507 @@ def _split_rows(indptr, indices, initial):
     return smaller_ptr, smaller, larger_ptr, larger
 
 
+def _gather(np, ptr, rows):
+    """``(positions, lengths)``: where the CSR entries of ``rows`` sit,
+    row after row, and each row's length."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return (np.arange(total, dtype=np.int64)
+            + np.repeat(starts - ends + lengths, lengths)), lengths
+
+
+def _waves(np, ptr, ids, width):
+    """The dependency waves of "row ``v`` waits for ``ids`` of its row".
+
+    Wave 0 holds the nodes with empty rows, wave ``w`` those whose
+    latest dependency is in wave ``w - 1`` (``wave(v) = 1 + max
+    wave(u)``), peeled one frontier at a time, O(entries) in all.
+    Returns ``(order, bounds)``: the dense ids by wave, ascending within
+    a wave, and the list of wave boundaries in ``order`` -- or ``None``
+    when the waves average fewer than ``width`` nodes, judged at the
+    end and after every wave from the ``width``-th on (a chain is
+    recognized after ``width`` waves, not ``n / width``).
+    """
+    n = ptr.shape[0] - 1
+    waiting = np.diff(ptr)
+    dependents = np.repeat(np.arange(n, dtype=np.int64),
+                           waiting)[np.argsort(ids, kind="stable")]
+    dependents_ptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(ids, minlength=n))))
+    frontier = np.flatnonzero(waiting == 0)
+    waves = []
+    peeled = 0
+    while frontier.size:
+        waves.append(frontier)
+        peeled += frontier.size
+        if len(waves) >= width and peeled < len(waves) * width:
+            return None
+        positions, _ = _gather(np, dependents_ptr, frontier)
+        ready, hits = np.unique(dependents[positions], return_counts=True)
+        waiting[ready] -= hits
+        frontier = ready[waiting[ready] == 0]
+    if n < len(waves) * width:
+        return None
+    return (np.concatenate(waves),
+            [0] + np.cumsum([wave.size for wave in waves]).tolist())
+
+
+def _bounds(np, lengths, node_bounds):
+    """Where each wave's run of per-node ``lengths`` starts and ends."""
+    return np.concatenate(([0], np.cumsum(lengths)))[node_bounds].tolist()
+
+
+class _Decisions:
+    """Every node's Algorithm 1 decisions, made before round 1.
+
+    Subclasses fill ``work`` (the local-work column), ``failed`` (the
+    dense id of the first node whose Phase II probe finds no color --
+    first by round, then by dense id -- or ``None``), the earlier /
+    later out-neighbor rows, the receiver rows of Phase II finals and
+    the per-class charge columns ``classes`` (ascending), ``counts``,
+    ``phase1`` (``(messages, bits, max_bits, broadcasts)`` lists) and
+    ``finals_sent``; and they answer :meth:`deciders`, :meth:`sublist`
+    and :meth:`final` for one class or node.
+    """
+
+    def k(self, i) -> Dict[Color, int]:
+        """``k_v`` as the program holds it: list order, every color."""
+        ptr, ids = self.earlier
+        k = dict.fromkeys(
+            self.list_colors[self.list_indptr[i]:self.list_indptr[i + 1]], 0)
+        for j in ids[ptr[i]:ptr[i + 1]]:
+            for color in self.sublist(j):
+                if color in k:
+                    k[color] += 1
+        return k
+
+    def r(self, i, k) -> Dict[Color, int]:
+        """``r_v`` as the program holds it, keyed like ``k``."""
+        ptr, ids = self.later
+        r = dict.fromkeys(k, 0)
+        for j in ids[ptr[i]:ptr[i + 1]]:
+            color = self.final(j)
+            if color in r:
+                r[color] += 1
+        return r
+
+
+class _PythonDecisions(_Decisions):
+    """The per-node program code, Phase I in ascending and Phase II in
+    descending class order; Phase II stops at the first failure."""
+
+    def __init__(self, compiled, initial, p, lists, outs, bits_color):
+        n = compiled.n
+        by_class: Dict[int, List[int]] = {}
+        for i, own in enumerate(initial):
+            by_class.setdefault(own, []).append(i)
+        earlier_ptr, earlier, later_ptr, later = _split_rows(
+            outs[0], outs[1], initial)
+        # Phase II finals go to the neighbors earlier in the sweep, in
+        # CSR row order (the CONGEST check order).
+        receivers_ptr, receivers, _, _ = _split_rows(
+            compiled.indptr, compiled.indices, initial)
+        list_indptr = arrays.as_list(lists[0])
+        list_colors = arrays.as_list(lists[1])
+        list_defects = arrays.as_list(lists[2])
+        sublists = [()] * n
+        kdicts = [None] * n
+        defect_fns = [None] * n
+        finals = [None] * n
+        work = [0] * n
+        degrees = compiled.degrees
+        classes = sorted(by_class)
+        # Per-class charges, filled alongside the decisions (Phase II
+        # rounds past a failure are never run and keep zeros).
+        phase1 = ([], [], [], [])
+        finals_sent = [0] * len(classes)
+        for own in classes:
+            messages = bits = max_bits = envelopes = 0
+            for i in by_class[own]:
+                lo = list_indptr[i]
+                hi = list_indptr[i + 1]
+                clist = list_colors[lo:hi]
+                k = dict.fromkeys(clist, 0)
+                lw = 0
+                for j in earlier[earlier_ptr[i]:earlier_ptr[i + 1]]:
+                    for color in sublists[j]:
+                        lw += 1
+                        if color in k:
+                            k[color] += 1
+                defect = dict(zip(clist, list_defects[lo:hi]))
+                ranked = sorted(
+                    clist, key=lambda color: (k[color] - defect[color], color)
+                )
+                size = hi - lo
+                lw += size * max(1, (size - 1).bit_length())
+                sub = sublists[i] = tuple(ranked[:p])
+                kdicts[i] = k
+                defect_fns[i] = defect
+                work[i] = lw
+                degree = degrees[i]
+                if degree:
+                    payload_bits = len(sub) * bits_color
+                    messages += degree
+                    bits += degree * payload_bits
+                    if payload_bits > max_bits:
+                        max_bits = payload_bits
+                    envelopes += 1
+            for column, value in zip(phase1,
+                                     (messages, bits, max_bits, envelopes)):
+                column.append(value)
+        failed = None
+        for t in range(len(classes) - 1, -1, -1):
+            sent = 0
+            for i in by_class[classes[t]]:
+                k = kdicts[i]
+                defect = defect_fns[i]
+                row = later[later_ptr[i]:later_ptr[i + 1]]
+                rc: Dict[Color, int] = {}
+                lw = len(row)
+                for j in row:
+                    neighbor_final = finals[j]
+                    if neighbor_final in k:
+                        rc[neighbor_final] = rc.get(neighbor_final, 0) + 1
+                for color in sorted(sublists[i]):
+                    lw += 1
+                    if k[color] + rc.get(color, 0) <= defect[color]:
+                        finals[i] = color
+                        break
+                else:
+                    failed = i
+                    break
+                work[i] += lw
+                sent += receivers_ptr[i + 1] - receivers_ptr[i]
+            finals_sent[t] = sent
+            if failed is not None:
+                break
+        self.by_class = by_class
+        self.earlier = (earlier_ptr, earlier)
+        self.later = (later_ptr, later)
+        self.receivers = (receivers_ptr, receivers)
+        self.list_indptr = list_indptr
+        self.list_colors = list_colors
+        self.sublists = sublists
+        self.finals = finals
+        self.work = work
+        self.failed = failed
+        self.classes = classes
+        self.counts = [len(by_class[own]) for own in classes]
+        self.phase1 = phase1
+        self.finals_sent = finals_sent
+
+    def deciders(self, own):
+        return self.by_class.get(own, ())
+
+    def sublist(self, i):
+        return self.sublists[i]
+
+    def final(self, i):
+        return self.finals[i]
+
+    def finals_column(self):
+        return self.finals
+
+
+class _ArrayDecisions(_Decisions):
+    """One NumPy pass per dependency wave.
+
+    Colors become ranks in the sorted palette, so ``v * width + rank``
+    keys a (node, color) pair and one ``searchsorted`` matches a whole
+    wave's gathered colors against its lists.  Phase I: the fold is a
+    segment count of the earlier out-neighbors' sub-lists against the
+    list, the ranking one ``lexsort`` by (node, k - d, color), the first
+    ``p`` of each node its sub-list.  Phase II: the later out-neighbors'
+    finals are counted against the sub-list, and the final is the first
+    sub-list color in color order with ``k + r <= d``.
+    """
+
+    @classmethod
+    def build(cls, np, compiled, initial, p, lists, outs, bits_color):
+        """The decisions, or ``None`` where the array form does not
+        apply: ``p`` not a non-negative int, a column that is not plain
+        ints within ``MAX_COLOR``, a list repeating a color, or waves
+        averaging fewer than ``arrays.MIN_BATCH`` nodes.  The last is
+        the per-wave NumPy overhead: n = 2000 in disjoint both-ways
+        oriented paths, the class-order loop takes 10-15 ms at any
+        depth, the wave form 4.5 ms at 10 waves, 7.6 ms at 62 (32
+        nodes a wave), 11.6 ms at 125 and 21 ms at 250."""
+        bound = arrays.MAX_COLOR
+        n = compiled.n
+        if type(p) is not int or p < 0:
+            return None
+        column = arrays.int64_column(np, initial)
+        if column is None:
+            return None
+        earlier_ptr, earlier, later_ptr, later = _split_arrays(
+            np, outs[0], outs[1], column)
+        waves1 = _waves(np, earlier_ptr, earlier, arrays.MIN_BATCH)
+        waves2 = (_waves(np, later_ptr, later, arrays.MIN_BATCH)
+                  if waves1 is not None else None)
+        if waves2 is None:
+            return None
+        colors = arrays.int64_column(np, lists[1])
+        defects = arrays.int64_column(np, lists[2])
+        if colors is None or defects is None:
+            return None
+        if colors.size and not (-bound <= colors.min()
+                                and colors.max() <= bound
+                                and -bound <= defects.min()
+                                and defects.max() <= bound):
+            return None
+        palette, rank = np.unique(colors, return_inverse=True)
+        width = max(1, palette.size)
+        if n * width > bound:
+            return None
+        list_ptr = np.asarray(lists[0], dtype=np.int64)
+        sizes = np.diff(list_ptr)
+        key = np.repeat(np.arange(n, dtype=np.int64) * width, sizes) + rank
+        # Each row's entries in color order (rows stay in place).
+        by_color = np.argsort(key, kind="stable")
+        ordered = key[by_color]
+        if np.any(ordered[1:] == ordered[:-1]):
+            return None
+
+        self = cls()
+        sub_sizes = np.minimum(sizes, p)
+        sub_ptr = np.concatenate(([0], np.cumsum(sub_sizes)))
+        sub_entry = np.empty(int(sub_ptr[-1]), dtype=np.int64)
+        k = np.zeros(colors.size, dtype=np.int64)
+        # Phase I.  Everything but the earlier sub-lists' colors is
+        # gathered once, in wave order, and sliced per wave.
+        order, waves = waves1
+        positions, lengths = _gather(np, list_ptr, order)
+        entries = by_color[positions]
+        keys = key[entries]
+        spans = _bounds(np, lengths, waves)
+        local = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        within = (np.arange(entries.size, dtype=np.int64)
+                  - np.repeat(np.cumsum(lengths) - lengths, lengths))
+        take = within < p
+        targets = np.repeat(sub_ptr[order], lengths) + within
+        slack = -defects[entries]
+        edges, fanin = _gather(np, earlier_ptr, order)
+        slots, sub_lengths = _gather(np, sub_ptr, earlier[edges])
+        owners = np.repeat(np.repeat(order * width, fanin), sub_lengths)
+        probe_spans = np.concatenate(([0], np.cumsum(sub_lengths)))[
+            _bounds(np, fanin, waves)].tolist()
+        for w in range(len(waves) - 1):
+            lo, hi = spans[w], spans[w + 1]
+            first, last = probe_spans[w], probe_spans[w + 1]
+            score = slack[lo:hi]
+            if last > first and hi > lo:
+                probe = (owners[first:last]
+                         + rank[sub_entry[slots[first:last]]])
+                wave_keys = keys[lo:hi]
+                at = np.searchsorted(wave_keys, probe)
+                np.minimum(at, hi - lo - 1, out=at)
+                counts = np.bincount(at[wave_keys[at] == probe],
+                                     minlength=hi - lo)
+                k[entries[lo:hi]] = counts
+                score = score + counts
+            # Stable: ties in (node, k - d) stay in color order.
+            ranked = entries[lo:hi][np.lexsort((score, local[lo:hi]))]
+            chosen = take[lo:hi]
+            sub_entry[targets[lo:hi][chosen]] = ranked[chosen]
+
+        # Phase II, gathered the same way once the sub-lists are known.
+        final = np.full(n, -1, dtype=np.int64)
+        final_rank = np.full(n, -1, dtype=np.int64)
+        probes = np.zeros(n, dtype=np.int64)
+        failed = []
+        order, waves = waves2
+        positions, lengths = _gather(np, sub_ptr, order)
+        entries = sub_entry[positions]
+        local = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        keys = local * width + rank[entries]
+        in_color_order = np.argsort(keys)
+        entries = entries[in_color_order]
+        keys = np.repeat(order * width, lengths) + rank[entries]
+        slack = k[entries] - defects[entries]
+        starts = np.cumsum(lengths) - lengths
+        spans = _bounds(np, lengths, waves)
+        edges, fanin = _gather(np, later_ptr, order)
+        targets = later[edges]
+        owners = np.repeat(order * width, fanin)
+        probe_spans = _bounds(np, fanin, waves)
+        for w in range(len(waves) - 1):
+            lo, hi = spans[w], spans[w + 1]
+            first, last = probe_spans[w], probe_spans[w + 1]
+            score = slack[lo:hi]
+            if last > first and hi > lo:
+                committed = final_rank[targets[first:last]]
+                placed = committed >= 0
+                probe = owners[first:last][placed] + committed[placed]
+                wave_keys = keys[lo:hi]
+                at = np.searchsorted(wave_keys, probe)
+                np.minimum(at, hi - lo - 1, out=at)
+                score = score + np.bincount(at[wave_keys[at] == probe],
+                                            minlength=hi - lo)
+            hits = np.flatnonzero(score <= 0) + lo
+            placed_rows, first_hit = np.unique(local[hits],
+                                               return_index=True)
+            picked = hits[first_hit]
+            nodes = order[placed_rows]
+            final[nodes] = entries[picked]
+            final_rank[nodes] = rank[entries[picked]]
+            probes[nodes] = picked - starts[placed_rows] + 1
+            if placed_rows.size < waves[w + 1] - waves[w]:
+                stuck = np.ones(n, dtype=bool)
+                stuck[placed_rows] = False
+                failed.append(order[np.flatnonzero(
+                    stuck[waves[w]:waves[w + 1]]) + waves[w]])
+
+        later_sizes = np.diff(later_ptr)
+        fold = np.concatenate(([0], np.cumsum(sub_sizes[earlier])))
+        self.work = (fold[earlier_ptr[1:]] - fold[earlier_ptr[:-1]]
+                     + sizes * np.maximum(1, np.frexp(sizes - 1)[1])
+                     + later_sizes + probes).tolist()
+        self.failed = None
+        if failed:
+            stuck = np.concatenate(failed)
+            # First by round (largest class first in Phase II), then id.
+            self.failed = int(stuck[np.lexsort((stuck,
+                                                -column[stuck]))[0]])
+
+        views = compiled.numpy_views()
+        receivers_ptr, receivers, _, _ = _split_arrays(
+            np, views[0], views[1], column)
+        by_class = np.argsort(column, kind="stable")
+        classes, counts = np.unique(column, return_counts=True)
+        starts = np.cumsum(counts) - counts
+        degrees = views[2][by_class]
+        payload_bits = sub_sizes[by_class] * bits_color
+        sent = degrees > 0
+        self.phase1 = tuple(part.tolist() for part in (
+            np.add.reduceat(degrees, starts),
+            np.add.reduceat(degrees * payload_bits, starts),
+            np.maximum.reduceat(np.where(sent, payload_bits, 0), starts),
+            np.add.reduceat(sent.astype(np.int64), starts),
+        ))
+        self.finals_sent = np.add.reduceat(
+            np.diff(receivers_ptr)[by_class], starts).tolist()
+        self.classes = classes.tolist()
+        self.counts = counts.tolist()
+        self._class_rows = (by_class, starts)
+        self._by_class = None
+        self.earlier = (earlier_ptr, earlier)
+        self.later = (later_ptr, later)
+        self.receivers = (receivers_ptr, receivers)
+        self.list_indptr = list_ptr
+        self.list_colors = arrays.as_list(lists[1])
+        self.colors = colors
+        self.sub_ptr = sub_ptr.tolist()
+        self.sub_entry = sub_entry
+        self.final_entry = final
+        return self
+
+    def deciders(self, own):
+        if self._by_class is None:
+            by_class, starts = self._class_rows
+            ids = by_class.tolist()
+            bounds = starts.tolist() + [len(ids)]
+            self._by_class = {
+                klass: ids[bounds[t]:bounds[t + 1]]
+                for t, klass in enumerate(self.classes)
+            }
+        return self._by_class.get(own, ())
+
+    def sublist(self, i):
+        colors = self.list_colors
+        return tuple(colors[entry] for entry in
+                     self.sub_entry[self.sub_ptr[i]:self.sub_ptr[i + 1]]
+                     .tolist())
+
+    def final(self, i):
+        entry = self.final_entry[i]
+        return None if entry < 0 else self.list_colors[entry]
+
+    def finals_column(self):
+        return self.colors[self.final_entry]
+
+
+def _plan(decided, n, q, bits_color):
+    """The sweep rounds' charges: ``({round: KernelRound}, after)``.
+
+    ``after`` maps each Phase II round that an idle round follows to
+    the charge of those idle rounds (empty when the classes are
+    consecutive).  Phase I rounds with equal charges share one
+    :class:`KernelRound`.
+    """
+    classes = decided.classes
+    shared: Dict[tuple, KernelRound] = {}
+    opening = [shared.get(charges)
+               or shared.setdefault(charges, KernelRound(n, *charges))
+               for charges in zip(*decided.phase1)]
+    plan = dict(zip([2 + own for own in classes], opening))
+    down = classes[::-1]
+    rounds = [2 * q + 1 - own for own in down]
+    sent = decided.finals_sent[::-1]
+    active = list(accumulate(decided.counts[::-1], operator.sub,
+                             initial=n))[1:]
+    closing = list(map(KernelRound, active, sent,
+                       [messages * bits_color for messages in sent],
+                       [bits_color if messages else 0 for messages in sent]))
+    plan.update(zip(rounds, closing))
+    after = {}
+    if classes and classes[-1] - classes[0] != len(classes) - 1:
+        for at, own, below, remaining, messages, result in zip(
+                rounds, down, down[1:] + [-1], active, sent, closing):
+            if below != own - 1:
+                after[at] = KernelRound(remaining) if messages else result
+    return plan, after
+
+
 class TwoSweepKernel(RoundKernel):
-    """Array-at-a-time Two-Sweep: one column pass per sweep step.
+    """Two-Sweep that decides eagerly, then replays its ``2q + 1`` rounds.
 
-    The round layout makes the population embarrassingly bucketable: at
-    most one color class acts per round (Phase I windows ``[2, q + 1]``
-    and Phase II windows ``[q + 2, 2q + 1]`` are disjoint), so each step
-    touches only that round's deciders while the reference engine still
-    dispatches an ``on_round`` no-op for every waiting node.  Two facts
-    make the event-driven rewrite exact:
+    In Algorithm 1 a node's Phase I sub-list depends only on the
+    sub-lists of its *earlier* out-neighbors, and its Phase II color
+    only on the finals of its *later* out-neighbors, so the whole run is
+    fixed by two dependency DAGs that are usually far shallower than
+    ``q`` rounds (a G(n, p) trial with ``q = n`` ids: 4001 rounds, about
+    a dozen Phase I waves and one Phase II wave).  :meth:`from_columns`
+    therefore computes every node's sub-list, ``k``, final, ``r`` and
+    ``local_work`` up front, in one of two forms chosen by the input
+    alone:
 
-    * ``k_v`` is *final* at ``v``'s Phase I turn -- an earlier
-      out-neighbor of class ``c' < c`` broadcasts its sub-list in round
-      ``2 + c'`` and it is ingested no later than round ``2 + c``, so
-      the kernel can fold all earlier sub-lists at decision time instead
-      of at delivery time;
-    * ``r_v`` is final at ``v``'s Phase II turn -- every later
-      out-neighbor decided in a strictly earlier round -- so it is
-      derived from the finals column on the spot.
+    * with the array backend on, ``n >= arrays.MIN_BATCH``, plain-int
+      colors and defects within ``MAX_COLOR``, distinct colors per list
+      and dependency waves averaging at least ``MIN_BATCH`` nodes: one
+      NumPy pass per wave (:class:`_ArrayDecisions`; Phase I wave
+      ``w(v) = 1 + max w`` over earlier out-neighbors, Phase II the same
+      over later ones);
+    * otherwise the per-node program code, run in class order
+      (:class:`_PythonDecisions`).
+
+    Every round's ledger charges are known before the run (sub-list
+    sizes are ``min(p, |L_v|)`` and each final goes to the neighbors
+    earlier in the sweep), so :meth:`step` only looks its round up;
+    idle rounds and rounds with equal Phase I charges share one
+    :class:`KernelRound`.  With a bandwidth model other than LOCAL a
+    round replays its CONGEST checks in the reference order (round 1:
+    every node's initial color; Phase I: each decider's sub-list
+    broadcast; Phase II: each decider's final to each receiver, in CSR
+    row order).  The first :class:`AlgorithmFailure` (first by round,
+    then by dense id) is raised at its own round, after the checks of
+    the deciders before it, so the ledger at failure, exception order
+    and message text match the reference engine; rounds past
+    ``max_rounds`` never run, so the scheduler's RoundLimitExceeded
+    comes at the same round and ``finalize`` is never called.
 
     ``local_work`` accrues identically in total (per sub-list entry and
     final received, plus the sort and probe costs), just attributed to
-    the owner's turn instead of the delivery rounds.  The last Phase II
-    round sends nothing (no neighbor of the minimum present class has a
-    smaller initial color), giving the same clean quiescence round as
-    the reference engine.
+    the owner's turns.  The last Phase II round sends nothing (no
+    neighbor of the minimum present class has a smaller initial color),
+    giving the same clean quiescence round as the reference engine.
 
     :meth:`from_columns` is the one columns constructor: ``two_sweep``
     reaches it through the scheduler's columns entry with the
     instance's list and out-neighbor CSR columns, and the program-list
     ``prepare`` is an adapter over the same columns
-    (:func:`_sweep_columns`).  Everything a step reads is fixed up
-    front: the per-class decider lists from the initial-color column,
-    and the earlier/later out-neighbor and earlier-receiver lists as
-    masks over the CSR rows.
+    (:func:`_sweep_columns`).
 
     Declines traces (per-round events cannot be replayed from a bucketed
     pass), mid-run state, non-uniform ``q``/``p``/``color_space_size``,
@@ -470,9 +943,7 @@ class TwoSweepKernel(RoundKernel):
     ``final_color``, ``sublist``, ``k``, ``r`` and ``local_work`` (or
     fills ``ColumnInputs.outputs`` and its ``local_work`` extra); the
     ``neighbor_initial`` ingest dict is not reconstructed (same
-    convention as the greedy-sweep kernel), and on a ``max_rounds``-
-    truncated run nodes that never reached a turn keep zeroed ``k`` /
-    ``r`` / ``local_work`` rather than partially-delivered counts.
+    convention as the greedy-sweep kernel).
     """
 
     def prepare(self, compiled, programs, bandwidth):
@@ -495,7 +966,7 @@ class TwoSweepKernel(RoundKernel):
 
     def from_columns(self, compiled, initial, q, p, color_space_size,
                      lists, outs, bandwidth):
-        """Column state for a sweep over dense-id columns.
+        """Decisions and per-round plan for a sweep over dense-id columns.
 
         ``initial`` is the initial-color column, ``lists`` the list
         columns ``(indptr, colors, defects)`` and ``outs`` the
@@ -506,305 +977,123 @@ class TwoSweepKernel(RoundKernel):
         if not all(0 <= color < q for color in initial):
             return None
         n = compiled.n
-        by_class: Dict[int, List[int]] = {}
-        for i, own in enumerate(initial):
-            by_class.setdefault(own, []).append(i)
-        # Out-neighbors earlier / later in the sweep, and the earlier
-        # neighbors a Phase II final goes to -- the latter in CSR row
-        # order, which fixes the CONGEST per-message check order.
-        earlier_ptr, earlier, later_ptr, later = _split_rows(
-            outs[0], outs[1], initial
-        )
-        receivers_ptr, receivers, _, _ = _split_rows(
-            compiled.indptr, compiled.indices, initial
-        )
-        list_indptr = arrays.as_list(lists[0])
-        list_colors = arrays.as_list(lists[1])
-        list_defects = arrays.as_list(lists[2])
-        state = self._prepare_arrays(n, p, list_colors, earlier_ptr,
-                                     later_ptr)
-        sublists = [()] * n
-        kdicts = [None] * n
-        # Each decider's {color: d_v(color)}, from its Phase I turn on.
-        defect_fns = [None] * n
-        finals = [None] * n
-        work = [0] * n
-        order = compiled.order
-        degrees = compiled.degrees
         bits_color = color_bits(color_space_size)
-        local = type(bandwidth) is LocalModel
-        total_copies, envelopes = fanout_totals(compiled)
+        decided = None
+        np = arrays.get_numpy()
+        if np is not None and n >= arrays.MIN_BATCH:
+            decided = _ArrayDecisions.build(np, compiled, initial, p, lists,
+                                            outs, bits_color)
+        if decided is None:
+            decided = _PythonDecisions(compiled, initial, p, lists, outs,
+                                       bits_color)
+        else:
+            self.backend = "numpy"
+        checked = type(bandwidth) is not LocalModel
+        bits_initial = color_bits(q)
+        copies, envelopes = fanout_totals(compiled)
+        plan, after = _plan(decided, n, q, bits_color)
+        plan[1] = KernelRound(n, copies, copies * bits_initial,
+                              bits_initial if copies else 0, envelopes)
+        failing = (None if decided.failed is None
+                   else 2 * q + 1 - initial[decided.failed])
         return {
             # Failure messages name the node; the program adapter puts
             # each program's ``node`` here.
-            "names": order,
-            "order": order,
+            "names": compiled.order,
+            "order": compiled.order,
             "initial": initial,
             "q": q,
-            "arrays": state,
-            "by_class": by_class,
-            "sublists": sublists,
-            "kdicts": kdicts,
-            "rcounts": [None] * n,
-            "finals": finals,
-            "work": work,
-            "remaining": n,
+            "decided": decided,
+            "plan": plan,
             "idle": KernelRound(n),
-            "total_copies": total_copies,
-            "envelopes": envelopes,
-            "bits_initial": color_bits(q),
-            "check_fanout": None if local else bandwidth.check_fanout,
-            "degrees": degrees,
-            # What each phase's step reads, unpacked once per round.
-            "phase1": (p, order, earlier_ptr, earlier, list_indptr,
-                       list_colors, list_defects, sublists, kdicts,
-                       defect_fns, work, degrees, bits_color,
-                       None if local else bandwidth.check_fanout, state),
-            "phase2": (order, later_ptr, later, receivers_ptr, receivers,
-                       sublists, kdicts, defect_fns, finals, work,
-                       bits_color, None if local else bandwidth.check,
-                       state),
-        }
-
-    def _prepare_arrays(self, n, p, list_colors, earlier_ptr, later_ptr):
-        """NumPy column state for the tally paths, or ``None`` to decline.
-
-        The array path adds two columns next to the Python ones: a lazy
-        int64 pool of committed sub-lists (each sub-list is converted at
-        most once, the first time a batched Phase I fold consumes it) and
-        an int64 mirror of the finals column (``-1`` = undecided) for the
-        batched Phase II ``r_v`` tally.  Small populations, color values
-        beyond int64, and topologies where no node could ever reach a
-        tally of ``MIN_TALLY`` elements (so the mirror bookkeeping would
-        be pure overhead) keep the pure-Python columns.
-        """
-        np = arrays.get_numpy()
-        if np is None or n < arrays.MIN_BATCH:
-            return None
-        if not any(
-            (earlier_ptr[i + 1] - earlier_ptr[i]) * p >= arrays.MIN_TALLY
-            or later_ptr[i + 1] - later_ptr[i] >= arrays.MIN_TALLY
-            for i in range(n)
-        ):
-            return None
-        if list_colors and not (-arrays.MAX_COLOR <= min(list_colors)
-                                and max(list_colors) <= arrays.MAX_COLOR):
-            return None
-        self.backend = "numpy"
-        return {
-            "np": np,
-            "pool": [None] * n,
-            "finals": np.full(n, -1, dtype=np.int64),
+            # Rounds that do more than charge: CONGEST checks to replay,
+            # the failing round, idle charges that change.
+            "watch": checked or failing is not None or bool(after),
+            "checked": checked,
+            "failing": failing,
+            "after": after,
+            "degrees": compiled.degrees,
+            "bits_initial": bits_initial,
+            "bits_color": bits_color,
+            "bandwidth": bandwidth,
         }
 
     def step(self, round_number, columns, inboxes) -> KernelRound:
+        result = columns["plan"].get(round_number)
+        if result is None:
+            return columns["idle"]
+        if columns["watch"]:
+            idle = columns["after"].get(round_number)
+            if idle is not None:
+                columns["idle"] = idle
+            if columns["checked"] or round_number == columns["failing"]:
+                self._replay(round_number, columns)
+        return result
+
+    @staticmethod
+    def _replay(round_number, columns) -> None:
+        """Round ``round_number``'s CONGEST checks in reference order,
+        and its :class:`AlgorithmFailure` if it is the failing round."""
+        bandwidth = columns["bandwidth"]
+        check = None if type(bandwidth) is LocalModel else bandwidth
+        decided = columns["decided"]
+        order = columns["order"]
+        degrees = columns["degrees"]
         q = columns["q"]
         if round_number == 1:
             bits = columns["bits_initial"]
-            check_fanout = columns["check_fanout"]
-            if check_fanout is not None:
-                order = columns["order"]
-                initial = columns["initial"]
-                for i, degree in enumerate(columns["degrees"]):
-                    if degree:
-                        check_fanout(
-                            intern_broadcast(
-                                order[i], _TAG_INITIAL, initial[i], bits
-                            ),
-                            degree,
-                        )
-            copies = columns["total_copies"]
-            return KernelRound(
-                active=columns["remaining"],
-                messages=copies,
-                bits=copies * bits,
-                max_message_bits=bits if copies else 0,
-                broadcasts=columns["envelopes"],
-            )
-        if round_number <= q + 1:
-            deciders = columns["by_class"].get(round_number - 2)
-            if deciders is None:
-                return columns["idle"]
-            return self._step_phase1(deciders, columns)
-        deciders = columns["by_class"].get(2 * q + 1 - round_number)
-        if deciders is None:
-            return KernelRound(columns["remaining"])
-        return self._step_phase2(deciders, columns)
-
-    def _step_phase1(self, deciders, columns) -> KernelRound:
-        messages = 0
-        bits = 0
-        max_bits = 0
-        envelopes = 0
-        (p, order, earlier_ptr, earlier, list_indptr, list_colors,
-         list_defects, sublists, kdicts, defect_fns, work, degrees,
-         bits_color, check_fanout, state) = columns["phase1"]
-        for i in deciders:
-            lo = list_indptr[i]
-            hi = list_indptr[i + 1]
-            clist = list_colors[lo:hi]
-            row = earlier[earlier_ptr[i]:earlier_ptr[i + 1]]
-            # Each earlier sub-list holds at most p colors, so
-            # len(row) * p bounds the fold size; only pay for the
-            # exact sum once that cheap bound clears the threshold.
-            total = 0
-            if state is not None and row \
-                    and len(row) * p >= arrays.MIN_TALLY:
-                total = sum(len(sublists[j]) for j in row)
-            if total >= arrays.MIN_TALLY and row and state is not None:
-                k = self._fold_batched(state, sublists, row, clist)
-                lw = total
-            else:
-                k = dict.fromkeys(clist, 0)
-                lw = 0
-                for j in row:
-                    for color in sublists[j]:
-                        lw += 1
-                        if color in k:
-                            k[color] += 1
-            defect = dict(zip(clist, list_defects[lo:hi]))
-            ranked = sorted(
-                clist, key=lambda color: (k[color] - defect[color], color)
-            )
-            size = hi - lo
-            lw += size * max(1, (size - 1).bit_length())
-            sub = tuple(ranked[:p])
-            sublists[i] = sub
-            kdicts[i] = k
-            defect_fns[i] = defect
-            work[i] += lw
-            degree = degrees[i]
-            if degree:
-                payload_bits = len(sub) * bits_color
-                if check_fanout is not None:
-                    check_fanout(
-                        intern_broadcast(
-                            order[i], _TAG_SUBLIST, sub, payload_bits
-                        ),
+            initial = columns["initial"]
+            for i, degree in enumerate(degrees):
+                if degree:
+                    check.check_fanout(
+                        intern_broadcast(order[i], _TAG_INITIAL, initial[i],
+                                         bits),
                         degree,
                     )
-                messages += degree
-                bits += degree * payload_bits
-                if payload_bits > max_bits:
-                    max_bits = payload_bits
-                envelopes += 1
-        return KernelRound(columns["remaining"], messages, bits, max_bits,
-                           envelopes)
-
-    @staticmethod
-    def _fold_batched(state, sublists, row, clist):
-        """Batched ``k_v`` fold: concatenate the earlier sub-lists from
-        the int64 pool (each converted at most once) and tally them
-        against the node's color list in C."""
-        np = state["np"]
-        pool = state["pool"]
-        rows = []
-        for j in row:
-            converted = pool[j]
-            if converted is None:
-                sub_j = sublists[j]
-                converted = pool[j] = np.fromiter(sub_j, np.int64,
-                                                  len(sub_j))
-            rows.append(converted)
-        vals = np.concatenate(rows)
-        list_np = np.fromiter(clist, np.int64, len(clist))
-        candidates, inverse = np.unique(list_np, return_inverse=True)
-        counts = arrays.membership_counts(np, vals, candidates)
-        return dict(zip(clist, counts[inverse].tolist()))
-
-    def _step_phase2(self, deciders, columns) -> KernelRound:
-        messages = 0
-        (order, later_ptr, later, receivers_ptr, receivers, sublists,
-         kdicts, defect_fns, finals, work, bits_color, check,
-         state) = columns["phase2"]
-        rcounts = columns["rcounts"]
-        for i in deciders:
-            # k and the defect dict are keyed by the list, in list order.
-            k = kdicts[i]
-            defect = defect_fns[i]
-            row = later[later_ptr[i]:later_ptr[i + 1]]
-            if state is not None and len(row) >= arrays.MIN_TALLY:
-                rc = self._tally_batched(state, row, list(k))
-                lw = len(row)
-            else:
-                rc = {}
-                lw = 0
-                for j in row:
-                    lw += 1
-                    neighbor_final = finals[j]
-                    if neighbor_final in k:
-                        rc[neighbor_final] = rc.get(neighbor_final, 0) + 1
-            chosen = None
-            for color in sorted(sublists[i]):
-                lw += 1
-                if k[color] + rc.get(color, 0) <= defect[color]:
-                    chosen = color
-                    break
-            if chosen is None:
-                r = dict.fromkeys(k, 0)
-                r.update(rc)
+            return
+        bits_color = columns["bits_color"]
+        if round_number <= q + 1:
+            for i in decided.deciders(round_number - 2):
+                degree = degrees[i]
+                if degree:
+                    sub = decided.sublist(i)
+                    check.check_fanout(
+                        intern_broadcast(order[i], _TAG_SUBLIST, sub,
+                                         len(sub) * bits_color),
+                        degree,
+                    )
+            return
+        ptr, ids = decided.receivers
+        for i in decided.deciders(2 * q + 1 - round_number):
+            if i == decided.failed:
+                k = decided.k(i)
                 raise AlgorithmFailure(
                     f"node {columns['names'][i]!r}: no color in S_v = "
-                    f"{sublists[i]} satisfies Eq. (5); k={k} r={r} -- "
-                    f"Eq. (2) must have been violated"
+                    f"{decided.sublist(i)} satisfies Eq. (5); k={k} "
+                    f"r={decided.r(i, k)} -- Eq. (2) must have been "
+                    f"violated"
                 )
-            finals[i] = chosen
-            if state is not None:
-                state["finals"][i] = chosen
-            rcounts[i] = rc
-            work[i] += lw
-            targets = receivers[receivers_ptr[i]:receivers_ptr[i + 1]]
-            if targets:
-                if check is not None:
-                    sender = order[i]
-                    for j in targets:
-                        check(Message(
-                            sender, order[j], _TAG_FINAL, chosen, bits_color
-                        ))
-                messages += len(targets)
-        remaining = columns["remaining"] - len(deciders)
-        columns["remaining"] = remaining
-        return KernelRound(remaining, messages, messages * bits_color,
-                           bits_color if messages else 0)
-
-    @staticmethod
-    def _tally_batched(state, row, clist):
-        """Batched ``r_v`` tally: gather the later out-neighbors'
-        committed finals from the int64 mirror and count them against
-        the color list; only seen colors enter the result, matching the
-        Python dict's contents exactly."""
-        np = state["np"]
-        committed = state["finals"][np.fromiter(row, np.int64, len(row))]
-        candidates = np.unique(np.fromiter(clist, np.int64, len(clist)))
-        tallies = arrays.membership_counts(np, committed, candidates)
-        return {
-            color: count
-            for color, count in zip(candidates.tolist(), tallies.tolist())
-            if count
-        }
+            if check is not None:
+                sender = order[i]
+                chosen = decided.final(i)
+                for j in ids[ptr[i]:ptr[i + 1]]:
+                    check.check(Message(
+                        sender, order[j], _TAG_FINAL, chosen, bits_color
+                    ))
 
     def finalize(self, columns, programs) -> None:
-        finals = columns["finals"]
-        work = columns["work"]
+        decided = columns["decided"]
         if isinstance(programs, ColumnInputs):
-            programs.outputs = finals
-            programs.extras["local_work"] = work
+            programs.outputs = decided.finals_column()
+            programs.extras["local_work"] = decided.work
             return
-        sublists = columns["sublists"]
-        kdicts = columns["kdicts"]
-        rcounts = columns["rcounts"]
         for i, program in enumerate(programs):
-            program.sublist = sublists[i]
-            program.final_color = finals[i]
-            program.local_work = work[i]
-            k = kdicts[i]
-            if k is not None:
-                program.k = k
-            r = {color: 0 for color in program.color_list}
-            rc = rcounts[i]
-            if rc:
-                r.update(rc)
-            program.r = r
+            k = decided.k(i)
+            program.sublist = decided.sublist(i)
+            program.final_color = decided.final(i)
+            program.local_work = decided.work[i]
+            program.k = k
+            program.r = decided.r(i, k)
 
 
 register_kernel(TwoSweepProgram, TwoSweepKernel)

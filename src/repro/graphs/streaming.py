@@ -320,6 +320,60 @@ def _tree_block(np, depth: int):
     return np.stack([child, (child - 1) // 2], axis=1)
 
 
+def _gnp_chunk(expected: float) -> int:
+    """Draws per chunk of :func:`_gnp_block`: the expected edge count
+    plus four standard deviations, so one chunk almost always ends the
+    walk and small graphs draw little more than they use."""
+    return int(expected + 4.0 * math.sqrt(expected)) + 16
+
+
+def _gnp_block(np, n: int, p: float, seed: int):
+    """:func:`gnp_edges` as one int64 ``(m, 2)`` block, same order.
+
+    The same draws: ``math.log(1.0 - random())`` per edge from the same
+    seeded ``random.Random``, taken in chunks sized from the expected
+    edge count (draws past the last edge are discarded; the generator
+    is local).  The gap division, the cumulative pair index and the
+    row unranking run in NumPy; each gap is clipped at the pair count
+    first, which ends the walk exactly where the stream's ``t >= total``
+    does and keeps tiny-``p`` gaps inside int64.
+    """
+    if n < 0:
+        raise NetworkError("node count must be non-negative")
+    total = n * (n - 1) // 2
+    if total == 0 or p == 0.0:
+        return np.empty((0, 2), dtype=np.int64)
+    if p == 1.0:
+        return np.stack(np.triu_indices(n, 1), axis=1).astype(np.int64)
+    log_skip = math.log(1.0 - p)
+    if log_skip == 0.0:
+        return gnp_edges(n, p, seed)  # fails as the stream does
+    draw = random.Random(seed).random
+    log = math.log
+    chunk = _gnp_chunk(p * total)
+    t = -1
+    found = []
+    while True:
+        logs = np.fromiter((log(1.0 - draw()) for _ in range(chunk)),
+                           dtype=np.float64, count=chunk)
+        steps = np.minimum(logs / log_skip, float(total)).astype(np.int64)
+        steps += 1
+        np.cumsum(steps, out=steps)
+        steps += t
+        past = np.flatnonzero(steps >= total)
+        if past.size:
+            found.append(steps[:past[0]])
+            break
+        found.append(steps)
+        t = int(steps[-1])
+    index = np.concatenate(found)
+    # Row u holds the pairs [row_start[u], row_start[u] + n - u - 1).
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
+    u = np.searchsorted(row_start, index, side="right") - 1
+    return np.stack([u, u + 1 + index - row_start[u]], axis=1)
+
+
 def stream_ring(n: int) -> CompiledNetwork:
     """The cycle on ``n`` nodes, streamed straight to CSR."""
     return _stream_compiled(("ring-stream", n), n,
@@ -347,7 +401,8 @@ def stream_gnp(n: int, p: float, seed: int) -> CompiledNetwork:
     if not 0.0 <= p <= 1.0:
         raise NetworkError("edge probability must lie in [0, 1]")
     return _stream_compiled(("gnp-stream", n, p, seed), n,
-                            lambda: gnp_edges(n, p, seed))
+                            lambda: gnp_edges(n, p, seed),
+                            lambda np: _gnp_block(np, n, p, seed))
 
 
 def stream_regular(n: int, degree: int, seed: int) -> CompiledNetwork:
@@ -364,10 +419,30 @@ def stream_regular(n: int, degree: int, seed: int) -> CompiledNetwork:
 # Seed colorings for scale workloads
 # ----------------------------------------------------------------------
 #: Mean degree (``2m / n``) up to which the greedy seed takes the
-#: frontier form (:func:`_greedy_seed_numpy`); denser inputs take the
-#: row form (:func:`_greedy_seed_rows`).  Dense inputs resolve in many
-#: thin frontiers (G(4000, 0.15): about 900), where one NumPy mex per
-#: node is faster; on G(n, p) the two forms cross at mean degree 24-28.
+#: frontier form (:func:`_greedy_seed_numpy`).  Sparse and chain-heavy
+#: inputs (rings, grids, trees, G(n, p) up to mean degree 8) resolve in
+#: few wide frontiers; above that the frontiers thin out and the plain
+#: loop wins.
+_SEED_FRONTIER_MAX_MEAN_DEGREE = 8
+
+#: Mean degree up to which the greedy seed keeps the plain loop
+#: (:func:`_greedy_seed_loop`) above the frontier range; denser inputs
+#: take the row form (:func:`_greedy_seed_rows`), one NumPy mex per
+#: node.  Best of 9, interleaved, 2-core Xeon, ms (loop / frontier /
+#: rows):
+#:
+#: ============  ====================  ====================
+#: mean degree   G(5000, p)            G(10000, p)
+#: ============  ====================  ====================
+#: 4             4.9 / 2.8 / 20.1      12.1 / 5.7 / 41.6
+#: 8             9.1 / 7.2 / 21.1      17.9 / 12.6 / 42.0
+#: 16            8.7 / 11.5 / 18.3     23.1 / 23.3 / 38.1
+#: 24            12.1 / 16.6 / 18.4    22.8 / 29.2 / 31.2
+#: 32            18.3 / 27.2 / 21.9    36.9 / 48.1 / 44.4
+#: ============  ====================  ====================
+#:
+#: The loop and the row form cross at mean degree 32-40 (G(10000, p):
+#: 40.1 / 42.4 ms at 32, 41.5 / 40.9 at 40, 44.5 / 26.1 at 64).
 _SEED_NUMPY_MAX_MEAN_DEGREE = 32
 
 
@@ -382,11 +457,11 @@ def greedy_seed_coloring(compiled: CompiledNetwork):
 
     * the frontier form (:func:`_greedy_seed_numpy`) when the array
       backend is on, ``n >= arrays.MIN_BATCH`` and the mean degree is at
-      most :data:`_SEED_NUMPY_MAX_MEAN_DEGREE`;
+      most :data:`_SEED_FRONTIER_MAX_MEAN_DEGREE`;
     * the row form (:func:`_greedy_seed_rows`) under the same conditions
-      but a higher mean degree;
-    * the plain loop (:func:`_greedy_seed_loop`) without NumPy or below
-      ``arrays.MIN_BATCH`` nodes.
+      but a mean degree above :data:`_SEED_NUMPY_MAX_MEAN_DEGREE`;
+    * the plain loop (:func:`_greedy_seed_loop`) in between, without
+      NumPy, or below ``arrays.MIN_BATCH`` nodes.
 
     Returns the dense-id column: an int64 ndarray from either NumPy
     form, an ``array('q')`` from the loop.
@@ -395,8 +470,11 @@ def greedy_seed_coloring(compiled: CompiledNetwork):
     n = compiled.n
     if np is None or n < arrays.MIN_BATCH:
         return _greedy_seed_loop(compiled)
-    if compiled.indptr[n] <= _SEED_NUMPY_MAX_MEAN_DEGREE * n:
+    entries = compiled.indptr[n]
+    if entries <= _SEED_FRONTIER_MAX_MEAN_DEGREE * n:
         return _greedy_seed_numpy(np, compiled)
+    if entries <= _SEED_NUMPY_MAX_MEAN_DEGREE * n:
+        return _greedy_seed_loop(compiled)
     return _greedy_seed_rows(np, compiled)
 
 

@@ -185,6 +185,33 @@ def parse_topology(spec: Any) -> Dict[str, Any]:
     return out
 
 
+def require_sweep_rounds(q: int, what: str) -> None:
+    """Raise :class:`RequestError` unless a two-sweep over ``q`` initial
+    colors fits the round limit.
+
+    Algorithm 1 sweeps the ``q`` colors twice, one round each, plus an
+    opening round; past ``DEFAULT_MAX_ROUNDS`` the run could only end in
+    RoundLimitExceeded.
+    """
+    rounds = 2 * q + 1
+    if rounds > DEFAULT_MAX_ROUNDS:
+        raise RequestError(
+            f"{what} needs {rounds} two-sweep rounds, over the "
+            f"{DEFAULT_MAX_ROUNDS} round limit"
+        )
+
+
+def topology_nodes(topology: Dict[str, Any]) -> Optional[int]:
+    """The node count a parsed topology spec states (``None`` for an
+    uploaded ``graph`` handle, known only once it is resolved)."""
+    kind = topology["kind"]
+    if kind == "grid-stream":
+        return topology["rows"] * topology["cols"]
+    if kind == "tree-stream":
+        return 2 ** (topology["depth"] + 1) - 1
+    return topology.get("n")
+
+
 def parse_algorithm(spec: Any) -> Dict[str, Any]:
     """Normalize and validate an algorithm spec; returns a fresh dict."""
     if isinstance(spec, str):
@@ -208,14 +235,9 @@ def parse_algorithm(spec: Any) -> Dict[str, Any]:
     out["p"] = _require_int(spec, "p", 1, 64, default=2)
     out["seed"] = _require_int(spec, "seed", 0, 2 ** 31 - 1, default=0)
     out["id_bits"] = _require_int(spec, "id_bits", 0, 62, default=0)
-    # Algorithm 1 sweeps the 2^id_bits id colors twice, one round each,
-    # so a larger id space could only end in RoundLimitExceeded.
-    rounds = 2 * 2 ** out["id_bits"] + 1
-    if name == "two-sweep" and rounds > DEFAULT_MAX_ROUNDS:
-        raise RequestError(
-            f"id_bits={out['id_bits']} needs {rounds} two-sweep rounds, "
-            f"over the {DEFAULT_MAX_ROUNDS} round limit"
-        )
+    if name == "two-sweep":
+        require_sweep_rounds(2 ** out["id_bits"],
+                             f"id_bits={out['id_bits']}")
     out["check"] = bool(spec.get("check", True))
     lists = spec.get("lists", "random")
     if lists not in ("random", "stuck"):
@@ -235,9 +257,16 @@ def parse_request(body: Any) -> Dict[str, Any]:
                            "trace"}
     if unknown:
         raise RequestError(f"unknown request fields: {sorted(unknown)}")
+    topology = parse_topology(body.get("topology"))
+    algorithm = parse_algorithm(body.get("algorithm"))
+    n = topology_nodes(topology)
+    if algorithm["name"] == "two-sweep" and not algorithm["id_bits"] \
+            and n is not None:
+        # Without id_bits the ids are 0..n-1, so q = n.
+        require_sweep_rounds(n, f"q = n = {n} (no id_bits)")
     return {
-        "topology": parse_topology(body.get("topology")),
-        "algorithm": parse_algorithm(body.get("algorithm")),
+        "topology": topology,
+        "algorithm": algorithm,
         "include_colors": bool(body.get("include_colors", False)),
         "trace": bool(body.get("trace", True)),
     }

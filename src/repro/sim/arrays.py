@@ -22,8 +22,8 @@ This module is the single switch point for that backend:
   integers never overflow;
 * **helpers** -- batched modular Horner evaluation of a
   :class:`~repro.substrates.cover_free.PolynomialFamily` and the small
-  sort/bincount-style neighbor-color tallies of the greedy-sweep and
-  Two-Sweep kernels, plus the color reduction's whole-bucket mex.
+  sort/bincount-style neighbor-color tallies of the greedy-sweep
+  kernel, plus the color reduction's whole-bucket mex.
 
 Process-pool workers inherit the parent's *resolved* decision via
 :func:`set_arrays_override` (shipped through ``_init_worker`` initargs),
@@ -240,7 +240,7 @@ def batched_horner(np, indices, m: int, k: int):
 
 
 # ----------------------------------------------------------------------
-# Neighbor-color tallies (greedy sweep / color reduction / two-sweep)
+# Neighbor-color tallies (greedy sweep / color reduction)
 # ----------------------------------------------------------------------
 def membership_counts(np, values, sorted_candidates):
     """How often each of ``sorted_candidates`` occurs in ``values``.

@@ -211,6 +211,44 @@ def test_seed_path_follows_mean_degree(monkeypatch):
     assert taken[2:] == ["_greedy_seed_loop", "_greedy_seed_loop"]
 
 
+@pytest.mark.parametrize("degree, at, above", [
+    (streaming._SEED_FRONTIER_MAX_MEAN_DEGREE, "_greedy_seed_numpy",
+     "_greedy_seed_loop"),
+    (streaming._SEED_NUMPY_MAX_MEAN_DEGREE, "_greedy_seed_loop",
+     "_greedy_seed_rows"),
+], ids=["frontier-loop", "loop-rows"])
+@pytest.mark.parametrize("seed", range(3))
+def test_seed_forms_agree_across_each_boundary(degree, at, above, seed,
+                                               monkeypatch):
+    """A ``degree``-regular graph sits exactly on a mean-degree boundary,
+    the same graph plus one edge just above it: all three forms give
+    the same bytes on both sides, and the dispatcher takes the form
+    each side names."""
+    rng = random.Random(seed)
+    n = rng.choice([64, 150, 300])
+    edges = list(streaming.regular_edges(n, degree, seed))
+    present = {frozenset(edge) for edge in edges}
+    extra = rng.choice([(u, v) for u in range(n) for v in range(u + 1, n)
+                        if frozenset((u, v)) not in present])
+    taken = []
+    forms = ("_greedy_seed_loop", "_greedy_seed_numpy", "_greedy_seed_rows")
+    runs = {form: getattr(streaming, form) for form in forms}
+    for form in forms:
+        monkeypatch.setattr(streaming, form,
+                            lambda *args, _form=form: taken.append(_form)
+                            or runs[_form](*args))
+    for stream, form in ((edges, at), (edges + [extra], above)):
+        compiled = CompiledNetwork.from_csr(*csr_from_edges(n, stream))
+        want = runs["_greedy_seed_loop"](compiled).tobytes()
+        for run in (runs["_greedy_seed_numpy"], runs["_greedy_seed_rows"]):
+            got = run(np, compiled)
+            assert got.dtype == np.int64
+            assert got.tobytes() == want
+        del taken[:]
+        assert streaming.greedy_seed_coloring(compiled).tobytes() == want
+        assert taken == [form]
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_inflated_column_on_both_backends(enabled):
     compiled = stream_grid(12, 17)

@@ -24,7 +24,7 @@ from repro.graphs import (
     grid_graph,
     ring_graph,
 )
-from repro.graphs import generators
+from repro.graphs import generators, streaming
 from repro.graphs.streaming import (
     csr_from_edges,
     gnp_edges,
@@ -42,13 +42,17 @@ from repro.graphs.streaming import (
     _csr_fill_numpy,
     _csr_fill_python,
 )
-from repro.sim import CompiledNetwork, Network
+from repro.sim import CompiledNetwork, Network, arrays
 from repro.sim.errors import NetworkError
 
 
 def _csr_bytes(compiled: CompiledNetwork):
-    return (bytes(memoryview(compiled.indptr)),
-            bytes(memoryview(compiled.indices)))
+    return _pair_bytes((compiled.indptr, compiled.indices))
+
+
+def _pair_bytes(csr):
+    """``(indptr, indices)`` buffers as bytes."""
+    return tuple(bytes(memoryview(buffer)) for buffer in csr)
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +92,55 @@ class TestRandomizedStreams:
         stream = list(gnp_edges(n, p, seed))
         materialized = Network.from_edges(range(n), stream).compile()
         assert _csr_bytes(stream_gnp(n, p, seed)) == _csr_bytes(materialized)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 300, 2000])
+    @pytest.mark.parametrize("p", [1e-12, 0.002, 0.15, 0.999, 1.0])
+    def test_gnp_block_fills_stream_bytes(self, n, p):
+        np = pytest.importorskip("numpy")
+        want = csr_from_edges(n, gnp_edges(n, p, n + 1))
+        got = csr_from_edges(n, streaming._gnp_block(np, n, p, n + 1))
+        assert _pair_bytes(got) == _pair_bytes(want)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 100])
+    @pytest.mark.parametrize("n,p", [(2, 0.5), (50, 0.999), (300, 0.15)])
+    def test_gnp_block_chunk_boundaries(self, monkeypatch, chunk, n, p):
+        """Walks that need many chunks, ending anywhere inside one."""
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(streaming, "_gnp_chunk", lambda expected: chunk)
+        for seed in range(3):
+            want = csr_from_edges(n, gnp_edges(n, p, seed))
+            got = csr_from_edges(n, streaming._gnp_block(np, n, p, seed))
+            assert _pair_bytes(got) == _pair_bytes(want), seed
+
+    def test_gnp_block_fails_as_the_stream_does(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(NetworkError, match="non-negative"):
+            streaming._gnp_block(np, -1, 0.5, 0)
+        # 1 - p rounds to 1.0: the stream divides by log(1 - p) == 0.
+        for edges in (gnp_edges(10, 1e-17, 0),
+                      streaming._gnp_block(np, 10, 1e-17, 0)):
+            with pytest.raises(ZeroDivisionError):
+                csr_from_edges(10, edges)
+
+    def test_stream_gnp_takes_the_block_with_numpy(self, monkeypatch):
+        pytest.importorskip("numpy")
+        blocks = []
+        original = streaming._gnp_block
+
+        def spy(*args):
+            blocks.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(streaming, "_gnp_block", spy)
+        previous = arrays.set_arrays_override(True)
+        try:
+            compiled = stream_gnp(310, 0.05, 12345)
+        finally:
+            arrays.set_arrays_override(previous)
+        assert blocks == [(310, 0.05, 12345)]
+        stream = list(gnp_edges(310, 0.05, 12345))
+        materialized = Network.from_edges(range(310), stream).compile()
+        assert _csr_bytes(compiled) == _csr_bytes(materialized)
 
     @pytest.mark.parametrize("n,degree,seed", [
         (40, 4, 3), (20, 3, 9), (12, 0, 1),

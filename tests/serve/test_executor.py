@@ -104,6 +104,25 @@ class TestSweeps:
         assert payload["error"]["type"] == "RequestError"
 
 
+    def test_unrunnable_node_count_is_an_error_payload(self, monkeypatch):
+        # parse_request rejects this for topologies that state n; the
+        # executor repeats the check where n is known only once the
+        # topology resolves (uploaded graphs).
+        spec = _spec({"kind": "ring-stream", "n": 100}, "two-sweep")
+        spec["topology"]["n"] = 500_000
+        built = []
+        monkeypatch.setattr(
+            "repro.graphs.oriented.orient_by_id",
+            lambda *args: built.append(args))
+        payload = execute_request(spec)
+        assert payload["status"] == "error"
+        assert payload["error"]["type"] == "RequestError"
+        assert payload["error"]["message"] == (
+            "q = n = 500000 (no id_bits) needs 1000001 two-sweep rounds, "
+            "over the 1000000 round limit")
+        assert built == []  # rejected before any instance work
+
+
 class TestFailuresAreResults:
     def test_stuck_instance_yields_algorithm_failure(self):
         payload = execute_request(_spec(

@@ -154,6 +154,33 @@ class TestAlgorithmParsing:
 
 
 class TestRequestParsing:
+    @pytest.mark.parametrize("topology, n", [
+        ({"kind": "ring-stream"}, None),
+        ({"kind": "gnp-stream", "p": 0.0}, None),
+        ({"kind": "regular-stream", "degree": 2}, None),
+        ({"kind": "edges", "edges": []}, None),
+        ({"kind": "grid-stream", "rows": 708, "cols": 707}, 500_556),
+        ({"kind": "tree-stream", "depth": 18}, 524_287),
+    ], ids=["ring", "gnp", "regular", "edges", "grid", "tree"])
+    def test_two_sweep_without_id_bits_bounded_by_round_limit(self,
+                                                              topology, n):
+        # Without id_bits q = n: 2n + 1 rounds, 999,999 at n = 499,999
+        # fits DEFAULT_MAX_ROUNDS = 10^6, 1,000,001 at 500,000 does not.
+        def request(algorithm, nodes):
+            spec = dict(topology, n=nodes) if n is None else topology
+            return parse_request({"topology": spec, "algorithm": algorithm})
+
+        if n is None:
+            assert request("two-sweep", 499_999)["algorithm"]["id_bits"] == 0
+        nodes = 500_000 if n is None else n
+        with pytest.raises(RequestError, match=(
+                rf"q = n = {nodes} \(no id_bits\) needs {2 * nodes + 1} "
+                r"two-sweep rounds, over the 1000000 round limit")):
+            request("two-sweep", nodes)
+        # Other algorithms do not sweep one round per node id.
+        for name in ("fast-two-sweep", "greedy-reduction"):
+            assert request(name, nodes)["algorithm"]["name"] == name
+
     def test_full_request(self):
         spec = parse_request({
             "topology": {"kind": "ring-stream", "n": 32},

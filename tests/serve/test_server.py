@@ -106,6 +106,27 @@ class TestEndpoints:
         assert payload["error"]["type"] == "RequestError"
         assert "round limit" in payload["error"]["message"]
 
+    def test_unrunnable_node_count_400(self, client):
+        # Without id_bits q = n, so 2n + 1 rounds: over the limit from
+        # n = 500,000 on, whether n is in the request ...
+        status, payload = client.color({
+            "topology": {"kind": "ring-stream", "n": 500_000},
+            "algorithm": "two-sweep",
+        })
+        assert status == 400
+        assert payload["error"]["type"] == "RequestError"
+        assert "1000001 two-sweep rounds" in payload["error"]["message"]
+        # ... or known only from an uploaded graph.
+        status, upload = client.upload(500_001, [])
+        assert status == 200
+        status, payload = client.color({
+            "topology": {"kind": "graph", "id": upload["id"]},
+            "algorithm": "two-sweep",
+        })
+        assert status == 400
+        assert payload["error"]["type"] == "RequestError"
+        assert "1000003 two-sweep rounds" in payload["error"]["message"]
+
     @pytest.mark.parametrize(
         "length", ["-5", "abc", "1_0", " "],
         ids=["negative", "letters", "underscore", "blank"],

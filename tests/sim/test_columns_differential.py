@@ -17,11 +17,17 @@ the algebraic recoloring (Lemma 3.4, both Linial variants, and
 ``run_recoloring`` with a relevant-set mapping) over drawn orientations
 (by id, random, degeneracy, all-out), feasible and infeasible
 instances, random identifier spaces, tripping bandwidth models and both
-array backends, vectorized against reference.
+array backends, vectorized against reference.  The Two-Sweep draws add
+paths (dependency DAGs as deep as the path), first-fit initial colorings
+(several deciders per round, idle classes), lists shorter than ``p``,
+program populations cut by ``max_rounds`` in either phase, and batch
+floors that put the kernel on its NumPy wave form or its class-order
+loop; a recording bandwidth model pins the CONGEST check order.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -62,7 +68,7 @@ from repro.sim import (
     use_engine,
 )
 from repro.sim.kernels import ColumnInputs, RoundKernel, register_kernel
-from repro.sim.scheduler import run_columns
+from repro.sim.scheduler import DEFAULT_MAX_ROUNDS, run_columns
 from repro.substrates import greedy as greedy_module
 from repro.substrates.algebraic import (
     AlgebraicRecoloringProgram,
@@ -125,17 +131,22 @@ def _topology(rng):
                                       for u, v in edges])
 
 
+def _first_fit(compiled):
+    """First-fit greedy classes in dense-id order: a proper coloring."""
+    colors = [0] * compiled.n
+    for i in range(compiled.n):
+        row = compiled.indices[compiled.indptr[i]:compiled.indptr[i + 1]]
+        used = {colors[j] for j in row if j < i}
+        colors[i] = min(set(range(len(used) + 1)) - used)
+    return colors
+
+
 def _palette(rng, order, compiled, q, target):
     n = len(order)
     kind = rng.choice(["proper", "improper", "wild", "huge", "bools"])
     if kind == "proper":
         # First-fit greedy classes: proper, though not always below q.
-        colors = [0] * n
-        for i in range(n):
-            row = compiled.indices[compiled.indptr[i]:compiled.indptr[i + 1]]
-            used = {colors[j] for j in row if j < i}
-            colors[i] = min(set(range(len(used) + 1)) - used)
-        return colors
+        return _first_fit(compiled)
     if kind == "improper":
         return [rng.randrange(max(q, 1)) for _ in range(n)]
     if kind == "wild":
@@ -322,11 +333,22 @@ def test_columns_run_without_columns_constructor_falls_back():
 # recoloring, both run from orientation and instance columns.
 # ----------------------------------------------------------------------
 #: Sweep cases per seed (each runs the reference engine for O(q) rounds).
-SWEEP_CASES = 12
+SWEEP_CASES = 24
+
+
+def _path(rng):
+    """A path in shuffled id order: oriented all-out, its sweep DAGs are
+    as deep as the path is long."""
+    n = rng.randint(2, 60)
+    names = list(range(n))
+    rng.shuffle(names)
+    return Network.from_edges(names, list(zip(names, names[1:])))
 
 
 def _orientation(rng, network):
     """An orientation from one of the repository's constructors."""
+    if rng.random() < 0.2:
+        return orient_all_out(network)
     names = [orient_random, orient_low_outdegree, orient_all_out]
     if all(type(node) is int for node in network.compile().order):
         names.append(orient_by_id)  # the named nodes do not compare
@@ -339,7 +361,20 @@ def _orientation(rng, network):
 def _instance(rng, graph, p, epsilon):
     """``(instance, check)``: a feasible draw, or an infeasible one run
     with ``check=False``."""
-    kind = rng.choice(["random", "nonuniform", "minimal", "stuck"])
+    kind = rng.choice(["random", "nonuniform", "minimal", "stuck",
+                       "short"])
+    if kind == "short":
+        # Lists shorter than p (some empty), of mixed sizes, with small
+        # or ample defects: sub-lists hold min(p, |L_v|) colors.
+        colors = range(rng.randint(1, 3 * p + 2))
+        lists = {node: rng.sample(colors, rng.randint(0, min(p, len(colors))))
+                 for node in graph.nodes}
+        return OLDCInstance(
+            graph, lists,
+            {node: {color: rng.choice([0, 1, 2, 40]) for color in colors}
+             for node, colors in lists.items()},
+            len(colors),
+        ), False
     if kind == "random":
         return random_oldc_instance(graph, p, rng.randrange(1000),
                                     epsilon=epsilon), True
@@ -368,6 +403,8 @@ def _result_outcome(call):
         if isinstance(result, tuple):  # (colors, palette)
             colors, palette = result
             return {"colors": list(colors.items()), "palette": palette}
+        if isinstance(result, dict):  # the program-list adapter
+            return result
         return {"colors": list(result.colors.items()),
                 "stats": result.stats}
 
@@ -393,7 +430,14 @@ def _sweep_call(rng, network):
     q = max(n, 1 << bits) if bits else n
     protocol = rng.choice(["two-sweep", "fast-two-sweep"] * 3
                           + ["kuhn", "linial", "linial-oriented",
-                             "mapping"])
+                             "mapping", "programs", "programs"])
+    if protocol in ("two-sweep", "programs") and rng.random() < 0.4:
+        # A proper first-fit coloring: rounds with several deciders, and
+        # idle classes when q exceeds the colors used.
+        compiled = network.compile()
+        colors = _first_fit(compiled)
+        ids = dict(zip(compiled.order, colors))
+        q = max(colors, default=0) + 1 + rng.choice([0, 0, 3])
     p = rng.choice([1, 2, 3])
     epsilon = rng.choice([0.25, 0.5]) if protocol == "fast-two-sweep" \
         else 0.0
@@ -405,6 +449,32 @@ def _sweep_call(rng, network):
         if rng.random() < 0.5:  # spare round 1: trip on sent finals
             payloads -= {ids[node] for node in tripped}
         bandwidth = TrippingModel(tripped, payloads)
+    if protocol == "programs":
+        # The program-list adapter, cut short mid-Phase I or mid-Phase
+        # II (same RoundLimitExceeded and ledger) or run to the end, its
+        # programs' k / r / sub-list / work compared after the run.
+        instance, _ = _instance(rng, graph, p, 0.0)
+        max_rounds = rng.choice([1, 2 + rng.randrange(q + 1),
+                                 q + 2 + rng.randrange(q),
+                                 DEFAULT_MAX_ROUNDS])
+        outs = {node: frozenset(graph.out_neighbors(node))
+                for node in network}
+
+        def call(ledger):
+            programs = {
+                node: TwoSweepProgram(
+                    node, ids[node], q, p, instance.lists[node],
+                    instance.defects[node], outs[node],
+                    instance.color_space_size)
+                for node in network
+            }
+            run_protocol(network, programs, bandwidth=bandwidth,
+                         ledger=ledger, max_rounds=max_rounds)
+            return {"programs": [
+                (node, program.final_color, program.sublist, program.k,
+                 program.r, program.local_work)
+                for node, program in programs.items()]}
+        return call, (protocol, type(graph).__name__, n, q, p, max_rounds)
     if protocol in ("two-sweep", "fast-two-sweep"):
         instance, check = _instance(rng, graph, p, epsilon)
 
@@ -445,9 +515,11 @@ def _sweep_call(rng, network):
 @pytest.mark.parametrize("seed", range(8))
 def test_sweep_pair_matches_reference(seed, monkeypatch):
     rng = random.Random(8100 + seed)
-    monkeypatch.setattr(arrays, "MIN_BATCH", 0)
     for case in range(SWEEP_CASES):
-        network = _topology(rng)
+        network = _path(rng) if rng.random() < 0.2 else _topology(rng)
+        # MIN_BATCH 0 puts every sweep on the NumPy wave form; 4 and 32
+        # send small or deep-DAG populations to the class-order loop.
+        monkeypatch.setattr(arrays, "MIN_BATCH", rng.choice([0, 0, 4, 32]))
         monkeypatch.setenv(arrays.ARRAYS_ENV, rng.choice(["0", "1"]))
         monkeypatch.setenv(arrays.CHUNK_ENV, rng.choice(["", "3"]))
         monkeypatch.setattr(arrays, "MIN_TALLY", rng.choice([0, 6, 512]))
@@ -462,6 +534,96 @@ def test_sweep_pair_matches_reference(seed, monkeypatch):
         want = _result_outcome(on("reference"))
         got = _result_outcome(on("vectorized"))
         assert got == want, (seed, case) + context
+
+
+class RecordingModel(BandwidthModel):
+    """Admits everything and logs each check, one per copy, so the
+    vectorized engine's per-broadcast ``check_fanout`` logs what the
+    reference engine's per-copy checks do."""
+
+    name = "RECORD"
+
+    def __init__(self):
+        self.log = []
+
+    def check(self, message):
+        self.log.append((type(message).__name__, message.sender,
+                         getattr(message, "receiver", None), message.tag,
+                         message.payload))
+
+    def check_fanout(self, envelope, copies):
+        for _ in range(copies):
+            self.check(envelope)
+
+    def budget_bits(self):
+        return None
+
+
+def test_two_sweep_checks_failures_and_round_limits(monkeypatch):
+    """Every CONGEST check in reference order, Phase II failures in
+    rounds with several deciders, and ``max_rounds`` cuts across both
+    phases: same check log, exception text and ledger as the reference
+    engine, on the wave form, the class-order loop and both backends."""
+    two_sweep_module = importlib.import_module("repro.core.two_sweep")
+    failed_after_finals = 0
+    for seed in range(12):
+        rng = random.Random(8600 + seed)
+        network = stream_gnp(rng.randint(30, 60), 0.15, seed)
+        compiled = network.compile()
+        graph = orient_random(network, random.Random(seed))
+        # Odd seeds use the even classes only: an idle round between
+        # any two Phase II decider rounds.
+        spread = 1 + seed % 2
+        colors = [spread * color for color in _first_fit(compiled)]
+        initial = dict(zip(compiled.order, colors))
+        q = max(colors) + 1 + seed % 3
+        p = rng.choice([1, 2, 3])
+        drawn = random_oldc_instance(graph, p, seed)
+        # Zero defects on half the nodes: some Phase II round fails,
+        # often after other deciders of its class sent their finals.
+        tight = set(rng.sample(list(compiled.order), compiled.n // 2))
+        instance = OLDCInstance(
+            graph, drawn.lists,
+            {node: ({color: 0 for color in drawn.lists[node]}
+                    if node in tight else drawn.defects[node])
+             for node in compiled.order},
+            drawn.color_space_size,
+        )
+        for max_rounds in (DEFAULT_MAX_ROUNDS, 1, 2, q // 2 + 2, q + 1,
+                           q + 2, q + 2 + q // 2, q + 3 + q // 2, 2 * q,
+                           2 * q + 1):
+            monkeypatch.setattr(
+                two_sweep_module, "run_columns",
+                lambda *args, _limit=max_rounds, **kwargs: run_columns(
+                    *args, max_rounds=_limit, **kwargs))
+            outcomes = []
+            for engine, backend, batch in (("reference", "1", 0),
+                                           ("vectorized", "1", 0),
+                                           ("vectorized", "1", 10 ** 6),
+                                           ("vectorized", "0", 0)):
+                monkeypatch.setenv(arrays.ARRAYS_ENV, backend)
+                monkeypatch.setattr(arrays, "MIN_BATCH", batch)
+                model = RecordingModel()
+
+                def call(ledger, _model=model, _engine=engine):
+                    with use_engine(_engine):
+                        return two_sweep(instance, initial, q, p,
+                                         ledger=ledger, bandwidth=_model,
+                                         check=False)
+
+                outcomes.append((_result_outcome(call), model.log))
+            reference = outcomes[0]
+            for got in outcomes[1:]:
+                assert got == reference, (seed, max_rounds)
+            error = reference[0][1]
+            if error is not None and error[0] == "AlgorithmFailure":
+                failing = int(error[1].split(":")[0].split()[1])
+                _, sender, _, tag, _ = reference[1][-1]
+                failed_after_finals += (tag == "final-color"
+                                        and initial[sender]
+                                        == initial[failing])
+    # The failing decider was not its round's first in several runs.
+    assert failed_after_finals >= 3
 
 
 def test_oldc_sweep_trial_builds_no_programs(monkeypatch):
