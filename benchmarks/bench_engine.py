@@ -84,11 +84,11 @@ from repro.sim import (
     Network,
     NodeProgram,
     RoundKernel,
-    Scheduler,
     register_kernel,
     use_engine,
 )
-from repro.sim.kernels import fanout_totals
+from repro.sim.kernels import ColumnInputs, fanout_totals
+from repro.sim.scheduler import run_columns
 from repro.substrates import greedy_arbdefective_sweep, linial_coloring
 from repro.substrates.cache import load_from_disk, save_to_disk
 
@@ -165,35 +165,36 @@ class _Flooder(NodeProgram):
 # Both stress programs are pure broadcast clocks: their entire round
 # behavior is a function of the round number and the topology, so the
 # kernels reduce each round to a handful of precomputed totals.  They
-# decline CONGEST runs (the bench only measures LOCAL; the scheduler
-# falls back to the reference engine, which is exact under any model) --
-# registering them here also demonstrates that the kernel registry is
-# open to program classes outside the library substrates.
+# run from columns (``lifetimes`` / ``rounds``) and decline CONGEST
+# runs (the bench only measures LOCAL; the scheduler falls back to the
+# reference engine, which is exact under any model) -- registering them
+# here also demonstrates that the kernel registry is open to program
+# classes outside the library substrates.
 # ----------------------------------------------------------------------
 class _StragglerKernel(RoundKernel):
     """Stragglers broadcast in rounds 1-2 and halt on a fixed schedule."""
 
-    def prepare(self, compiled, programs, bandwidth):
+    def prepare(self, compiled, inputs, bandwidth):
         from repro.sim import LocalModel
 
         if type(bandwidth) is not LocalModel:
             return None
-        if any(program.seen for program in programs):
-            return None
+        lifetimes = inputs.data["lifetimes"]
         degrees = compiled.degrees
         total_copies, envelopes = fanout_totals(compiled)
         copies_r2 = 0
         envelopes_r2 = 0
         halts: Dict[int, int] = {}
-        for i, program in enumerate(programs):
-            halt_round = max(1, program.lifetime)
+        for i, lifetime in enumerate(lifetimes):
+            halt_round = max(1, lifetime)
             halts[halt_round] = halts.get(halt_round, 0) + 1
             if halt_round >= 2 and degrees[i]:
                 copies_r2 += degrees[i]
                 envelopes_r2 += 1
         return {
+            "lifetimes": lifetimes,
             "halts": halts,
-            "remaining": len(programs),
+            "remaining": len(lifetimes),
             "round1": (total_copies, envelopes),
             "round2": (copies_r2, envelopes_r2),
         }
@@ -215,27 +216,23 @@ class _StragglerKernel(RoundKernel):
             )
         return KernelRound(active=remaining)
 
-    def finalize(self, columns, programs) -> None:
-        for program in programs:
-            program.seen = max(1, program.lifetime)
+    def finalize(self, columns, inputs) -> None:
+        inputs.outputs = [max(1, lifetime)
+                          for lifetime in columns["lifetimes"]]
 
 
 class _FlooderKernel(RoundKernel):
     """Flooders broadcast every round until a shared cutoff, then halt."""
 
-    def prepare(self, compiled, programs, bandwidth):
+    def prepare(self, compiled, inputs, bandwidth):
         from repro.sim import LocalModel
 
         if type(bandwidth) is not LocalModel:
             return None
-        rounds = programs[0].rounds
-        for program in programs:
-            if program.rounds != rounds or program.heard:
-                return None
         total_copies, envelopes = fanout_totals(compiled)
         return {
-            "rounds": rounds,
-            "n": len(programs),
+            "rounds": inputs.data["rounds"],
+            "n": compiled.n,
             "degrees": compiled.degrees,
             "total_copies": total_copies,
             "envelopes": envelopes,
@@ -253,12 +250,11 @@ class _FlooderKernel(RoundKernel):
             broadcasts=columns["envelopes"],
         )
 
-    def finalize(self, columns, programs) -> None:
+    def finalize(self, columns, inputs) -> None:
         # Every neighbor broadcast in rounds 1..R; node v ingested one
         # copy per neighbor per round in rounds 2..R+1.
         rounds = columns["rounds"]
-        for program, degree in zip(programs, columns["degrees"]):
-            program.heard = rounds * degree
+        inputs.outputs = [rounds * degree for degree in columns["degrees"]]
 
 
 register_kernel(_Straggler, _StragglerKernel)
@@ -268,21 +264,31 @@ register_kernel(_Flooder, _FlooderKernel)
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-def _run_scheduler(network: Network, programs, engine: str):
-    scheduler = Scheduler(network, programs)
-    scheduler.run(engine=engine)
-    return scheduler.outputs(), scheduler.ledger
+def _run_columns(network: Network, program_class, data, build, engine: str):
+    """Run a stress population from its columns; ``build(node, i)``
+    makes node ``i``'s program when the run leaves the kernel."""
+    order = network.compile().order
+    inputs = ColumnInputs(program_class, data, lambda: {
+        node: build(node, i) for i, node in enumerate(order)
+    })
+    outputs, ledger = run_columns(network, inputs, engine=engine)
+    return dict(zip(order, outputs)), ledger, network
 
 
 def workload_gnp_stragglers(n: int, engine: str):
     network = gnp_graph(n, 8.0 / n, seed=11)
     long_life = max(50, n // 2)
     stride = max(1, n // 16)
-    programs = {}
-    for i, node in enumerate(network):
-        lifetime = long_life if i % stride == 0 else 2 + (i % 8)
-        programs[node] = _Straggler(node, lifetime)
-    return _run_scheduler(network, programs, engine) + (network,)
+    lifetimes = [long_life if i % stride == 0 else 2 + (i % 8)
+                 for i in range(len(network))]
+    return _run_columns(network, _Straggler, {"lifetimes": lifetimes},
+                        lambda node, i: _Straggler(node, lifetimes[i]),
+                        engine)
+
+
+def _run_flood(network: Network, rounds: int, engine: str):
+    return _run_columns(network, _Flooder, {"rounds": rounds},
+                        lambda node, i: _Flooder(node, rounds), engine)
 
 
 def workload_gnp_greedy_sweep(n: int, engine: str):
@@ -303,16 +309,14 @@ def workload_tree_flood(n: int, engine: str):
     depth = max(2, n.bit_length() - 1)
     network = binary_tree(depth)
     rounds = max(20, min(200, n // 8))
-    programs = {node: _Flooder(node, rounds) for node in network}
-    return _run_scheduler(network, programs, engine) + (network,)
+    return _run_flood(network, rounds, engine)
 
 
 def workload_clique_exchange(n: int, engine: str):
     size = max(8, int(n ** 0.5) * 4)
     network = complete_graph(size)
     rounds = max(10, n // 40)
-    programs = {node: _Flooder(node, rounds) for node in network}
-    return _run_scheduler(network, programs, engine) + (network,)
+    return _run_flood(network, rounds, engine)
 
 
 def workload_linial_algebraic(n: int, engine: str):
@@ -335,8 +339,7 @@ def workload_linial_algebraic(n: int, engine: str):
 def workload_star_fanout(n: int, engine: str):
     network = star_graph(max(7, n - 1))
     rounds = max(20, min(400, n // 4))
-    programs = {node: _Flooder(node, rounds) for node in network}
-    return _run_scheduler(network, programs, engine) + (network,)
+    return _run_flood(network, rounds, engine)
 
 
 def workload_two_sweep(n: int, engine: str):

@@ -46,8 +46,9 @@ _FALLBACK_NOTES = {
     "observer": "a RoundObserver pins runs to the reference engine "
                 "(use --trace for kernel-preserving telemetry)",
     "stop_when": "a stop oracle needs per-node, per-round inspection",
-    "empty": "the scheduler had no node programs to batch",
-    "mixed": "node programs are heterogeneous (no single kernel applies)",
+    "programs": "the protocol runs node programs; kernels run only "
+                "from columns",
+    "empty": "the scheduler had no nodes to batch",
     "unregistered": "no kernel is registered for this program class",
     "declined": "the kernel's prepare() declined this population",
 }

@@ -6,14 +6,16 @@ Theorem 1.1 requires, for a parameter ``p >= 1`` and ``epsilon >= 0``,
 
 for every node.  For a single node this carves out an open interval of
 feasible ``p`` values; the instance-wide feasible set is the intersection.
-This module computes that interval and picks parameters, and hosts small
-helpers for rescaling defect functions in the reductions of Sections 3-4.
+This module computes that interval and picks parameters, hosts small
+helpers for rescaling defect functions in the reductions of Sections 3-4,
+and states the two per-node choice rules of the sweeps once
+(:func:`rank_sublist`, :func:`first_fit`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .instance import OLDCInstance
 
@@ -128,3 +130,30 @@ def drop_negative_defects(lists: Mapping[Node, Iterable[Color]],
         new_lists[node] = kept
         new_defects[node] = {color: defect_fn[color] for color in kept}
     return new_lists, new_defects
+
+
+def rank_sublist(colors: Sequence[Color], k: Mapping[Color, int],
+                 defect: Mapping[Color, int], p: int) -> Tuple[Color, ...]:
+    """Algorithm 1's Phase I rule: the sub-list ``S_v``.
+
+    The first ``p`` of ``colors`` sorted by ``(k(x) - d(x), x)``: the
+    colors with the most room ``d(x) - k(x)`` left, ties to the smaller
+    color.  ``k`` and ``defect`` map every color of ``colors``.
+    """
+    return tuple(sorted(colors, key=lambda x: (k[x] - defect[x], x))[:p])
+
+
+def first_fit(colors: Iterable[Color], load: Mapping[Color, int],
+              defect: Mapping[Color, int]) -> Tuple[Optional[Color], int]:
+    """The probe of Algorithm 1's Phase II and of the greedy class sweep.
+
+    Returns the first of ``colors``, in ascending order, whose ``load``
+    fits its defect (``load[x] <= defect[x]``), or ``None``, together
+    with the number of colors probed.
+    """
+    probes = 0
+    for color in sorted(colors):
+        probes += 1
+        if load[color] <= defect[color]:
+            return color, probes
+    return None, probes

@@ -58,6 +58,13 @@ def check_fast_two_sweep_preconditions(instance: OLDCInstance,
         )
 
 
+def plain_sweep_route(q: int, p: int, epsilon: float) -> bool:
+    """Whether Algorithm 2 runs plain Algorithm 1 over the ``q`` colors:
+    always for ``epsilon = 0``, and by its line 1 when there are few
+    initial colors, ``q <= (p / epsilon)^2 + log* q``."""
+    return epsilon == 0.0 or q <= (p / epsilon) ** 2 + log_star(q)
+
+
 def fast_two_sweep(instance: OLDCInstance,
                    initial_colors: Mapping[Node, Color],
                    q: int,
@@ -84,13 +91,7 @@ def fast_two_sweep(instance: OLDCInstance,
     ledger = ensure_ledger(ledger)
     if check:
         check_fast_two_sweep_preconditions(instance, p, epsilon)
-    if epsilon == 0.0:
-        return two_sweep(
-            instance, initial_colors, q, p,
-            ledger=ledger, bandwidth=bandwidth, check=check, trace=trace,
-        )
-    # Line 1 of Algorithm 2: with few initial colors the plain sweep wins.
-    if q <= (p / epsilon) ** 2 + log_star(q):
+    if plain_sweep_route(q, p, epsilon):
         return two_sweep(
             instance, initial_colors, q, p,
             ledger=ledger, bandwidth=bandwidth, check=check, trace=trace,

@@ -37,6 +37,7 @@ from contextlib import nullcontext
 from itertools import accumulate, repeat
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
+from ..coloring.defects import first_fit, rank_sublist
 from ..coloring.instance import OLDCInstance
 from ..obs.tracer import current_tracer
 from ..coloring.result import ColoringResult
@@ -51,6 +52,7 @@ from ..sim.kernels import (
     ColumnInputs,
     KernelRound,
     RoundKernel,
+    check_broadcasts,
     fanout_totals,
     register_kernel,
 )
@@ -140,13 +142,10 @@ class TwoSweepProgram(NodeProgram):
     # Phase I: pick the sub-list S_v
     # ------------------------------------------------------------------
     def _act_phase1(self, ctx: RoundContext) -> None:
-        ranked = sorted(
-            self.color_list,
-            key=lambda color: (-(self.defect_fn[color] - self.k[color]), color),
-        )
         size = len(self.color_list)
         self.local_work += size * max(1, (size - 1).bit_length())
-        self.sublist = tuple(ranked[: self.p])
+        self.sublist = rank_sublist(self.color_list, self.k, self.defect_fn,
+                                    self.p)
         if self.trace is not None:
             self.trace.append({
                 "node": self.node,
@@ -165,12 +164,12 @@ class TwoSweepProgram(NodeProgram):
     # Phase II: commit to a color satisfying Eq. (5)
     # ------------------------------------------------------------------
     def _act_phase2(self, ctx: RoundContext) -> None:
-        chosen = None
-        for color in sorted(self.sublist):
-            self.local_work += 1
-            if self.k[color] + self.r[color] <= self.defect_fn[color]:
-                chosen = color
-                break
+        chosen, probes = first_fit(
+            self.sublist,
+            {color: self.k[color] + self.r[color] for color in self.sublist},
+            self.defect_fn,
+        )
+        self.local_work += probes
         if chosen is None:
             raise AlgorithmFailure(
                 f"node {self.node!r}: no color in S_v = {self.sublist} "
@@ -351,50 +350,6 @@ def two_sweep(instance: OLDCInstance,
     )
 
 
-def _sweep_columns(compiled, programs):
-    """The one programs -> columns extractor of the sweep.
-
-    Returns the :meth:`TwoSweepKernel.from_columns` arguments after
-    ``compiled``, or ``None`` unless the population is a fresh uniform
-    run: shared ``q``/``p``/``color_space_size``, no trace, no mid-run
-    state, and a defect for every listed color.
-    """
-    first = programs[0]
-    q = first.q
-    p = first.p
-    color_space_size = first.color_space_size
-    order = compiled.order
-    indptr = compiled.indptr
-    indices = compiled.indices
-    list_indptr = [0]
-    colors: List[Color] = []
-    defects: List[int] = []
-    out_indptr = [0]
-    out_indices: List[int] = []
-    for i, program in enumerate(programs):
-        defect_fn = program.defect_fn
-        if (program.q != q or program.p != p
-                or program.color_space_size != color_space_size
-                or program.trace is not None
-                or program.final_color is not None
-                or program.sublist or program.neighbor_initial
-                or program.local_work
-                or any(program.k.values()) or any(program.r.values())
-                or not all(color in defect_fn
-                           for color in program.color_list)):
-            return None
-        colors.extend(program.color_list)
-        defects.extend([defect_fn[color] for color in program.color_list])
-        list_indptr.append(len(colors))
-        outs = program.out_neighbors
-        out_indices.extend(j for j in indices[indptr[i]:indptr[i + 1]]
-                           if order[j] in outs)
-        out_indptr.append(len(out_indices))
-    initial = [program.initial_color for program in programs]
-    return (initial, q, p, color_space_size,
-            (list_indptr, colors, defects), (out_indptr, out_indices))
-
-
 def _split_arrays(np, indptr, indices, column):
     """Each node's CSR entries of smaller / larger initial color.
 
@@ -523,8 +478,9 @@ class _Decisions:
 
 
 class _PythonDecisions(_Decisions):
-    """The per-node program code, Phase I in ascending and Phase II in
-    descending class order; Phase II stops at the first failure."""
+    """The per-node rules (:func:`rank_sublist`, :func:`first_fit`), Phase
+    I in ascending and Phase II in descending class order; Phase II
+    stops at the first failure."""
 
     def __init__(self, compiled, initial, p, lists, outs, bits_color):
         n = compiled.n
@@ -565,12 +521,9 @@ class _PythonDecisions(_Decisions):
                         if color in k:
                             k[color] += 1
                 defect = dict(zip(clist, list_defects[lo:hi]))
-                ranked = sorted(
-                    clist, key=lambda color: (k[color] - defect[color], color)
-                )
                 size = hi - lo
                 lw += size * max(1, (size - 1).bit_length())
-                sub = sublists[i] = tuple(ranked[:p])
+                sub = sublists[i] = rank_sublist(clist, k, defect, p)
                 kdicts[i] = k
                 defect_fns[i] = defect
                 work[i] = lw
@@ -598,15 +551,15 @@ class _PythonDecisions(_Decisions):
                     neighbor_final = finals[j]
                     if neighbor_final in k:
                         rc[neighbor_final] = rc.get(neighbor_final, 0) + 1
-                for color in sorted(sublists[i]):
-                    lw += 1
-                    if k[color] + rc.get(color, 0) <= defect[color]:
-                        finals[i] = color
-                        break
-                else:
+                sub = sublists[i]
+                final, probes = first_fit(
+                    sub, {color: k[color] + rc.get(color, 0) for color in sub},
+                    defect)
+                if final is None:
                     failed = i
                     break
-                work[i] += lw
+                finals[i] = final
+                work[i] += lw + probes
                 sent += receivers_ptr[i + 1] - receivers_ptr[i]
             finals_sent[t] = sent
             if failed is not None:
@@ -649,7 +602,8 @@ class _ArrayDecisions(_Decisions):
     list, the ranking one ``lexsort`` by (node, k - d, color), the first
     ``p`` of each node its sub-list.  Phase II: the later out-neighbors'
     finals are counted against the sub-list, and the final is the first
-    sub-list color in color order with ``k + r <= d``.
+    sub-list color in color order with ``k + r <= d``: the same rules
+    as :func:`rank_sublist` and :func:`first_fit`, a wave at a time.
     """
 
     @classmethod
@@ -931,38 +885,22 @@ class TwoSweepKernel(RoundKernel):
     neighbor of the minimum present class has a smaller initial color),
     giving the same clean quiescence round as the reference engine.
 
-    :meth:`from_columns` is the one columns constructor: ``two_sweep``
-    reaches it through the scheduler's columns entry with the
-    instance's list and out-neighbor CSR columns, and the program-list
-    ``prepare`` is an adapter over the same columns
-    (:func:`_sweep_columns`).
-
+    ``two_sweep`` reaches :meth:`from_columns` through the scheduler's
+    columns entry with the instance's list and out-neighbor CSR columns.
     Declines traces (per-round events cannot be replayed from a bucketed
-    pass), mid-run state, non-uniform ``q``/``p``/``color_space_size``,
-    and initial colors outside ``[0, q)``.  ``finalize`` restores
-    ``final_color``, ``sublist``, ``k``, ``r`` and ``local_work`` (or
-    fills ``ColumnInputs.outputs`` and its ``local_work`` extra); the
-    ``neighbor_initial`` ingest dict is not reconstructed (same
-    convention as the greedy-sweep kernel).
+    pass) and initial colors outside ``[0, q)``.  ``finalize`` fills
+    ``ColumnInputs.outputs`` and its ``local_work`` extra.
     """
 
-    def prepare(self, compiled, programs, bandwidth):
-        if isinstance(programs, ColumnInputs):
-            data = programs.data
-            if data["trace"] is not None:
-                return None
-            return self.from_columns(
-                compiled, data["initial"], data["q"], data["p"],
-                data["color_space_size"], data["lists"], data["outs"],
-                bandwidth,
-            )
-        extracted = _sweep_columns(compiled, programs)
-        if extracted is None:
+    def prepare(self, compiled, inputs, bandwidth):
+        data = inputs.data
+        if data["trace"] is not None:
             return None
-        columns = self.from_columns(compiled, *extracted, bandwidth)
-        if columns is not None:
-            columns["names"] = [program.node for program in programs]
-        return columns
+        return self.from_columns(
+            compiled, data["initial"], data["q"], data["p"],
+            data["color_space_size"], data["lists"], data["outs"],
+            bandwidth,
+        )
 
     def from_columns(self, compiled, initial, q, p, color_space_size,
                      lists, outs, bandwidth):
@@ -997,9 +935,6 @@ class TwoSweepKernel(RoundKernel):
         failing = (None if decided.failed is None
                    else 2 * q + 1 - initial[decided.failed])
         return {
-            # Failure messages name the node; the program adapter puts
-            # each program's ``node`` here.
-            "names": compiled.order,
             "order": compiled.order,
             "initial": initial,
             "q": q,
@@ -1041,15 +976,8 @@ class TwoSweepKernel(RoundKernel):
         degrees = columns["degrees"]
         q = columns["q"]
         if round_number == 1:
-            bits = columns["bits_initial"]
-            initial = columns["initial"]
-            for i, degree in enumerate(degrees):
-                if degree:
-                    check.check_fanout(
-                        intern_broadcast(order[i], _TAG_INITIAL, initial[i],
-                                         bits),
-                        degree,
-                    )
+            check_broadcasts(check.check_fanout, order, degrees, _TAG_INITIAL,
+                             columns["initial"], columns["bits_initial"])
             return
         bits_color = columns["bits_color"]
         if round_number <= q + 1:
@@ -1068,7 +996,7 @@ class TwoSweepKernel(RoundKernel):
             if i == decided.failed:
                 k = decided.k(i)
                 raise AlgorithmFailure(
-                    f"node {columns['names'][i]!r}: no color in S_v = "
+                    f"node {order[i]!r}: no color in S_v = "
                     f"{decided.sublist(i)} satisfies Eq. (5); k={k} "
                     f"r={decided.r(i, k)} -- Eq. (2) must have been "
                     f"violated"
@@ -1081,19 +1009,10 @@ class TwoSweepKernel(RoundKernel):
                         sender, order[j], _TAG_FINAL, chosen, bits_color
                     ))
 
-    def finalize(self, columns, programs) -> None:
+    def finalize(self, columns, inputs) -> None:
         decided = columns["decided"]
-        if isinstance(programs, ColumnInputs):
-            programs.outputs = decided.finals_column()
-            programs.extras["local_work"] = decided.work
-            return
-        for i, program in enumerate(programs):
-            k = decided.k(i)
-            program.sublist = decided.sublist(i)
-            program.final_color = decided.final(i)
-            program.local_work = decided.work[i]
-            program.k = k
-            program.r = decided.r(i, k)
+        inputs.outputs = decided.finals_column()
+        inputs.extras["local_work"] = decided.work
 
 
 register_kernel(TwoSweepProgram, TwoSweepKernel)

@@ -107,8 +107,12 @@ def gnp_edges(n: int, p: float, seed: int) -> Iterator[Edge]:
             for v in range(u + 1, n):
                 yield (u, v)
         return
-    rng = random.Random(seed)
     log_skip = math.log(1.0 - p)
+    if log_skip == 0.0:
+        # 1 - p rounds to 1 (p below ~1.1e-16): every gap is infinite,
+        # so the walk passes all pairs before its first edge.
+        return
+    rng = random.Random(seed)
     # Unrank pair index t -> (u, v) incrementally: row u covers the
     # contiguous block [row_start, row_start + n - u - 1).
     u = 0
@@ -346,8 +350,8 @@ def _gnp_block(np, n: int, p: float, seed: int):
     if p == 1.0:
         return np.stack(np.triu_indices(n, 1), axis=1).astype(np.int64)
     log_skip = math.log(1.0 - p)
-    if log_skip == 0.0:
-        return gnp_edges(n, p, seed)  # fails as the stream does
+    if log_skip == 0.0:  # edgeless, as the stream
+        return np.empty((0, 2), dtype=np.int64)
     draw = random.Random(seed).random
     log = math.log
     chunk = _gnp_chunk(p * total)

@@ -31,7 +31,12 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..sim.errors import SimulationError
 from ..sim.metrics import CostLedger
-from .schema import RequestError, require_sweep_rounds, topology_key
+from .schema import (
+    RequestError,
+    require_list_entries,
+    require_sweep_rounds,
+    topology_key,
+)
 
 #: Result payloads above this node count drop the full color mapping
 #: unless the request explicitly asks for it (``include_colors``).
@@ -358,11 +363,12 @@ def _run_sweep(compiled: Any, params: Dict[str, Any],
     from ..graphs.identifiers import random_ids, sequential_ids
     from ..graphs.oriented import orient_by_id
 
-    if not fast and not params["id_bits"]:
-        # Uploaded graphs: n is known only now (parse_request checks the
-        # topologies that state it).
+    # Uploaded graphs: n is known only now (parse_request checks the
+    # topologies that state it).
+    require_list_entries(compiled.n, params["p"])
+    if not params["id_bits"]:
         require_sweep_rounds(compiled.n,
-                             f"q = n = {compiled.n} (no id_bits)")
+                             f"q = n = {compiled.n} (no id_bits)", params)
     graph = orient_by_id(compiled)
     if params["lists"] == "stuck":
         # A deliberately infeasible instance: every node holds the single

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from ..core.fast_two_sweep import plain_sweep_route
 from ..sim.scheduler import DEFAULT_MAX_ROUNDS
 
 #: Version stamp carried by every response body this repo emits.
@@ -48,6 +49,12 @@ MAX_REQUEST_NODES = 2_000_000
 
 #: Edge ceiling for inline / uploaded edge lists (JSON-transport bound).
 MAX_REQUEST_EDGES = 5_000_000
+
+#: Ceiling on a sweep request's list entries, ``n * p**2`` (the seeded
+#: instance gives each node ``p**2`` colors): a million nodes at p = 2.
+#: Building one costs about 2-4 us and 60 bytes an entry; p = 64 on
+#: 2,000 nodes (8.2M entries) took 13.5 s and 494 MB.
+MAX_REQUEST_LIST_ENTRIES = 4_000_000
 
 TOPOLOGY_KINDS = (
     "ring-stream", "grid-stream", "tree-stream", "gnp-stream",
@@ -185,19 +192,35 @@ def parse_topology(spec: Any) -> Dict[str, Any]:
     return out
 
 
-def require_sweep_rounds(q: int, what: str) -> None:
-    """Raise :class:`RequestError` unless a two-sweep over ``q`` initial
-    colors fits the round limit.
+def require_sweep_rounds(q: int, what: str,
+                         algorithm: Dict[str, Any]) -> None:
+    """Raise :class:`RequestError` unless a sweep request over ``q``
+    initial colors fits the round limit.
 
     Algorithm 1 sweeps the ``q`` colors twice, one round each, plus an
     opening round; past ``DEFAULT_MAX_ROUNDS`` the run could only end in
-    RoundLimitExceeded.
+    RoundLimitExceeded.  ``two-sweep`` always runs it, ``fast-two-sweep``
+    when it takes Algorithm 2's plain route (:func:`plain_sweep_route`).
     """
+    if (algorithm["name"] == "fast-two-sweep"
+            and not plain_sweep_route(q, algorithm["p"],
+                                      algorithm["epsilon"])):
+        return
     rounds = 2 * q + 1
     if rounds > DEFAULT_MAX_ROUNDS:
         raise RequestError(
             f"{what} needs {rounds} two-sweep rounds, over the "
             f"{DEFAULT_MAX_ROUNDS} round limit"
+        )
+
+
+def require_list_entries(n: int, p: int) -> None:
+    """Raise :class:`RequestError` unless a sweep instance over ``n``
+    nodes, ``p**2`` colors each, fits :data:`MAX_REQUEST_LIST_ENTRIES`."""
+    if n * p * p > MAX_REQUEST_LIST_ENTRIES:
+        raise RequestError(
+            f"n * p^2 = {n} * {p}^2 = {n * p * p} list entries, over "
+            f"the {MAX_REQUEST_LIST_ENTRIES} limit"
         )
 
 
@@ -235,9 +258,6 @@ def parse_algorithm(spec: Any) -> Dict[str, Any]:
     out["p"] = _require_int(spec, "p", 1, 64, default=2)
     out["seed"] = _require_int(spec, "seed", 0, 2 ** 31 - 1, default=0)
     out["id_bits"] = _require_int(spec, "id_bits", 0, 62, default=0)
-    if name == "two-sweep":
-        require_sweep_rounds(2 ** out["id_bits"],
-                             f"id_bits={out['id_bits']}")
     out["check"] = bool(spec.get("check", True))
     lists = spec.get("lists", "random")
     if lists not in ("random", "stuck"):
@@ -246,6 +266,8 @@ def parse_algorithm(spec: Any) -> Dict[str, Any]:
     if name == "fast-two-sweep":
         out["epsilon"] = _require_float(spec, "epsilon", 1e-6, 1.0,
                                         default=0.25)
+    require_sweep_rounds(2 ** out["id_bits"], f"id_bits={out['id_bits']}",
+                         out)
     return out
 
 
@@ -260,10 +282,12 @@ def parse_request(body: Any) -> Dict[str, Any]:
     topology = parse_topology(body.get("topology"))
     algorithm = parse_algorithm(body.get("algorithm"))
     n = topology_nodes(topology)
-    if algorithm["name"] == "two-sweep" and not algorithm["id_bits"] \
-            and n is not None:
-        # Without id_bits the ids are 0..n-1, so q = n.
-        require_sweep_rounds(n, f"q = n = {n} (no id_bits)")
+    if algorithm["name"] != "greedy-reduction" and n is not None:
+        # Uploaded graphs are checked once resolved (executor._run_sweep).
+        require_list_entries(n, algorithm["p"])
+        if not algorithm["id_bits"]:
+            # Without id_bits the ids are 0..n-1, so q = n.
+            require_sweep_rounds(n, f"q = n = {n} (no id_bits)", algorithm)
     return {
         "topology": topology,
         "algorithm": algorithm,

@@ -21,9 +21,8 @@ This module is the single switch point for that backend:
   :data:`MAX_COLOR`); fields beyond that fall back to pure Python, whose
   integers never overflow;
 * **helpers** -- batched modular Horner evaluation of a
-  :class:`~repro.substrates.cover_free.PolynomialFamily` and the small
-  sort/bincount-style neighbor-color tallies of the greedy-sweep
-  kernel, plus the color reduction's whole-bucket mex.
+  :class:`~repro.substrates.cover_free.PolynomialFamily` and the color
+  reduction's whole-bucket mex.
 
 Process-pool workers inherit the parent's *resolved* decision via
 :func:`set_arrays_override` (shipped through ``_init_worker`` initargs),
@@ -64,12 +63,11 @@ MAX_COLOR = (1 << 62) - 1
 #: Tests monkeypatch this to 0 to force the array path on tiny graphs.
 MIN_BATCH = 32
 
-#: Per-node tally helpers fall back to plain loops below this many
-#: elements (neighbor row length + candidate list length).  The fixed
-#: per-call cost of fancy-indexing + searchsorted/bincount is ~10-30us,
-#: so a single decider's tally only beats the tight Python dict loop
-#: once its row runs to a few hundred elements (measured crossover
-#: ~256-512 on CPython 3.12); below that the loop wins by 3-10x.
+#: The color reduction's batched mex takes a bucket only from this many
+#: gathered elements (its deciders plus their neighbor rows); smaller
+#: buckets keep the per-decider set loop.  A NumPy call's fixed cost of
+#: ~10-30us only pays off once the batch runs to a few hundred
+#: elements.
 MIN_TALLY = 512
 
 #: Cap on ``edges * m`` for the dense conflict matrix; populations whose
@@ -240,24 +238,8 @@ def batched_horner(np, indices, m: int, k: int):
 
 
 # ----------------------------------------------------------------------
-# Neighbor-color tallies (greedy sweep / color reduction)
+# Color reduction
 # ----------------------------------------------------------------------
-def membership_counts(np, values, sorted_candidates):
-    """How often each of ``sorted_candidates`` occurs in ``values``.
-
-    ``sorted_candidates`` must be strictly increasing; the result aligns
-    with it.  This is the sort-based tally behind the list-defective
-    feasibility probes: ``counts[c] = |{v in values : v == candidate c}|``.
-    """
-    size = sorted_candidates.shape[0]
-    if size == 0 or values.shape[0] == 0:
-        return np.zeros(size, dtype=np.int64)
-    positions = np.searchsorted(sorted_candidates, values)
-    positions = np.minimum(positions, size - 1)
-    hits = sorted_candidates[positions] == values
-    return np.bincount(positions[hits], minlength=size).astype(np.int64)
-
-
 def mex_below_rows(np, indptr, indices, colors, rows, limit: int):
     """Each row's minimum excluded neighbor color, saturated at ``limit``.
 

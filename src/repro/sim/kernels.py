@@ -18,35 +18,31 @@ with and without a CONGEST bandwidth model.  The equivalence suite
 (``tests/sim/test_engine_equivalence.py``) enforces this for every
 kernel (reference vs vectorized).
 
-Lifecycle, driven by ``Scheduler._run_vectorized``:
+A kernel runs only from the *columns entry*
+(:func:`repro.sim.scheduler.run_columns`): the protocol hands the
+scheduler a :class:`ColumnInputs` -- its per-node inputs as dense-id
+columns plus the program class they stand for -- and no program object
+is built.  Lifecycle, driven by ``Scheduler._run_vectorized``:
 
-1. the scheduler detects a *uniform* program population (every program
-   is exactly the same class) with a registered kernel; anything else
-   falls back to the reference engine;
-2. ``kernel.prepare(compiled, programs, bandwidth)`` builds the column
-   state (or returns ``None`` to decline -- e.g. heterogeneous
-   parameters -- which also falls back);
+1. the scheduler looks up the kernel registered for the columns'
+   program class; a program population (:func:`run_protocol`), an
+   unregistered class, an observer or a stop oracle falls back to the
+   reference engine;
+2. ``kernel.prepare(compiled, inputs, bandwidth)`` builds the column
+   state from the :class:`ColumnInputs` (or returns ``None`` to
+   decline, which also falls back);
 3. ``kernel.step(round_number, columns, inboxes)`` executes one whole
    synchronous round and returns a :class:`KernelRound` with the
    round's ledger charges; ``inboxes`` is whatever the previous step
    returned as ``outboxes`` (a kernel-private representation of the
    in-flight messages -- most kernels keep the "messages" implicit in
    their columns and leave it ``None``);
-4. ``kernel.finalize(columns, programs)`` writes the terminal state
-   back into the program objects so ``Scheduler.outputs()`` and
-   protocol wrappers see exactly what a per-node run would have left.
+4. ``kernel.finalize(columns, inputs)`` stores the dense-id output
+   column (and any extras) on the :class:`ColumnInputs`.
 
-The *columns entry* (:func:`repro.sim.scheduler.run_columns`) skips the
-program population altogether.  A protocol whose kernel has a columns
-constructor hands the scheduler a :class:`ColumnInputs` -- its per-node
-inputs as dense-id columns -- and the same ``prepare``/``step``/
-``finalize`` calls run with that object in place of the program list;
-``finalize`` then stores the dense-id output column on it.  Programs are
-built (``ColumnInputs.build_programs``) only when the run leaves the
-kernel: another engine, or any fallback above.  Such a kernel's
-program-list ``prepare`` is a thin adapter that extracts the same
-columns from the programs, so each protocol exists once as a node
-program and once as column code.
+Programs are built (``ColumnInputs.build_programs``) only when the run
+leaves the kernel: another engine, or any fallback above.  So each
+protocol exists once as a node program and once as column code.
 
 Kernels are registered per *exact* program class (subclasses may
 override ``on_round`` arbitrarily, so they never inherit a kernel):
@@ -63,6 +59,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from ..obs import metrics as obs_metrics
 from .compiled import CompiledNetwork
 from .congest import BandwidthModel
+from .message import intern_broadcast
 
 #: A kernel factory: called once per run to get a fresh kernel instance.
 KernelFactory = Callable[[], "RoundKernel"]
@@ -120,20 +117,15 @@ class RoundKernel(ABC):
 
     @abstractmethod
     def prepare(self, compiled: CompiledNetwork,
-                programs: Sequence[Any],
+                inputs: "ColumnInputs",
                 bandwidth: BandwidthModel) -> Optional[Any]:
-        """Build column state for ``programs`` (one per dense id, in
+        """Build column state from ``inputs`` (per-node columns in
         ``compiled.order``), or return ``None`` to decline the run.
 
-        Kernels with a columns constructor (a ``from_columns`` method)
-        also accept a :class:`ColumnInputs` here (the scheduler's
-        columns entry); for any other kernel a columns run falls back
-        to built programs.
-
         Declining is always safe: the scheduler falls back to the
-        reference engine, which handles any population.  Kernels must decline
-        whatever they do not model exactly -- heterogeneous parameters,
-        programs with pre-existing state, and so on.
+        reference engine on the programs ``inputs.build_programs()``
+        returns.  Kernels must decline whatever they do not model
+        exactly.
         """
 
     @abstractmethod
@@ -148,12 +140,12 @@ class RoundKernel(ABC):
         """
 
     @abstractmethod
-    def finalize(self, columns: Any, programs: Sequence[Any]) -> None:
-        """Write terminal column state back into the program objects.
+    def finalize(self, columns: Any, inputs: "ColumnInputs") -> None:
+        """Store the terminal outputs on ``inputs``.
 
-        At minimum everything ``NodeProgram.output()`` reads must be
-        restored; kernels document any internal state they do not
-        reconstruct.
+        ``inputs.outputs`` gets the dense-id column of what
+        ``NodeProgram.output()`` would have returned; ``inputs.extras``
+        any further result columns the kernel reports.
         """
 
 
@@ -244,7 +236,7 @@ class KernelStats:
     spent in ``prepare`` (including declined prepares, which also pay
     it); ``by_kernel`` maps kernel class names to hit counts,
     ``by_reason`` maps fallback reasons (``observer`` / ``stop_when`` /
-    ``empty`` / ``mixed`` / ``unregistered`` / ``declined``) to counts,
+    ``programs`` / ``empty`` / ``unregistered`` / ``declined``) to counts,
     and ``by_backend`` maps ``"KernelName[backend]"`` to hit counts so
     operators can see which column representation
     (:mod:`repro.sim.arrays`) each kernel actually ran on.
@@ -353,3 +345,37 @@ def fanout_totals(compiled: CompiledNetwork) -> Tuple[int, int]:
 
         return total, int(get_numpy().count_nonzero(views[2]))
     return total, sum(1 for d in compiled.degrees if d)
+
+
+def check_broadcasts(check_fanout, order, degrees, tag: str, values,
+                     bits: int) -> None:
+    """The CONGEST checks of a round in which every node ``i`` broadcasts
+    ``values[i]`` (``bits`` each), in reference order: one fan-out check
+    per node with neighbors.  ``values`` may be an int64 ndarray."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    for i, degree in enumerate(degrees):
+        if degree:
+            check_fanout(intern_broadcast(order[i], tag, values[i], bits),
+                         degree)
+
+
+def broadcast_charge(columns: Dict[str, Any], bits: int,
+                     active: int) -> KernelRound:
+    """The charges of a round in which every node broadcasts ``bits``;
+    ``columns`` holds the kernel's :func:`fanout_totals` as
+    ``total_copies`` and ``envelopes``."""
+    copies = columns["total_copies"]
+    return KernelRound(active, copies, copies * bits,
+                       bits if copies else 0, columns["envelopes"])
+
+
+def broadcast_round(columns: Dict[str, Any], tag: str, values, bits: int,
+                    active: int) -> KernelRound:
+    """Run a round in which every node broadcasts ``values[i]``: its
+    CONGEST checks (when ``columns["check_fanout"]`` is set, over the
+    kernel's ``order`` and ``degrees``) and its charges."""
+    if columns["check_fanout"] is not None:
+        check_broadcasts(columns["check_fanout"], columns["order"],
+                         columns["degrees"], tag, values, bits)
+    return broadcast_charge(columns, bits, active)

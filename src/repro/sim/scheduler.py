@@ -19,17 +19,16 @@ meter.
 Two execution engines implement the same semantics:
 
 ``vectorized`` (the default)
-    The batched-dispatch path for *homogeneous* populations.  When every
-    program is exactly the same class and that class has a registered
-    :class:`~repro.sim.kernels.RoundKernel`, the whole population is
-    executed array-at-a-time over the compiled CSR rows -- one kernel
-    ``step`` per round instead of one ``on_round`` call per node -- with
-    the ledger charged in bulk.  Mixed or unregistered populations (and
-    runs that need per-round observer/oracle granularity) transparently
-    fall back to the reference engine, so ``engine="vectorized"`` is
-    always safe to request.  :func:`run_columns` is the columns entry:
-    the kernel runs from dense-id input columns and no program object is
-    built unless the run falls back.
+    The batched-dispatch path for *homogeneous* populations given as
+    columns (:func:`run_columns`).  When the columns' program class has
+    a registered :class:`~repro.sim.kernels.RoundKernel`, the whole
+    population is executed array-at-a-time over the compiled CSR rows
+    -- one kernel ``step`` per round instead of one ``on_round`` call
+    per node -- with the ledger charged in bulk, and no program object
+    is built.  Program populations (:func:`run_protocol`), classes
+    without a kernel and runs that need per-round observer/oracle
+    granularity transparently fall back to the reference engine, so
+    ``engine="vectorized"`` is always safe to request.
 
 ``reference``
     The direct transcription of the model definition that the repository
@@ -299,17 +298,17 @@ class Scheduler:
     # Vectorized engine
     # ------------------------------------------------------------------
     def _run_vectorized(self, max_rounds: int) -> CostLedger:
-        """Batched array-at-a-time execution for homogeneous populations.
+        """Batched array-at-a-time execution for columns runs.
 
-        Eligibility is checked here, once per run: a uniform program
-        class with a registered :class:`~repro.sim.kernels.RoundKernel`
-        whose ``prepare`` accepts the population.  Everything else --
-        mixed classes, unregistered programs, kernels that decline,
-        observers and stop oracles (which need per-node, per-round
-        granularity) -- falls back to :meth:`_run_reference`, which
-        handles any population with identical semantics.  A columns run hands
-        the kernel its :class:`~repro.sim.kernels.ColumnInputs` instead
-        of a program list and builds the programs only to fall back.
+        Eligibility is checked here, once per run: a columns run whose
+        program class has a registered
+        :class:`~repro.sim.kernels.RoundKernel` and whose ``prepare``
+        accepts the :class:`~repro.sim.kernels.ColumnInputs`.
+        Everything else -- program populations, unregistered classes,
+        kernels that decline, observers and stop oracles (which need
+        per-node, per-round granularity) -- falls back to
+        :meth:`_run_reference`, which handles any population with
+        identical semantics; a columns run builds its programs only then.
         """
         # Local imports: avoid an import cycle with the kernel layer.
         from .kernels import _record_fallback, _record_hit, kernel_for
@@ -323,34 +322,19 @@ class Scheduler:
             return fall_back(
                 "observer" if self.observer is not None else "stop_when"
             )
-        if self.programs is None:
-            if not len(self.network):
-                return fall_back("empty")
-            cls = self.columns.program_class
-            population = self.columns
-        else:
-            programs_map = self.programs
-            if not programs_map:
-                return fall_back("empty")
-            iterator = iter(programs_map.values())
-            cls = next(iterator).__class__
-            for program in iterator:
-                if program.__class__ is not cls:
-                    return fall_back("mixed")
-            population = None
-        factory = kernel_for(cls)
+        inputs = self.columns
+        if inputs is None:
+            return fall_back("programs")
+        if not len(self.network):
+            return fall_back("empty")
+        factory = kernel_for(inputs.program_class)
         if factory is None:
             return fall_back("unregistered")
 
         compiled = self.network.compile()
-        if population is None:
-            population = [programs_map[node] for node in compiled.order]
         kernel = factory()
-        if population is self.columns and not hasattr(kernel, "from_columns"):
-            # Only kernels with a columns constructor read ColumnInputs.
-            return fall_back("unregistered")
         warmup_start = time.perf_counter()
-        columns = kernel.prepare(compiled, population, self.bandwidth)
+        columns = kernel.prepare(compiled, inputs, self.bandwidth)
         warmup_s = time.perf_counter() - warmup_start
         if columns is None:
             return fall_back("declined", warmup_s)
@@ -395,7 +379,7 @@ class Scheduler:
                     max_message_bits=max_bits,
                     broadcasts=broadcasts,
                 )
-        kernel.finalize(columns, population)
+        kernel.finalize(columns, inputs)
         self.rounds_executed = round_number
         return ledger
 

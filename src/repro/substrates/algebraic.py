@@ -24,6 +24,8 @@ from ..sim.kernels import (
     ColumnInputs,
     KernelRound,
     RoundKernel,
+    broadcast_charge,
+    broadcast_round,
     fanout_totals,
     register_kernel,
 )
@@ -143,13 +145,9 @@ class AlgebraicRecoloringKernel(RoundKernel):
     per step so the inner scan is pure list/tuple work -- no contexts,
     envelopes, or ``received()`` dict builds.
 
-    :meth:`from_columns` is the one columns constructor: ``run_recoloring``
-    reaches it through the scheduler's columns entry, and the
-    program-list ``prepare`` is an adapter over the same columns
-    (:func:`_relevant_rows`).  Declines populations with differing
-    schedules or mid-run state.  ``finalize`` restores ``color`` and
-    ``_step_index`` (or fills ``ColumnInputs.outputs``); the transient
-    per-round inbox views have no program-side counterpart to restore.
+    ``run_recoloring`` reaches :meth:`from_columns` through the
+    scheduler's columns entry; ``finalize`` fills
+    ``ColumnInputs.outputs``.
 
     When the NumPy backend (:mod:`repro.sim.arrays`) is available and
     every step's field fits the int64 overflow bounds,
@@ -162,27 +160,10 @@ class AlgebraicRecoloringKernel(RoundKernel):
     the same node order), just batched.
     """
 
-    def prepare(self, compiled, programs, bandwidth):
-        if isinstance(programs, ColumnInputs):
-            data = programs.data
-            return self.from_columns(compiled, data["colors"],
-                                     data["schedule"], data["relevant"],
-                                     bandwidth)
-        first = programs[0]
-        schedule = first.schedule
-        for program in programs:
-            if program._step_index != 0 or (
-                    program.schedule is not schedule
-                    and program.schedule != schedule):
-                return None
-        columns = self.from_columns(
-            compiled, [program.color for program in programs], schedule,
-            _relevant_rows(compiled,
-                           [program.relevant for program in programs]),
-            bandwidth,
-        )
-        columns["names"] = [program.node for program in programs]
-        return columns
+    def prepare(self, compiled, inputs, bandwidth):
+        data = inputs.data
+        return self.from_columns(compiled, data["colors"], data["schedule"],
+                                 data["relevant"], bandwidth)
 
     def from_columns(self, compiled, colors, schedule, relevant,
                      bandwidth):
@@ -198,7 +179,6 @@ class AlgebraicRecoloringKernel(RoundKernel):
             relevant = (compiled.indptr, compiled.indices)
         total_copies, envelopes = fanout_totals(compiled)
         columns = {
-            "names": compiled.order,
             "order": compiled.order,
             "degrees": compiled.degrees,
             "schedule": schedule,
@@ -271,34 +251,14 @@ class AlgebraicRecoloringKernel(RoundKernel):
         return {"np": np, "colors": colors, "src": src, "dst": dst,
                 "chunk": chunk}
 
-    def _broadcast_round(self, columns, bits) -> KernelRound:
-        """Charge one all-node color broadcast (rounds 1..len(schedule))."""
-        check_fanout = columns["check_fanout"]
-        if check_fanout is not None:
-            order = columns["order"]
-            degrees = columns["degrees"]
-            colors = columns["colors"]
-            for i, degree in enumerate(degrees):
-                if degree:
-                    check_fanout(
-                        intern_broadcast(order[i], _TAG, colors[i], bits),
-                        degree,
-                    )
-        copies = columns["total_copies"]
-        return KernelRound(
-            active=len(columns["colors"]),
-            messages=copies,
-            bits=copies * bits,
-            max_message_bits=bits if copies else 0,
-            broadcasts=columns["envelopes"],
-        )
-
     def step(self, round_number, columns, inboxes) -> KernelRound:
         schedule = columns["schedule"]
         if round_number == 1:
             if not schedule:
                 return KernelRound(active=0)
-            return self._broadcast_round(columns, color_bits(schedule[0].q))
+            return broadcast_round(columns, _TAG, columns["colors"],
+                                   color_bits(schedule[0].q),
+                                   len(columns["colors"]))
         state = columns["arrays"]
         if state is not None:
             step = schedule[round_number - 2]
@@ -323,20 +283,19 @@ class AlgebraicRecoloringKernel(RoundKernel):
         defective = step.alpha_step != 0.0
         evaluate = columns["families"][step_index].evaluate
         rows = columns["rows"][step_index]
-        names = columns["names"]
+        order = columns["order"]
         rel_indptr, rel_indices = columns["relevant"]
         colors = columns["colors"]
         old = list(colors)
         last = step_index + 1 >= len(schedule)
         check_fanout = None if last else columns["check_fanout"]
         next_bits = 0 if last else color_bits(schedule[step_index + 1].q)
-        order = columns["order"]
         degrees = columns["degrees"]
 
         for i, own in enumerate(old):
             if own >= q:
                 raise AlgorithmFailure(
-                    f"node {names[i]!r}: color {own} outside the "
+                    f"node {order[i]!r}: color {own} outside the "
                     f"declared {q}-coloring"
                 )
             # Rival colors as a multiset: counts drive the defective
@@ -368,7 +327,7 @@ class AlgebraicRecoloringKernel(RoundKernel):
                         break
                 else:
                     raise AlgorithmFailure(
-                        f"node {names[i]!r}: no collision-free "
+                        f"node {order[i]!r}: no collision-free "
                         f"point over F_{m} with "
                         f"{sum(rival_counts.values())} rivals of degree "
                         f"{step.k} -- the step parameters violate "
@@ -399,14 +358,7 @@ class AlgebraicRecoloringKernel(RoundKernel):
         # The fan-out checks already ran interleaved above (a node's
         # recoloring failure must surface before a later node's
         # bandwidth failure, as in the reference engine).
-        copies = columns["total_copies"]
-        return KernelRound(
-            active=len(colors),
-            messages=copies,
-            bits=copies * next_bits,
-            max_message_bits=next_bits if copies else 0,
-            broadcasts=columns["envelopes"],
-        )
+        return broadcast_charge(columns, next_bits, len(colors))
 
     def _step_numpy(self, round_number, columns) -> KernelRound:
         """One whole recoloring round as batched int64 matrix work.
@@ -464,14 +416,7 @@ class AlgebraicRecoloringKernel(RoundKernel):
         state["colors"] = new_colors
         if last:
             return KernelRound(active=0)
-        copies = columns["total_copies"]
-        return KernelRound(
-            active=n,
-            messages=copies,
-            bits=copies * next_bits,
-            max_message_bits=next_bits if copies else 0,
-            broadcasts=columns["envelopes"],
-        )
+        return broadcast_charge(columns, next_bits, n)
 
     @staticmethod
     def _recolor_whole(state, step, family):
@@ -569,26 +514,18 @@ class AlgebraicRecoloringKernel(RoundKernel):
     @staticmethod
     def _raise_no_point(columns, i, step, rival_counts):
         raise AlgorithmFailure(
-            f"node {columns['names'][i]!r}: no collision-free "
+            f"node {columns['order'][i]!r}: no collision-free "
             f"point over F_{step.m} with "
             f"{int(rival_counts[i])} rivals of degree "
             f"{step.k} -- the step parameters violate "
             f"m > avoid * k"
         )
 
-    def finalize(self, columns, programs) -> None:
+    def finalize(self, columns, inputs) -> None:
         state = columns["arrays"]
-        if isinstance(programs, ColumnInputs):
-            # The column itself (an int64 ndarray on the NumPy path).
-            programs.outputs = (columns["colors"] if state is None
-                                else state["colors"])
-            return
-        colors = (state["colors"].tolist() if state is not None
-                  else columns["colors"])
-        steps = len(columns["schedule"])
-        for program, color in zip(programs, colors):
-            program.color = color
-            program._step_index = steps
+        # The column itself (an int64 ndarray on the NumPy path).
+        inputs.outputs = (columns["colors"] if state is None
+                          else state["colors"])
 
 
 register_kernel(AlgebraicRecoloringProgram, AlgebraicRecoloringKernel)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random as _random
 from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
+from ..coloring.defects import first_fit
 from ..coloring.instance import ArbdefectiveInstance
 from ..coloring.result import ColoringResult
 from ..sim import arrays
@@ -32,6 +33,7 @@ from ..sim.kernels import (
     ColumnInputs,
     KernelRound,
     RoundKernel,
+    broadcast_round,
     fanout_totals,
     register_kernel,
 )
@@ -39,7 +41,7 @@ from ..sim.message import Message, color_bits, intern_broadcast
 from ..sim.metrics import CostLedger, ensure_ledger
 from ..sim.network import Network
 from ..sim.node import NodeProgram, RoundContext
-from ..sim.scheduler import run_columns, run_protocol
+from ..sim.scheduler import run_columns
 
 Node = Hashable
 Color = int
@@ -203,11 +205,7 @@ class _GreedySweepProgram(NodeProgram):
         for neighbor_color in self.decided.values():
             if neighbor_color in counts:
                 counts[neighbor_color] += 1
-        chosen = None
-        for color in sorted(self.color_list):
-            if counts[color] <= self.defect_fn[color]:
-                chosen = color
-                break
+        chosen, _ = first_fit(self.color_list, counts, self.defect_fn)
         if chosen is None:
             raise AlgorithmFailure(
                 f"node {self.node!r}: greedy sweep found no feasible color; "
@@ -246,28 +244,31 @@ class _GreedySweepKernel(RoundKernel):
     idle "waiting" classes cost nothing, where the reference engine
     still dispatches an ``on_round`` no-op for every active node.
 
-    Declines non-uniform ``q``/``color_space_size``, mid-run state, and
-    negative classes (which never decide; the reference engine keeps
-    its run-forever semantics).  ``finalize`` restores
-    ``final_color`` and ``mono_out``; the transient ``neighbor_initial``
-    / ``decided`` ingest dicts are not reconstructed.
+    ``greedy_arbdefective_sweep`` reaches :meth:`from_columns` through
+    the scheduler's columns entry.  Declines negative classes (which
+    never decide; the reference engine keeps its run-forever
+    semantics).  ``finalize`` fills ``ColumnInputs.outputs`` with each
+    node's ``(final_color, mono_out)`` output.
     """
 
-    def prepare(self, compiled, programs, bandwidth):
-        first = programs[0]
-        q = first.q
-        color_space_size = first.color_space_size
-        for program in programs:
-            if (program.q != q
-                    or program.color_space_size != color_space_size
-                    or program.final_color is not None
-                    or program.neighbor_initial or program.decided
-                    or program.initial_color < 0):
-                return None
-        order = compiled.order
+    def prepare(self, compiled, inputs, bandwidth):
+        data = inputs.data
+        return self.from_columns(compiled, data["initial"], data["q"],
+                                 data["color_space_size"], data["lists"],
+                                 bandwidth)
+
+    def from_columns(self, compiled, initial, q, color_space_size, lists,
+                     bandwidth):
+        """Column state for a sweep from the dense-id ``initial`` classes.
+
+        ``lists`` holds the instance's list columns ``(indptr, colors,
+        defects)`` in ``compiled.order``.  Returns ``None`` (decline)
+        when a class is negative.
+        """
+        if any(own < 0 for own in initial):
+            return None
         indptr = compiled.indptr
         indices = compiled.indices
-        initial = [program.initial_color for program in programs]
         lower = []
         higher = []
         by_class: Dict[int, list] = {}
@@ -283,20 +284,17 @@ class _GreedySweepKernel(RoundKernel):
             higher.append(tuple(j for j in row if initial[j] > own))
             by_class.setdefault(own, []).append(i)
         total_copies, envelopes = fanout_totals(compiled)
-        sorted_lists = [sorted(p.color_list) for p in programs]
-        state = self._prepare_arrays(programs, sorted_lists, lower)
+        n = compiled.n
         return {
-            "programs": programs,
-            "order": order,
+            "order": compiled.order,
             "initial": initial,
-            "sorted_lists": sorted_lists,
-            "arrays": state,
+            "lists": lists,
             "lower": lower,
             "higher": higher,
             "by_class": by_class,
-            "finals": [None] * len(programs),
-            "mono": [()] * len(programs),
-            "remaining": len(programs),
+            "finals": [None] * n,
+            "mono": [()] * n,
+            "remaining": n,
             "total_copies": total_copies,
             "envelopes": envelopes,
             "bits_initial": color_bits(q),
@@ -308,120 +306,42 @@ class _GreedySweepKernel(RoundKernel):
             "degrees": compiled.degrees,
         }
 
-    def _prepare_arrays(self, programs, sorted_lists, lower):
-        """NumPy column state for the tally path, or ``None`` to decline.
-
-        The array path keeps an int64 mirror of the finals column (``-1``
-        marks undecided) so a decider with a long lower-neighbor row can
-        tally committed colors with one gather + sort-based count instead
-        of a Python dict loop.  Small populations, color values beyond
-        int64, and topologies where every lower row stays under
-        ``MIN_TALLY`` (the mirror upkeep would never pay off) keep the
-        pure-Python columns.
-        """
-        np = arrays.get_numpy()
-        if np is None or len(programs) < arrays.MIN_BATCH:
-            return None
-        if not any(len(row) >= arrays.MIN_TALLY for row in lower):
-            return None
-        for colors in sorted_lists:
-            if colors and not (-arrays.MAX_COLOR <= colors[0]
-                               and colors[-1] <= arrays.MAX_COLOR):
-                return None
-        self.backend = "numpy"
-        return {
-            "np": np,
-            "finals": np.full(len(programs), -1, dtype=np.int64),
-        }
-
     def step(self, round_number, columns, inboxes) -> KernelRound:
         if round_number == 1:
-            bits = columns["bits_initial"]
-            check_fanout = columns["check_fanout"]
-            if check_fanout is not None:
-                order = columns["order"]
-                initial = columns["initial"]
-                for i, degree in enumerate(columns["degrees"]):
-                    if degree:
-                        check_fanout(
-                            intern_broadcast(
-                                order[i], _GreedySweepProgram._TAG_INITIAL,
-                                initial[i], bits,
-                            ),
-                            degree,
-                        )
-            copies = columns["total_copies"]
-            return KernelRound(
-                active=columns["remaining"],
-                messages=copies,
-                bits=copies * bits,
-                max_message_bits=bits if copies else 0,
-                broadcasts=columns["envelopes"],
-            )
+            return broadcast_round(columns, _GreedySweepProgram._TAG_INITIAL,
+                                   columns["initial"], columns["bits_initial"],
+                                   columns["remaining"])
         deciders = columns["by_class"].get(round_number - 2, ())
         finals = columns["finals"]
         if deciders:
-            programs = columns["programs"]
             order = columns["order"]
             lower = columns["lower"]
             higher = columns["higher"]
-            sorted_lists = columns["sorted_lists"]
+            list_ptr, list_colors, list_defects = columns["lists"]
             mono = columns["mono"]
             check = columns["check"]
             bits_final = columns["bits_final"]
-        state = columns["arrays"]
         messages = 0
         for i in deciders:
-            program = programs[i]
             row = lower[i]
-            if state is not None and len(row) >= arrays.MIN_TALLY:
-                # Long lower row: gather the committed finals once and
-                # tally against the sorted candidate list in C.  Probing
-                # the unique ascending candidates picks the same color as
-                # the Python scan over the (possibly duplicated) list.
-                np = state["np"]
-                row_np = np.fromiter(row, np.int64, len(row))
-                committed = state["finals"][row_np]
-                slist = sorted_lists[i]
-                candidates = np.unique(
-                    np.fromiter(slist, np.int64, len(slist))
-                )
-                tallies = arrays.membership_counts(np, committed, candidates)
-                chosen = None
-                defect_fn = program.defect_fn
-                for color, count in zip(candidates.tolist(),
-                                        tallies.tolist()):
-                    if count <= defect_fn[color]:
-                        chosen = color
-                        break
-                mono_row = None if chosen is None else tuple(
-                    order[j]
-                    for j in row_np[committed == chosen].tolist()
-                )
-            else:
-                counts = {color: 0 for color in program.color_list}
-                for j in row:
-                    neighbor_final = finals[j]
-                    if neighbor_final in counts:
-                        counts[neighbor_final] += 1
-                chosen = None
-                for color in sorted_lists[i]:
-                    if counts[color] <= program.defect_fn[color]:
-                        chosen = color
-                        break
-                mono_row = None if chosen is None else tuple(
-                    order[j] for j in row if finals[j] == chosen
-                )
+            lo = list_ptr[i]
+            hi = list_ptr[i + 1]
+            clist = list_colors[lo:hi]
+            counts = dict.fromkeys(clist, 0)
+            for j in row:
+                neighbor_final = finals[j]
+                if neighbor_final in counts:
+                    counts[neighbor_final] += 1
+            chosen, _ = first_fit(clist, counts,
+                                  dict(zip(clist, list_defects[lo:hi])))
             if chosen is None:
                 raise AlgorithmFailure(
-                    f"node {program.node!r}: greedy sweep found no "
+                    f"node {order[i]!r}: greedy sweep found no "
                     f"feasible color; the instance's slack must be at "
                     f"most 1"
                 )
             finals[i] = chosen
-            if state is not None:
-                state["finals"][i] = chosen
-            mono[i] = mono_row
+            mono[i] = tuple(order[j] for j in row if finals[j] == chosen)
             if check is not None:
                 sender = order[i]
                 for j in higher[i]:
@@ -440,12 +360,8 @@ class _GreedySweepKernel(RoundKernel):
             max_message_bits=bits_final if messages else 0,
         )
 
-    def finalize(self, columns, programs) -> None:
-        finals = columns["finals"]
-        mono = columns["mono"]
-        for i, program in enumerate(programs):
-            program.final_color = finals[i]
-            program.mono_out = mono[i]
+    def finalize(self, columns, inputs) -> None:
+        inputs.outputs = list(zip(columns["finals"], columns["mono"]))
 
 
 register_kernel(_GreedySweepProgram, _GreedySweepKernel)
@@ -466,6 +382,7 @@ def greedy_arbdefective_sweep(instance: ArbdefectiveInstance,
     decisions never hurt ``v``.  Rounds: ``q + 1``.
     """
     ledger = ensure_ledger(ledger)
+    network = instance.network
     if check:
         for node in instance.network:
             color = initial_colors.get(node)
@@ -484,23 +401,41 @@ def greedy_arbdefective_sweep(instance: ArbdefectiveInstance,
                 raise InstanceError(
                     f"initial coloring is not proper: edge {u!r}-{v!r}"
                 )
-    programs = {
-        node: _GreedySweepProgram(
-            node=node,
-            initial_color=initial_colors[node],
-            q=q,
-            color_list=instance.lists[node],
-            defect_fn=instance.defects[node],
-            color_space_size=instance.color_space_size,
-        )
-        for node in instance.network
-    }
+    order = network.compile().order
+    initial = [initial_colors[node] for node in order]
+    color_space_size = instance.color_space_size
+    lists = (instance.list_indptr, instance.list_colors,
+             instance.list_defects)
+
+    def build_programs():
+        ptr, colors, defects = lists
+        return {
+            node: _GreedySweepProgram(
+                node=node,
+                initial_color=initial[i],
+                q=q,
+                color_list=tuple(colors[ptr[i]:ptr[i + 1]]),
+                defect_fn=dict(zip(colors[ptr[i]:ptr[i + 1]],
+                                   defects[ptr[i]:ptr[i + 1]])),
+                color_space_size=color_space_size,
+            )
+            for i, node in enumerate(order)
+        }
+
+    # Columns first: on the vectorized engine the kernel runs from the
+    # instance's list columns; every other engine, and any fallback,
+    # builds the programs.
+    inputs = ColumnInputs(
+        _GreedySweepProgram,
+        {"initial": initial, "q": q, "color_space_size": color_space_size,
+         "lists": lists},
+        build_programs,
+    )
     with ledger.phase("greedy-sweep"):
-        outputs, _ = run_protocol(
-            instance.network, programs, bandwidth=bandwidth, ledger=ledger
-        )
-    colors = {node: value[0] for node, value in outputs.items()}
-    orientation = {node: value[1] for node, value in outputs.items()}
+        outputs, _ = run_columns(network, inputs, bandwidth=bandwidth,
+                                 ledger=ledger)
+    colors = {node: value[0] for node, value in zip(order, outputs)}
+    orientation = {node: value[1] for node, value in zip(order, outputs)}
     return ColoringResult(colors=colors, orientation=orientation, ledger=ledger)
 
 
@@ -545,27 +480,6 @@ class _ColorReductionProgram(NodeProgram):
         return self.color
 
 
-def _reduction_columns(programs) -> Optional[Tuple[list, int, int]]:
-    """The one programs -> columns extractor of the color reduction.
-
-    Returns ``(colors, q, target)`` with ``colors`` in program order, or
-    ``None`` unless the population is a fresh uniform run: every
-    program shares ``q`` and ``target`` and none has ingested neighbor
-    colors yet (mid-run state).  The vectorized kernel's program
-    adapter gates on it.
-    """
-    first = programs[0]
-    q = first.q
-    target = first.target
-    colors = []
-    for program in programs:
-        if (program.q != q or program.target != target
-                or program.neighbor_colors):
-            return None
-        colors.append(program.color)
-    return colors, q, target
-
-
 def _python_mex(read, row) -> int:
     """Smallest non-negative color absent from ``read(j)`` over ``row``."""
     used = {read(j) for j in row}
@@ -584,12 +498,8 @@ class _ColorReductionKernel(RoundKernel):
     ``on_round`` ingest no-op to every other node, which on a
     ``q``-round reduction is almost all of the work.
 
-    :meth:`from_columns` is the one columns constructor: the scheduler's
-    columns entry calls it through ``prepare`` with a
-    :class:`~repro.sim.kernels.ColumnInputs`, and the program-list
-    ``prepare`` is an adapter that extracts the same columns
-    (:func:`_reduction_columns`, declining non-uniform ``q``/``target``
-    and mid-run state).
+    ``greedy_color_reduction`` reaches :meth:`from_columns` through the
+    scheduler's columns entry.
 
     With the NumPy backend an int64 color column is authoritative and a
     bucket whose deciders plus their gathered neighbors reach
@@ -601,22 +511,14 @@ class _ColorReductionKernel(RoundKernel):
     same-round deciders read each other's *old* colors (the reference's
     stale-view semantics, observable on improper inputs).  Failures and
     CONGEST fan-out checks are raised decider by decider in dense-id
-    order after the round's mex values are known.  ``finalize`` restores
-    ``color`` (or fills ``ColumnInputs.outputs``); the transient
-    ``neighbor_colors`` view is not reconstructed.
+    order after the round's mex values are known.  ``finalize`` fills
+    ``ColumnInputs.outputs`` with the color column.
     """
 
-    def prepare(self, compiled, programs, bandwidth):
-        if isinstance(programs, ColumnInputs):
-            data = programs.data
-            return self.from_columns(compiled, data["colors"], data["q"],
-                                     data["target"], bandwidth)
-        extracted = _reduction_columns(programs)
-        if extracted is None:
-            return None
-        columns = self.from_columns(compiled, *extracted, bandwidth)
-        columns["programs"] = programs
-        return columns
+    def prepare(self, compiled, inputs, bandwidth):
+        data = inputs.data
+        return self.from_columns(compiled, data["colors"], data["q"],
+                                 data["target"], bandwidth)
 
     def from_columns(self, compiled, colors, q, target, bandwidth):
         """Column state for a reduction of the dense-id ``colors``.
@@ -635,9 +537,6 @@ class _ColorReductionKernel(RoundKernel):
             colors = None
         total_copies, envelopes = fanout_totals(compiled)
         return {
-            # Failure messages name programs[i].node when the run came
-            # from programs, the network node order[i] otherwise.
-            "programs": None,
             "order": compiled.order,
             "degrees": compiled.degrees,
             # Deciders slice their CSR row on demand: each node decides
@@ -718,28 +617,9 @@ class _ColorReductionKernel(RoundKernel):
         n = columns["n"]
         state = columns["arrays"]
         if round_number == 1:
-            check_fanout = columns["check_fanout"]
-            if check_fanout is not None:
-                order = columns["order"]
-                read = (colors.__getitem__ if state is None
-                        else state["colors"].item)
-                for i, degree in enumerate(columns["degrees"]):
-                    if degree:
-                        check_fanout(
-                            intern_broadcast(
-                                order[i], _ColorReductionProgram._TAG,
-                                read(i), bits,
-                            ),
-                            degree,
-                        )
-            copies = columns["total_copies"]
-            return KernelRound(
-                active=n,
-                messages=copies,
-                bits=copies * bits,
-                max_message_bits=bits if copies else 0,
-                broadcasts=columns["envelopes"],
-            )
+            return broadcast_round(
+                columns, _ColorReductionProgram._TAG,
+                colors if state is None else state["colors"], bits, n)
         target = columns["target"]
         active_color = columns["q"] - round_number + 1
         if active_color < target:
@@ -840,29 +720,20 @@ class _ColorReductionKernel(RoundKernel):
 
     @staticmethod
     def _failure(columns, i) -> AlgorithmFailure:
-        programs = columns["programs"]
-        node = columns["order"][i] if programs is None else programs[i].node
         return AlgorithmFailure(
-            f"node {node!r}: no free color below {columns['target']}; "
+            f"node {columns['order'][i]!r}: no free color below "
+            f"{columns['target']}; "
             f"target must be at least Delta + 1"
         )
 
-    def finalize(self, columns, programs) -> None:
+    def finalize(self, columns, inputs) -> None:
         state = columns["arrays"]
-        if isinstance(programs, ColumnInputs):
-            # The column itself (an int64 ndarray on the NumPy path).
-            programs.outputs = (columns["colors"] if state is None
-                                else state["colors"])
-            return
-        colors = (columns["colors"] if state is None
-                  else state["colors"].tolist())
-        for program, color in zip(programs, colors):
-            program.color = color
+        # The column itself (an int64 ndarray on the NumPy path).
+        inputs.outputs = (columns["colors"] if state is None
+                          else state["colors"])
 
 
 register_kernel(_ColorReductionProgram, _ColorReductionKernel)
-
-
 
 
 def greedy_color_reduction(network: Network,

@@ -274,3 +274,48 @@ class TestLocalWork:
         beta = graph.max_outdegree()
         bound = 4 * (beta * (p + 1) + size * math.ceil(math.log2(size)))
         assert result.stats["max_local_work"] <= bound
+
+
+class TestStatedRules:
+    """Both decision forms of the sweep kernel follow the one statement
+    of each rule: ``rank_sublist`` (Phase I) and ``first_fit`` (Phase
+    II), node by node."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decisions_follow_rank_sublist_and_first_fit(self, seed,
+                                                         monkeypatch):
+        from repro.coloring.defects import first_fit, rank_sublist
+        from repro.core.two_sweep import _ArrayDecisions, _PythonDecisions
+        from repro.sim import arrays
+        from repro.sim.message import color_bits
+
+        network = gnp_graph(60, 0.12, seed=seed)
+        graph = orient_random(network, random.Random(seed))
+        p = 1 + seed % 3
+        instance = random_nonuniform_oldc_instance(graph, p, seed)
+        compiled = graph.compiled
+        initial = [sequential_ids(network)[node] for node in compiled.order]
+        lists = (instance.list_indptr, instance.list_colors,
+                 instance.list_defects)
+        outs = (graph.out_indptr, graph.out_indices)
+        bits = color_bits(instance.color_space_size)
+        forms = [_PythonDecisions(compiled, initial, p, lists, outs, bits)]
+        np = arrays.get_numpy()
+        if np is not None:
+            monkeypatch.setattr(arrays, "MIN_BATCH", 0)
+            forms.append(_ArrayDecisions.build(np, compiled, initial, p,
+                                               lists, outs, bits))
+            assert forms[-1] is not None
+        ptr, colors, defects = lists
+        for decided in forms:
+            assert decided.failed is None
+            for i in range(compiled.n):
+                own = colors[ptr[i]:ptr[i + 1]]
+                defect = dict(zip(own, defects[ptr[i]:ptr[i + 1]]))
+                k = decided.k(i)
+                sub = decided.sublist(i)
+                assert sub == rank_sublist(own, k, defect, p), i
+                r = decided.r(i, k)
+                final, _ = first_fit(sub, {c: k[c] + r[c] for c in sub},
+                                     defect)
+                assert decided.final(i) == final, i

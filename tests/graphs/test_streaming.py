@@ -116,11 +116,17 @@ class TestRandomizedStreams:
         np = pytest.importorskip("numpy")
         with pytest.raises(NetworkError, match="non-negative"):
             streaming._gnp_block(np, -1, 0.5, 0)
-        # 1 - p rounds to 1.0: the stream divides by log(1 - p) == 0.
-        for edges in (gnp_edges(10, 1e-17, 0),
-                      streaming._gnp_block(np, 10, 1e-17, 0)):
-            with pytest.raises(ZeroDivisionError):
-                csr_from_edges(10, edges)
+
+    @pytest.mark.parametrize("p", [1e-17, 5e-324, 1e-300])
+    def test_gnp_below_float_resolution_is_edgeless(self, p):
+        """``1 - p`` rounds to 1.0, so ``log(1 - p)`` is 0: every gap
+        is infinite and the stream, the block and ``stream_gnp`` all
+        give the edgeless graph."""
+        assert list(gnp_edges(50, p, 0)) == []
+        assert stream_gnp(50, p, 0).edge_count() == 0
+        np = arrays.get_numpy()
+        if np is not None:
+            assert streaming._gnp_block(np, 50, p, 0).shape == (0, 2)
 
     def test_stream_gnp_takes_the_block_with_numpy(self, monkeypatch):
         pytest.importorskip("numpy")

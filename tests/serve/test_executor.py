@@ -76,6 +76,16 @@ class TestGreedyReduction:
 
 
 class TestSweeps:
+    @pytest.mark.parametrize("name", ["greedy-reduction", "two-sweep"])
+    def test_gnp_stream_below_float_resolution(self, name):
+        """p = 1e-17 rounds 1 - p to 1.0: an edgeless graph, not a
+        ZeroDivisionError out of execute_request."""
+        payload = execute_request(_spec(
+            {"kind": "gnp-stream", "n": 50, "p": 1e-17, "seed": 0}, name))
+        assert payload["status"] == "ok"
+        assert payload["result"]["valid"] is True
+        assert payload["topology"]["m"] == 0
+
     def test_two_sweep_on_gnp(self):
         payload = execute_request(_spec(
             {"kind": "gnp", "n": 30, "density": 0.15, "seed": 3},

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.serve.schema import (
+    MAX_REQUEST_LIST_ENTRIES,
     RequestError,
     SCHEMA_VERSION,
     batch_key,
@@ -152,6 +153,17 @@ class TestAlgorithmParsing:
         assert parse_algorithm({"name": "fast-two-sweep",
                                 "id_bits": 19})["id_bits"] == 19
 
+    def test_fast_two_sweep_plain_route_bounded_by_round_limit(self):
+        # q = 2^20 <= (p / eps)^2 + log* q = 4 * 10^6 + 5: Algorithm 2's
+        # line 1 takes plain Algorithm 1, 2q + 1 = 2,097,153 rounds.
+        with pytest.raises(RequestError,
+                           match=r"id_bits=20 needs 2097153 two-sweep rounds"):
+            parse_algorithm({"name": "fast-two-sweep", "id_bits": 20,
+                             "p": 2, "epsilon": 0.001})
+        # With epsilon = 0.25 the same ids take the defective route.
+        assert parse_algorithm({"name": "fast-two-sweep", "id_bits": 20,
+                                "p": 2, "epsilon": 0.25})["id_bits"] == 20
+
 
 class TestRequestParsing:
     @pytest.mark.parametrize("topology, n", [
@@ -180,6 +192,37 @@ class TestRequestParsing:
         # Other algorithms do not sweep one round per node id.
         for name in ("fast-two-sweep", "greedy-reduction"):
             assert request(name, nodes)["algorithm"]["name"] == name
+
+    def test_fast_two_sweep_plain_route_without_id_bits(self):
+        # q = n = 500,000 <= (2 / 0.001)^2: plain Algorithm 1 over the
+        # node ids, 1,000,001 rounds.
+        with pytest.raises(RequestError, match=(
+                r"q = n = 500000 \(no id_bits\) needs 1000001 two-sweep "
+                r"rounds")):
+            parse_request({
+                "topology": {"kind": "ring-stream", "n": 500_000},
+                "algorithm": {"name": "fast-two-sweep", "p": 2,
+                              "epsilon": 0.001},
+            })
+
+    @pytest.mark.parametrize("name", ["two-sweep", "fast-two-sweep"])
+    def test_list_entries_bounded(self, name):
+        # n * p^2 list entries: 2000 * 44^2 = 3,872,000 fits, 45^2 not.
+        assert 2000 * 44 ** 2 <= MAX_REQUEST_LIST_ENTRIES < 2000 * 45 ** 2
+
+        def request(p):
+            return parse_request({
+                "topology": {"kind": "gnp-stream", "n": 2000,
+                             "p": 0.002},
+                "algorithm": {"name": name, "p": p},
+            })
+
+        assert request(44)["algorithm"]["p"] == 44
+        for p in (45, 64):
+            with pytest.raises(RequestError, match=(
+                    rf"n \* p\^2 = 2000 \* {p}\^2 = {2000 * p * p} list "
+                    r"entries")):
+                request(p)
 
     def test_full_request(self):
         spec = parse_request({

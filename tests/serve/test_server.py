@@ -127,6 +127,40 @@ class TestEndpoints:
         assert payload["error"]["type"] == "RequestError"
         assert "1000003 two-sweep rounds" in payload["error"]["message"]
 
+    def test_unrunnable_fast_two_sweep_plain_route_400(self, client):
+        # q = n = 500,000 <= (p / eps)^2: Algorithm 2 runs plain
+        # Algorithm 1 over the node ids, past the round limit.
+        status, payload = client.color({
+            "topology": {"kind": "ring-stream", "n": 500_000},
+            "algorithm": {"name": "fast-two-sweep", "p": 2,
+                          "epsilon": 0.001},
+        })
+        assert status == 400
+        assert payload["error"]["type"] == "RequestError"
+        assert "1000001 two-sweep rounds" in payload["error"]["message"]
+
+    def test_oversized_lists_400(self, client):
+        # n * p^2 = 2000 * 64^2 list entries, whether n is in the
+        # request ...
+        algorithm = {"name": "two-sweep", "p": 64}
+        status, payload = client.color({
+            "topology": {"kind": "gnp-stream", "n": 2000, "p": 0.002},
+            "algorithm": algorithm,
+        })
+        assert status == 400
+        assert payload["error"]["type"] == "RequestError"
+        assert "8192000 list entries" in payload["error"]["message"]
+        # ... or known only from an uploaded graph.
+        status, upload = client.upload(2000, [])
+        assert status == 200
+        status, payload = client.color({
+            "topology": {"kind": "graph", "id": upload["id"]},
+            "algorithm": algorithm,
+        })
+        assert status == 400
+        assert payload["error"]["type"] == "RequestError"
+        assert "8192000 list entries" in payload["error"]["message"]
+
     @pytest.mark.parametrize(
         "length", ["-5", "abc", "1_0", " "],
         ids=["negative", "letters", "underscore", "blank"],

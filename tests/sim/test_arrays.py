@@ -150,25 +150,6 @@ class TestHelpers:
         assert not arrays.field_fits(1, 10)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_membership_counts_matches_dict(self, seed):
-        rng = random.Random(seed)
-        candidates = sorted(rng.sample(range(-20, 60), rng.randint(1, 12)))
-        values = [rng.randint(-25, 65) for _ in range(rng.randint(0, 40))]
-        expected = {c: values.count(c) for c in candidates}
-        counts = arrays.membership_counts(
-            numpy,
-            numpy.asarray(values, dtype=numpy.int64),
-            numpy.asarray(candidates, dtype=numpy.int64),
-        )
-        assert dict(zip(candidates, counts.tolist())) == expected
-
-    def test_membership_counts_empty(self):
-        empty = numpy.asarray([], dtype=numpy.int64)
-        some = numpy.asarray([1, 2], dtype=numpy.int64)
-        assert arrays.membership_counts(numpy, empty, some).tolist() == [0, 0]
-        assert arrays.membership_counts(numpy, some, empty).tolist() == []
-
-    @pytest.mark.parametrize("seed", range(4))
     def test_mex_below_matches_scalar(self, seed):
         """Batched per-row mex (one table for all rows) == scalar mex."""
         rng = random.Random(100 + seed)

@@ -12,6 +12,12 @@ senders, the array backend on/off, ``REPRO_SIM_CHUNK`` and the batching
 thresholds -- and asserts identical outputs, exception type and text,
 ledger (at failure too) and canonical logical trace.
 
+The greedy arbdefective sweep is drawn the same way: proper initial
+colorings (ids, or first-fit classes with idle ones) over feasible and
+infeasible list instances, checked or not, tripping bandwidth models and
+both array backends; outputs, orientation, failure text, ledger and
+trace must agree.
+
 The sweep pair gets the same treatment: Two-Sweep, Fast-Two-Sweep and
 the algebraic recoloring (Lemma 3.4, both Linial variants, and
 ``run_recoloring`` with a relevant-set mapping) over drawn orientations
@@ -33,8 +39,10 @@ import random
 import pytest
 
 from repro.coloring import (
+    ArbdefectiveInstance,
     OLDCInstance,
     minimal_slack_oldc_instance,
+    random_arbdefective_instance,
     random_nonuniform_oldc_instance,
     random_oldc_instance,
 )
@@ -79,6 +87,8 @@ from repro.substrates.kuhn_defective import kuhn_defective_coloring
 from repro.substrates.linial import linial_coloring, linial_oriented_coloring
 from repro.substrates.greedy import (
     _ColorReductionProgram,
+    _GreedySweepProgram,
+    greedy_arbdefective_sweep,
     greedy_color_reduction,
 )
 
@@ -292,14 +302,18 @@ def test_greedy_color_reduction_vectorized_matches_reference(seed,
 
 
 def test_columns_run_without_columns_constructor_falls_back():
-    """A kernel lacking ``from_columns`` never sees the ColumnInputs:
-    the run builds the programs and falls back with the same result."""
+    """A kernel that builds no column state from the ColumnInputs
+    declines: the run builds the programs and falls back with the same
+    result."""
 
     class PlainKernel(RoundKernel):
-        def prepare(self, compiled, programs, bandwidth):
-            raise AssertionError("a columns run reached prepare")
+        def prepare(self, compiled, inputs, bandwidth):
+            return None
 
-        step = finalize = prepare
+        def step(self, round_number, columns, inboxes):
+            raise AssertionError("a declined kernel ran a step")
+
+        finalize = step
 
     network = stream_ring(30)
     colors = [i % 6 for i in range(30)]
@@ -314,7 +328,7 @@ def test_columns_run_without_columns_constructor_falls_back():
     del built[:]
     register_kernel(_ColorReductionProgram, PlainKernel, replace=True)
     try:
-        before = kernel_stats()["fallbacks"]
+        before = kernel_stats()["by_reason"].get("declined", 0)
         inputs = ColumnInputs(_ColorReductionProgram,
                               {"colors": colors, "q": 6, "target": 3},
                               build_programs)
@@ -325,7 +339,7 @@ def test_columns_run_without_columns_constructor_falls_back():
                         greedy_module._ColorReductionKernel, replace=True)
     assert got == want
     assert built == [True]
-    assert kernel_stats()["fallbacks"] == before + 1
+    assert kernel_stats()["by_reason"]["declined"] == before + 1
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +417,7 @@ def _result_outcome(call):
         if isinstance(result, tuple):  # (colors, palette)
             colors, palette = result
             return {"colors": list(colors.items()), "palette": palette}
-        if isinstance(result, dict):  # the program-list adapter
+        if isinstance(result, dict):  # the sweep's columns entry
             return result
         return {"colors": list(result.colors.items()),
                 "stats": result.stats}
@@ -430,8 +444,8 @@ def _sweep_call(rng, network):
     q = max(n, 1 << bits) if bits else n
     protocol = rng.choice(["two-sweep", "fast-two-sweep"] * 3
                           + ["kuhn", "linial", "linial-oriented",
-                             "mapping", "programs", "programs"])
-    if protocol in ("two-sweep", "programs") and rng.random() < 0.4:
+                             "mapping", "columns", "columns"])
+    if protocol in ("two-sweep", "columns") and rng.random() < 0.4:
         # A proper first-fit coloring: rounds with several deciders, and
         # idle classes when q exceeds the colors used.
         compiled = network.compile()
@@ -449,31 +463,45 @@ def _sweep_call(rng, network):
         if rng.random() < 0.5:  # spare round 1: trip on sent finals
             payloads -= {ids[node] for node in tripped}
         bandwidth = TrippingModel(tripped, payloads)
-    if protocol == "programs":
-        # The program-list adapter, cut short mid-Phase I or mid-Phase
-        # II (same RoundLimitExceeded and ledger) or run to the end, its
-        # programs' k / r / sub-list / work compared after the run.
+    if protocol == "columns":
+        # The sweep's columns entry itself, cut short mid-Phase I or
+        # mid-Phase II (same RoundLimitExceeded and ledger) or run to
+        # the end; each node's color and local work are compared, from
+        # the kernel's columns or the programs a fallback builds.
         instance, _ = _instance(rng, graph, p, 0.0)
         max_rounds = rng.choice([1, 2 + rng.randrange(q + 1),
                                  q + 2 + rng.randrange(q),
                                  DEFAULT_MAX_ROUNDS])
-        outs = {node: frozenset(graph.out_neighbors(node))
-                for node in network}
+        order = network.compile().order
+        data = {
+            "initial": [ids[node] for node in order], "q": q, "p": p,
+            "color_space_size": instance.color_space_size,
+            "lists": (instance.list_indptr, instance.list_colors,
+                      instance.list_defects),
+            "outs": (graph.out_indptr, graph.out_indices), "trace": None,
+        }
 
         def call(ledger):
-            programs = {
-                node: TwoSweepProgram(
-                    node, ids[node], q, p, instance.lists[node],
-                    instance.defects[node], outs[node],
-                    instance.color_space_size)
-                for node in network
-            }
-            run_protocol(network, programs, bandwidth=bandwidth,
-                         ledger=ledger, max_rounds=max_rounds)
-            return {"programs": [
-                (node, program.final_color, program.sublist, program.k,
-                 program.r, program.local_work)
-                for node, program in programs.items()]}
+            built = []
+
+            def build_programs():
+                built.append({
+                    node: TwoSweepProgram(
+                        node, ids[node], q, p, instance.lists[node],
+                        instance.defects[node],
+                        frozenset(graph.out_neighbors(node)),
+                        instance.color_space_size)
+                    for node in order
+                })
+                return built[0]
+
+            inputs = ColumnInputs(TwoSweepProgram, data, build_programs)
+            outputs, _ = run_columns(network, inputs, bandwidth=bandwidth,
+                                     ledger=ledger, max_rounds=max_rounds)
+            work = ([program.local_work for program in built[0].values()]
+                    if built else inputs.extras["local_work"])
+            return {"columns": list(zip(order, arrays.as_list(outputs),
+                                        work))}
         return call, (protocol, type(graph).__name__, n, q, p, max_rounds)
     if protocol in ("two-sweep", "fast-two-sweep"):
         instance, check = _instance(rng, graph, p, epsilon)
@@ -655,3 +683,110 @@ def test_oldc_sweep_trial_builds_no_programs(monkeypatch):
     assert built == []
     assert after["fallbacks"] == before["fallbacks"]
     assert after["hits"] - before["hits"] == 3  # sweep, Kuhn, inner sweep
+
+
+# ----------------------------------------------------------------------
+# The greedy arbdefective sweep, run from the instance's list columns.
+# ----------------------------------------------------------------------
+def _as_network(topology):
+    """A ``Network`` (what undirected instances take) of any topology."""
+    if isinstance(topology, Network):
+        return topology
+    return Network.from_edges(list(topology.nodes), list(topology.edges()))
+
+
+def _greedy_instance(rng, network):
+    """``(instance, check)``: slack above 1, or an infeasible draw (short
+    lists in descending order, small defects) run with ``check=False``."""
+    size = max(8, network.raw_max_degree() + 2)
+    if rng.random() < 0.6:
+        return random_arbdefective_instance(
+            network, slack=rng.choice([1.0, 1.5, 3.0]),
+            seed=rng.randrange(1000), color_space_size=size,
+        ), rng.random() < 0.5
+    lists = {node: sorted(rng.sample(range(size), rng.randint(1, 3)),
+                          reverse=True)
+             for node in network}
+    return ArbdefectiveInstance(
+        network, lists,
+        {node: {color: rng.randint(0, 1) for color in colors}
+         for node, colors in lists.items()},
+        size,
+    ), False
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_sweep_matches_reference(seed, monkeypatch):
+    rng = random.Random(9500 + seed)
+    for case in range(CASES):
+        network = _as_network(_topology(rng))
+        compiled = network.compile()
+        order = list(compiled.order)
+        if rng.random() < 0.5:
+            initial = sequential_ids(network)
+            q = len(order)
+        else:
+            # First-fit classes: several deciders a round, and idle
+            # classes when q exceeds the classes used.
+            initial = dict(zip(order, _first_fit(compiled)))
+            q = max(initial.values()) + 1 + rng.choice([0, 0, 3])
+        instance, check = _greedy_instance(rng, network)
+        bandwidth = LocalModel()
+        if rng.random() < 0.4:
+            tripped = rng.sample(order, max(1, len(order) // rng.choice(
+                [1, 2, 6])))
+            payloads = set(rng.sample(range(12), 3))
+            if rng.random() < 0.5:  # spare round 1: trip on sent finals
+                payloads -= {initial[node] for node in tripped}
+            bandwidth = TrippingModel(tripped, payloads)
+        monkeypatch.setenv(arrays.ARRAYS_ENV, rng.choice(["0", "1"]))
+
+        def run(engine):
+            def call(ledger):
+                with use_engine(engine):
+                    result = greedy_arbdefective_sweep(
+                        instance, initial, q, ledger=ledger,
+                        bandwidth=bandwidth, check=check)
+                return {"colors": list(result.colors.items()),
+                        "orientation": list(result.orientation.items())}
+            return call
+
+        want = _outcome(run("reference"))
+        hits = kernel_stats()["hits"]
+        got = _outcome(run("vectorized"))
+        context = (seed, case, len(order), q, check)
+        assert got == want, context
+        if want[1] is None or want[1][0] != "InfeasibleInstanceError":
+            assert kernel_stats()["hits"] == hits + 1, context
+
+
+def test_greedy_sweep_builds_no_programs(monkeypatch):
+    """``greedy_arbdefective_sweep`` on the vectorized engine runs its
+    kernel from the list columns: one hit, no sweep program built."""
+    built = []
+    original = _GreedySweepProgram.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_GreedySweepProgram, "__init__", counting_init)
+    network = _as_network(stream_gnp(300, 0.05, 3))
+    instance = random_arbdefective_instance(
+        network, slack=1.5, seed=3,
+        color_space_size=network.raw_max_degree() + 2)
+    before = kernel_stats()
+    with use_engine("vectorized"):
+        result = greedy_arbdefective_sweep(
+            instance, sequential_ids(network), len(network))
+    after = kernel_stats()
+    assert built == []
+    assert after["fallbacks"] == before["fallbacks"]
+    assert (after["by_kernel"].get("_GreedySweepKernel", 0)
+            - before["by_kernel"].get("_GreedySweepKernel", 0)) == 1
+    with use_engine("reference"):
+        want = greedy_arbdefective_sweep(
+            instance, sequential_ids(network), len(network))
+    assert result.colors == want.colors
+    assert result.orientation == want.orientation
+    assert built

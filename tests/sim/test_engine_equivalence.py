@@ -8,9 +8,9 @@ reduction, the greedy arbdefective sweep, and the seeded randomized
 baseline -- over random topologies through both engines and assert
 equal node outputs, rounds, messages, bit totals, max message size,
 broadcast counts, and per-phase breakdowns.
-Protocols without a registered kernel (and mixed-class populations)
-exercise the vectorized engine's fallback, which must be just as
-invisible.
+Protocols without a kernel, and every program population handed to
+``run_protocol``, exercise the vectorized engine's fallback, which must
+be just as invisible.
 
 The equivalence invariant extends to telemetry: every protocol run in
 ``test_engines_agree`` happens under an installed
@@ -350,8 +350,8 @@ def _with_congest(run, network):
 
 
 def test_mixed_program_population_falls_back():
-    """Two program classes in one network: the vectorized engine must
-    detect the mix, fall back, and stay indistinguishable."""
+    """Two program classes in one network: the vectorized engine runs
+    the program population on reference, indistinguishably."""
     network = gnp_graph(30, 0.15, seed=21)
     results = {}
     states = {}

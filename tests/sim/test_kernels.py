@@ -33,7 +33,8 @@ from repro.sim import (
     unregister_kernel,
     use_engine,
 )
-from repro.sim.kernels import fanout_totals
+from repro.sim.kernels import ColumnInputs, fanout_totals
+from repro.sim.scheduler import run_columns
 from repro.sim.message import set_payload_memo_enabled
 
 
@@ -140,17 +141,18 @@ class _CountdownKernel(RoundKernel):
 
     prepared = 0
 
-    def prepare(self, compiled, programs, bandwidth):
+    def prepare(self, compiled, inputs, bandwidth):
         type(self).prepared += 1
-        if any(program.heard for program in programs):
-            return None  # mid-run state: fall back
+        data = inputs.data
+        if any(data["heard"]):
+            return None  # pre-existing state: fall back
         from repro.sim import LocalModel
 
         return {
             "compiled": compiled,
             "order": compiled.order,
             "degrees": compiled.degrees,
-            "lifetimes": [program.lifetime for program in programs],
+            "lifetimes": data["lifetimes"],
             "check_fanout": (None if type(bandwidth) is LocalModel
                              else bandwidth.check_fanout),
         }
@@ -182,16 +184,16 @@ class _CountdownKernel(RoundKernel):
             broadcasts=broadcasts,
         )
 
-    def finalize(self, columns, programs):
+    def finalize(self, columns, inputs):
         compiled = columns["compiled"]
         indptr = compiled.indptr
         indices = compiled.indices
         lifetimes = columns["lifetimes"]
-        for i, program in enumerate(programs):
-            program.heard = sum(
-                min(lifetimes[i], lifetimes[j])
-                for j in indices[indptr[i]:indptr[i + 1]]
-            )
+        inputs.outputs = [
+            sum(min(lifetime, lifetimes[j])
+                for j in indices[indptr[i]:indptr[i + 1]])
+            for i, lifetime in enumerate(lifetimes)
+        ]
 
 
 @pytest.fixture
@@ -202,20 +204,34 @@ def countdown_kernel():
     unregister_kernel(_Countdown)
 
 
-def _run_countdown(network, engine, bandwidth=None, **scheduler_kwargs):
-    programs = {
-        node: _Countdown(node, 1 + node % 4) for node in network
-    }
-    ledger = CostLedger()
-    scheduler = Scheduler(
-        network, programs, bandwidth=bandwidth, ledger=ledger,
-        **scheduler_kwargs,
-    )
-    scheduler.run(engine=engine)
-    return scheduler.outputs(), (
-        ledger.rounds, ledger.messages, ledger.bits,
-        ledger.max_message_bits, ledger.broadcasts,
-    )
+def _countdown_inputs(network, lifetime=lambda node: 1 + node % 4,
+                      heard=None):
+    """A :class:`_Countdown` population as columns (``heard``: a node
+    given pre-existing state)."""
+    order = network.compile().order
+    lifetimes = [lifetime(node) for node in order]
+    seeded = [7 if node == heard else 0 for node in order]
+
+    def build_programs():
+        programs = {}
+        for i, node in enumerate(order):
+            programs[node] = _Countdown(node, lifetimes[i])
+            programs[node].heard = seeded[i]
+        return programs
+
+    return ColumnInputs(_Countdown, {"lifetimes": lifetimes,
+                                     "heard": seeded}, build_programs)
+
+
+def _ledger_tuple(ledger):
+    return (ledger.rounds, ledger.messages, ledger.bits,
+            ledger.max_message_bits, ledger.broadcasts)
+
+
+def _run_countdown(network, engine, bandwidth=None):
+    outputs, ledger = run_columns(network, _countdown_inputs(network),
+                                  bandwidth=bandwidth, engine=engine)
+    return list(outputs), _ledger_tuple(ledger)
 
 
 @pytest.mark.parametrize("congest", [False, True])
@@ -232,13 +248,12 @@ def test_staggered_halting_kernel_matches_reference(
 
 
 def test_prepare_decline_falls_back(countdown_kernel):
-    """Mid-run state makes prepare decline; the fall back is invisible."""
+    """Pre-existing state makes prepare decline; the fall back is
+    invisible."""
     network = gnp_graph(25, 0.15, seed=19)
     baseline = _run_countdown(network, "reference")
-    programs = {node: _Countdown(node, 1 + node % 4) for node in network}
-    programs[next(iter(network))].heard = 7  # pre-existing state
-    ledger = CostLedger()
-    Scheduler(network, programs, ledger=ledger).run(engine="vectorized")
+    inputs = _countdown_inputs(network, heard=next(iter(network)))
+    _, ledger = run_columns(network, inputs, engine="vectorized")
     assert _CountdownKernel.prepared == 1  # prepare ran, then declined
     # Fallback reproduces reference totals apart from the seeded heard=7.
     assert ledger.rounds == baseline[1][0]
@@ -247,17 +262,16 @@ def test_prepare_decline_falls_back(countdown_kernel):
 
 def test_observer_and_stop_when_bypass_kernel(countdown_kernel):
     network = gnp_graph(20, 0.2, seed=23)
-    _run_countdown(network, "vectorized", observer=None,
-                   stop_when=lambda programs: False)
+    Scheduler(network, None, columns=_countdown_inputs(network),
+              stop_when=lambda programs: False).run(engine="vectorized")
     assert _CountdownKernel.prepared == 0  # stop_when forces reference
 
 
 def test_vectorized_respects_max_rounds(countdown_kernel):
     network = gnp_graph(20, 0.2, seed=29)
-    programs = {node: _Countdown(node, 10) for node in network}
-    scheduler = Scheduler(network, programs)
+    inputs = _countdown_inputs(network, lifetime=lambda node: 10)
     with pytest.raises(RoundLimitExceeded):
-        scheduler.run(max_rounds=3, engine="vectorized")
+        run_columns(network, inputs, max_rounds=3, engine="vectorized")
     assert _CountdownKernel.prepared == 1
 
 
@@ -298,7 +312,7 @@ def test_intern_broadcast_honors_cache_switch():
 
 
 # ----------------------------------------------------------------------
-# Two-Sweep populations: mixed-class fallback and dispatch stats
+# Two-Sweep populations: program-population fallback and dispatch stats
 # ----------------------------------------------------------------------
 def _two_sweep_path_programs():
     """A 4-node properly colored path of ``TwoSweepProgram``s plus one
@@ -322,9 +336,9 @@ def _two_sweep_path_programs():
 
 
 def test_two_sweep_mixed_population_falls_back():
-    """A Two-Sweep population mixed with another program class must be
-    detected as non-uniform: the vectorized engine falls back to
-    reference (recorded as a ``mixed`` fallback) with identical results."""
+    """Kernels run only from columns: a program population -- here
+    Two-Sweep programs mixed with another class -- runs on reference
+    (recorded as a ``programs`` fallback) with identical results."""
     outputs = {}
     ledgers = {}
     for engine in ("reference", "vectorized"):
@@ -342,7 +356,7 @@ def test_two_sweep_mixed_population_falls_back():
         )
     stats = kernel_stats()
     assert stats["fallbacks"] == 1
-    assert stats["by_reason"] == {"mixed": 1}
+    assert stats["by_reason"] == {"programs": 1}
     assert outputs["vectorized"] == outputs["reference"]
     assert ledgers["vectorized"] == ledgers["reference"]
 

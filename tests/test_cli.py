@@ -238,8 +238,8 @@ class TestTrace:
         from repro.sim import reset_kernel_stats
 
         reset_kernel_stats()
-        # The randomized baseline has no registered kernel, so the
-        # vectorized engine records an 'unregistered' fallback.
+        # The randomized baseline runs node programs, which the
+        # vectorized engine hands to reference as a 'programs' fallback.
         assert main([
             "--engine", "vectorized", "--kernel-stats",
             "delta-plus-one", "--route", "random", "--n", "16",
@@ -251,8 +251,8 @@ class TestTrace:
             line for line in out.splitlines() if line.startswith("note:")
         ]
         assert notes, "fallback note missing"
-        assert any("unregistered" in line and "no kernel is registered"
-                   in line for line in notes)
+        assert any("'programs'" in line and "kernels run only from "
+                   "columns" in line for line in notes)
 
 
 class TestMetricsFlag:
