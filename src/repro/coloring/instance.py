@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..graphs.oriented import BidirectedView, OrientedGraph
+from ..sim import arrays
 from ..sim.errors import InstanceError
 from ..sim.network import Network
 
@@ -256,9 +257,17 @@ class OLDCInstance(_ListInstanceBase):
         non-empty list is skipped: it never sees a conflict (its
         ``beta_v`` floor of 1 would otherwise reject tiny lists).
         """
+        degrees = self.graph.out_degrees
+        np = arrays.get_numpy()
+        if np is not None and len(degrees) >= arrays.MIN_BATCH:
+            found = _first_unsatisfied_array(
+                np, self.list_indptr, self.list_defects, degrees, p,
+                epsilon, exempt_sinks)
+            if found is not None:
+                return found if found < len(degrees) else None
         ptr = self.list_indptr
         values = self.list_defects
-        for i, outdegree in enumerate(self.graph.out_degrees):
+        for i, outdegree in enumerate(degrees):
             lo, hi = ptr[i], ptr[i + 1]
             size = hi - lo
             if exempt_sinks and outdegree == 0 and size > 0:
@@ -281,6 +290,49 @@ class OLDCInstance(_ListInstanceBase):
             {node: self.defects[node] for node in keep},
             self.color_space_size,
         )
+
+
+#: Integers below this are exact float64 values.
+_EXACT_FLOAT = 1 << 53
+
+
+def _first_unsatisfied_array(np, list_indptr, list_defects, degrees,
+                             p: int, epsilon: Optional[float],
+                             exempt_sinks: bool) -> Optional[int]:
+    """:meth:`OLDCInstance.first_unsatisfied` over NumPy columns: the
+    first failing dense id, ``len(degrees)`` when none fails, or
+    ``None`` where the loop must decide.
+
+    The thresholds take the loop's float64 operations in its order.
+    Python compares an int weight with a float threshold exactly, NumPy
+    only below ``2**53``, so weights (and the int products ``p * beta``)
+    that could reach it keep the loop.
+    """
+    values = arrays.int64_column(np, list_defects)
+    if values is None:
+        return None
+    entries = len(values)
+    peak = max(int(values.max()), -int(values.min())) if entries else 0
+    outdegrees = np.asarray(degrees, dtype=np.int64)
+    beta = np.maximum(outdegrees, 1)
+    if (not p > 0 or (peak + 1) * entries >= _EXACT_FLOAT
+            or p * int(beta.max(initial=1)) >= _EXACT_FLOAT):
+        return None
+    ptr = np.asarray(list_indptr, dtype=np.int64)
+    sizes = np.diff(ptr)
+    # Per-node defect sums from one prefix sum (empty lists give 0).
+    prefix = np.zeros(entries + 1, dtype=np.int64)
+    np.cumsum(values, out=prefix[1:])
+    weights = prefix[ptr[1:]] - prefix[ptr[:-1]] + sizes
+    # max(p, |L_v| / p): the loop's int p is the same float64 here.
+    scale = np.maximum(float(p), sizes / p)
+    if epsilon is not None:
+        scale = (1.0 + epsilon) * scale
+    failed = ~(weights > scale * beta)
+    if exempt_sinks:
+        failed &= (outdegrees > 0) | (sizes == 0)
+    hits = np.flatnonzero(failed)
+    return int(hits[0]) if hits.size else len(degrees)
 
 
 class _UndirectedInstanceBase(_ListInstanceBase):

@@ -410,6 +410,40 @@ def test_kernel_stats_counters_track_hits():
     assert zeroed["runs"] == 0 and not zeroed["by_kernel"]
 
 
+def test_numpy_import_is_not_booked_as_warmup(monkeypatch):
+    """The first kernel run in a process resolves the array backend --
+    importing NumPy -- before its warmup clock starts: ``warmup_s``
+    counts column building, not the import."""
+    import time
+
+    from repro.coloring.random_instances import random_arbdefective_instance
+    from repro.graphs import sequential_ids
+    from repro.sim import arrays
+    from repro.substrates.greedy import greedy_arbdefective_sweep
+
+    pytest.importorskip("numpy")
+    network = gnp_graph(30, 0.2, seed=3)
+    instance = random_arbdefective_instance(network, 1.0, seed=3,
+                                            color_space_size=8)
+    real_import = arrays._import_numpy
+
+    def slow_import():
+        if arrays._numpy_module is arrays._UNSET:
+            time.sleep(0.2)  # an import's cost
+        return real_import()
+
+    monkeypatch.setenv(arrays.ARRAYS_ENV, "1")
+    monkeypatch.setattr(arrays, "_import_numpy", slow_import)
+    arrays._reset_import_cache()
+    reset_kernel_stats()
+    with use_engine("vectorized"):
+        greedy_arbdefective_sweep(instance, sequential_ids(network),
+                                  len(network))
+    stats = kernel_stats()
+    assert stats["by_kernel"] == {"_GreedySweepKernel": 1}
+    assert stats["warmup_s"] < 0.2
+
+
 def test_tracing_preserves_kernel_hit_rate():
     """Regression (the tracer's reason to exist): a traced vectorized
     Two-Sweep run must still be a kernel hit, not an ``observer``-style
