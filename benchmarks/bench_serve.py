@@ -9,7 +9,7 @@ algorithms, interleaved from concurrent keep-alive clients):
 * **warm** -- one process-mode :class:`~repro.serve.ColoringServer`
   hosted in-process; the full request multiset is driven through HTTP
   by concurrent clients.  Reports end-to-end wall, sustained req/s, and
-  the server's own rolling p50/p99 latency, plus batching stats.
+  the server's own rolling p50/p99 latency.
 * **cold** -- the same request specs executed by fresh
   ``python -c 'execute_request(...)'`` subprocesses, one per request:
   exactly the work a per-request CLI invocation pays (interpreter boot,
@@ -146,8 +146,7 @@ def _bench_cold(workload: List[Dict], probes: int) -> Dict:
 
 def _bench_warm(workload: List[Dict], repeats: int) -> Dict:
     boot_start = time.perf_counter()
-    server = ColoringServer(mode="process", workers=CLIENTS,
-                            max_batch=8)
+    server = ColoringServer(mode="process", workers=CLIENTS)
     with ServerHandle(server) as handle:
         boot_s = time.perf_counter() - boot_start
         references = {
@@ -201,9 +200,6 @@ def _bench_warm(workload: List[Dict], repeats: int) -> Dict:
         "req_per_s": round(requests / wall_s, 2) if wall_s > 0 else None,
         "p50_ms": stats["latency_ms"]["p50"],
         "p99_ms": stats["latency_ms"]["p99"],
-        "batches": stats["queue"]["batches"],
-        "mean_batch": round(stats["queue"]["mean_batch"], 3),
-        "largest_batch": stats["queue"]["largest_batch"],
         "pool_restarts": stats["pool"]["restarts"],
         "bit_identity": {"checked": identical, "identical": True},
     }
@@ -256,8 +252,7 @@ def _render(report: Dict) -> str:
         f"{warm['requests']} requests in {warm['wall_s']:.3f}s = "
         f"{warm['req_per_s']:,} req/s",
         f"  latency p50 {warm['p50_ms']:.1f} ms, p99 "
-        f"{warm['p99_ms']:.1f} ms; {warm['batches']} batches, mean "
-        f"{warm['mean_batch']:.2f}, largest {warm['largest_batch']}",
+        f"{warm['p99_ms']:.1f} ms",
         f"  bit-identity vs serial reference: "
         f"{warm['bit_identity']['checked']} responses, all identical",
         f"cold per-request invocations "

@@ -433,8 +433,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     server = ColoringServer(
         host=args.host, port=args.port, workers=args.workers,
-        mode=args.mode, max_batch=args.max_batch,
-        max_queue=args.max_queue, prewarm=tuple(prewarm),
+        mode=args.mode, max_queue=args.max_queue,
+        prewarm=tuple(prewarm),
     )
 
     async def run() -> None:
@@ -689,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv = sub.add_parser(
         "serve",
         help="run the persistent coloring daemon (HTTP, warm worker "
-             "pool, request batching)",
+             "pool, bounded admission)",
     )
     p_sv.add_argument("--host", default="127.0.0.1")
     p_sv.add_argument("--port", type=int, default=8421,
@@ -702,10 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default="process",
                       help="worker pool mode (thread = single in-process "
                            "lane, deterministic and fork-free)")
-    p_sv.add_argument("--max-batch", type=int, default=8,
-                      help="micro-batch size cap per pool dispatch")
     p_sv.add_argument("--max-queue", type=int, default=256,
-                      help="admission queue bound (full queue -> 503)")
+                      help="admission bound: requests in flight "
+                           "(admitted, not yet answered) before a 503")
     p_sv.add_argument(
         "--prewarm", action="append", metavar="SPEC",
         help="topology spec (JSON) to build and publish at boot, e.g. "

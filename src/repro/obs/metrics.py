@@ -2,7 +2,7 @@
 
 Every layer of this repo used to keep its own private tally --
 ``KernelStats`` in :mod:`repro.sim.kernels`, the substrate-cache
-hit/miss counters, the worker-pool and batcher dicts, the daemon's
+hit/miss counters, the worker-pool and admission dicts, the daemon's
 rolling latency window.
 This module is the one place those quantities now land: a
 dependency-free registry of :class:`Counter`, :class:`Gauge`, and
@@ -49,7 +49,7 @@ __all__ = [
     "exposition", "log_buckets", "merge", "metrics_enabled",
     "nearest_rank", "percentile", "record_run", "reset_metrics",
     "sample_quantile", "set_metrics_enabled", "snapshot",
-    "snapshot_delta", "LATENCY_BUCKETS", "SIZE_BUCKETS",
+    "snapshot_delta", "LATENCY_BUCKETS",
 ]
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
@@ -129,9 +129,6 @@ def log_buckets(lo: float, hi: float, per_decade: int = 3
 
 #: Default buckets for wall-clock latencies in seconds: 100us .. 100s.
 LATENCY_BUCKETS = log_buckets(1e-4, 100.0, per_decade=3)
-
-#: Default buckets for small-count sizes (batch sizes, queue depths).
-SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 def sample_quantile(buckets: Sequence[float], counts: Sequence[int],

@@ -118,7 +118,6 @@ def summarize_metrics(snap: Mapping[str, Any],
                           {"code": "200"})
     request = _hist(snap, "repro_request_seconds")
     queue_wait = _hist(snap, "repro_queue_wait_seconds")
-    batch = _hist(snap, "repro_batch_size")
 
     hits = _sum_values(snap, "repro_kernel_dispatch_total",
                        {"outcome": "hit"})
@@ -166,9 +165,7 @@ def summarize_metrics(snap: Mapping[str, Any],
             "depth": _gauge(snap, "repro_queue_depth"),
             "wait_p50_s": queue_wait["p50"],
             "wait_p99_s": queue_wait["p99"],
-            "batches": batch["count"],
-            "batched_requests": batch["sum"],
-            "mean_batch": batch["mean"],
+            "dispatched": queue_wait["count"],
         },
         "pool": {
             "workers": _gauge(snap, "repro_pool_workers"),
@@ -237,8 +234,7 @@ def render_top(summary: Mapping[str, Any],
         f"queue     depth={_fmt(queue['depth'])}  "
         f"wait p50={_fmt(queue['wait_p50_s'], 'ms', 1000.0)}  "
         f"p99={_fmt(queue['wait_p99_s'], 'ms', 1000.0)}  "
-        f"batches={_fmt(queue['batches'])}  "
-        f"mean batch={_fmt(queue['mean_batch'], '', 1.0, 2)}"
+        f"dispatched={_fmt(queue['dispatched'])}"
     )
     lines.append(
         f"pool      workers={_fmt(pool['workers'])}  "

@@ -6,7 +6,7 @@ boot, imports, worker spawn, cache building, topology compilation.
 :mod:`repro.serve` keeps all of that alive in one long-running process:
 a stdlib-only asyncio HTTP daemon whose worker pool holds the warm
 substrate caches, shared-memory topologies, and frozen engine across
-requests, with micro-batching of compatible requests in between.
+requests; each admitted request is one pool dispatch.
 
 Layers (each its own module):
 
@@ -18,19 +18,17 @@ Layers (each its own module):
   which is what makes bit-identity testable;
 * :mod:`~repro.serve.pool` -- the supervised process-lifetime
   :class:`~repro.sim.parallel.WorkerPool`;
-* :mod:`~repro.serve.batcher` -- bounded admission + micro-batching;
-* :mod:`~repro.serve.server` -- the asyncio HTTP front end;
+* :mod:`~repro.serve.server` -- the asyncio HTTP front end and its
+  admission bound (requests in flight);
 * :mod:`~repro.serve.client` -- the keep-alive test/benchmark client.
 """
 
-from .batcher import Batcher, ServerBusy
 from .client import ServeClient
-from .executor import execute_batch, execute_request
+from .executor import execute_request
 from .pool import PoolSupervisor
 from .schema import (
     RequestError,
     SCHEMA_VERSION,
-    batch_key,
     envelope,
     parse_request,
     topology_key,
@@ -38,17 +36,13 @@ from .schema import (
 from .server import ColoringServer, ServerHandle
 
 __all__ = [
-    "Batcher",
     "ColoringServer",
     "PoolSupervisor",
     "RequestError",
     "SCHEMA_VERSION",
     "ServeClient",
-    "ServerBusy",
     "ServerHandle",
-    "batch_key",
     "envelope",
-    "execute_batch",
     "execute_request",
     "parse_request",
     "topology_key",

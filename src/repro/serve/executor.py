@@ -4,10 +4,11 @@
 :mod:`repro.serve.schema`) into a plain-dict payload -- coloring result,
 cost ledger, logical trace events, timing, and a lightweight per-request
 manifest.  The daemon's worker pool calls it through
-:func:`execute_batch`; tests and the benchmark call it directly in the
-serving process as the *serial reference*, and the acceptance contract
-is that both paths produce byte-identical logical streams (compare
-``canonical_lines`` of the returned trace) and identical ledgers.
+:func:`execute_batch_metrics`; tests and the benchmark call it directly
+in the serving process as the *serial reference*, and the acceptance
+contract is that both paths produce byte-identical logical streams
+(compare ``canonical_lines`` of the returned trace) and identical
+ledgers.
 
 Design constraints that shape this module:
 
@@ -15,7 +16,7 @@ Design constraints that shape this module:
   data -- payloads cross a process pool and then an HTTP socket;
 * algorithm failures are *results*, not crashes: an infeasible instance
   or a stuck node yields ``status: "error"`` with the exception's type
-  and message, and the worker process stays healthy for the next batch;
+  and message, and the worker process stays healthy for the next request;
 * the per-request manifest is deliberately cheap.  The full
   :func:`repro.obs.manifest.collect_manifest` shells out to ``git`` --
   fine once per benchmark, absurd per request -- so requests carry only
@@ -496,43 +497,33 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
     return payload
 
 
-def execute_batch(specs: List[Dict[str, Any]],
-                  handles: Optional[Dict[Hashable, Any]] = None
-                  ) -> List[Dict[str, Any]]:
-    """Run a homogeneous micro-batch inside a pool worker.
-
-    ``handles`` is the parent's current shared-topology export; attaching
-    is idempotent and cheap, and it is how topologies published *after*
-    the pool booted reach already-spawned workers.  The first request of
-    a batch pays any cold build; the rest ride its warm caches -- the
-    point of batching by ``(algorithm, topology)``.
-    """
-    if handles:
-        from ..sim import shm
-
-        shm.receive_handles(handles)
-    return [execute_request(spec) for spec in specs]
-
-
-def execute_batch_metrics(specs: List[Dict[str, Any]],
+def execute_batch_metrics(spec: Dict[str, Any],
                           handles: Optional[Dict[Hashable, Any]] = None
                           ) -> Dict[str, Any]:
-    """:func:`execute_batch` plus this batch's metrics-registry delta.
+    """The daemon's pool-worker entry: one request plus its
+    metrics-registry delta.
 
-    The daemon's dispatch path: the worker ships back
-    ``{"payloads", "pid", "metrics"}`` so the serving process can fold
+    ``handles`` carries the shm handle of the request's own topology
+    when the parent published it; receiving it is idempotent and cheap,
+    and it is how topologies published *after* the pool booted reach
+    already-spawned workers.  The worker ships back
+    ``{"payload", "pid", "metrics"}`` so the serving process can fold
     the worker's counters (kernel hits, cache lookups, per-run ledger
     totals) into its own registry.  A *delta*, not a cumulative
-    snapshot, so repeated batches on a long-lived worker stay additive;
+    snapshot, so repeated requests on a long-lived worker stay additive;
     stamped with the pid so a thread-mode pool (same process, updates
     already landed) is merged zero times, not twice.
     """
     from ..obs import metrics as obs_metrics
 
+    if handles:
+        from ..sim import shm
+
+        shm.receive_handles(handles)
     before = obs_metrics.snapshot()
-    payloads = execute_batch(specs, handles)
+    payload = execute_request(spec)
     return {
-        "payloads": payloads,
+        "payload": payload,
         "pid": os.getpid(),
         "metrics": obs_metrics.snapshot_delta(before,
                                               obs_metrics.snapshot()),

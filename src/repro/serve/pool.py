@@ -9,8 +9,8 @@ things a long-running service needs on top:
   ``ProcessPoolExecutor`` permanently; the supervisor builds a
   replacement pool, republishes its topologies (refcounts keep the
   segments alive across the handover), and only then closes the broken
-  one.  In-flight requests of the broken batch fail; the service does
-  not.
+  one.  The requests in flight on the broken pool fail; the service
+  does not.
 * **stable identity for /stats** -- occupancy counters, restart count
   and warmup cost survive across restarts.
 """
@@ -20,8 +20,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Hashable, Mapping, Optional
 
+from ..sim import shm
 from ..sim.parallel import PoolUnavailable, WorkerPool
 from .executor import execute_batch_metrics
+from .schema import topology_key
 
 
 class PoolSupervisor:
@@ -56,28 +58,34 @@ class PoolSupervisor:
             self._topologies.update(topologies)
             return self.pool.add_topologies(topologies)
 
-    def submit_batch(self, specs):
-        """Dispatch one micro-batch; returns a concurrent Future.
+    def submit(self, spec: Dict[str, Any]):
+        """Dispatch one request; returns a concurrent Future.
 
-        Ships the current shm handle export with the batch so workers
-        spawned before a late topology publication still attach it.  A
-        dead pool is rebuilt once before giving up.
+        Ships the shm handle of the request's own topology, when
+        published, so workers spawned before a late publication still
+        attach it.  A dead pool raises
+        :class:`~repro.sim.parallel.PoolUnavailable`; the caller decides
+        whether to :meth:`restart` (which blocks while the new pool
+        warms).
         """
-        handles = self.pool.topology_handles()
-        try:
-            return self.pool.submit(execute_batch_metrics, specs, handles)
-        except PoolUnavailable:
-            self.restart()
-            return self.pool.submit(execute_batch_metrics, specs, handles)
+        key = topology_key(spec["topology"])
+        handle = shm.export_handle(key)
+        handles = {key: handle} if handle is not None else None
+        return self.pool.submit(execute_batch_metrics, spec, handles)
 
-    def restart(self) -> None:
+    def restart(self, broken: Optional[WorkerPool] = None) -> None:
         """Replace a broken pool with a fresh warm one.
 
         The new pool re-publishes the supervisor's topologies *before*
         the old pool is closed, so the shm refcounts never touch zero
-        and the segments stay mapped throughout the handover.
+        and the segments stay mapped throughout the handover.  Given the
+        ``broken`` pool a request failed on, this does nothing once that
+        pool has been replaced: every request in flight on a dead pool
+        fails at once, and one restart serves their retries.
         """
         with self._lock:
+            if broken is not None and self.pool is not broken:
+                return
             old = self.pool
             replacement = WorkerPool(
                 max_workers=self._workers,

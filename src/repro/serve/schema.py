@@ -20,8 +20,8 @@ Requests are plain JSON dicts with two parts:
   ``fast-two-sweep`` (Algorithm 2, ``epsilon > 0``).
 
 :func:`parse_request` normalizes and validates a request into the spec
-dict the executor consumes; :func:`topology_key` and :func:`batch_key`
-derive the hashable identities the daemon batches and caches by.
+dict the executor consumes; :func:`topology_key` derives the hashable
+identity the daemon caches and publishes topologies by.
 Validation errors raise :class:`RequestError` (HTTP 400), never leak a
 traceback to a worker.
 """
@@ -321,12 +321,3 @@ def topology_key(topology: Dict[str, Any]) -> Hashable:
                 topology["seed"])
     return ("uploaded", topology["id"])
 
-
-def batch_key(spec: Dict[str, Any]) -> Hashable:
-    """Micro-batching identity: same topology + same algorithm class.
-
-    Requests sharing a batch key run back-to-back in one worker
-    dispatch, so the mapped topology, its value tables, and the
-    vectorized kernel state stay hot across the whole batch.
-    """
-    return (spec["algorithm"]["name"], topology_key(spec["topology"]))

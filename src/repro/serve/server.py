@@ -5,16 +5,19 @@ One :class:`ColoringServer` owns the whole warm-state story:
 * boot: load the on-disk substrate cache (``REPRO_SIM_CACHE_DIR``),
   install shared-memory signal cleanup, spawn and warm the worker pool,
   publish any prewarm topologies, then start listening;
-* steady state: parse requests, admit them through the
-  :class:`~repro.serve.batcher.Batcher`, and stream JSON responses over
-  keep-alive connections while tracking rolling latency percentiles;
-* shutdown: stop accepting, drain in-flight batches, close the pool
-  (releasing its shm topologies), and spill the substrate cache back to
-  disk so the *next* boot starts warm.
+* steady state: parse requests, admit each one while fewer than
+  ``max_queue`` are in flight (503 otherwise), hand it to the pool as
+  one dispatch, and stream JSON responses over keep-alive connections
+  while tracking rolling latency percentiles;
+* shutdown: stop accepting, let every request in flight finish, close
+  the pool (releasing its shm topologies), and spill the substrate
+  cache back to disk so the *next* boot starts warm.
 
 The HTTP layer is deliberately minimal -- request line, headers,
 ``Content-Length`` bodies, keep-alive -- because the daemon talks to
-benchmark harnesses and scripts, not browsers.  Routes:
+benchmark harnesses and scripts, not browsers.  Each request must
+arrive within :data:`READ_TIMEOUT_S` (408 otherwise; a connection silent
+that long is closed).  Routes:
 
 =======  =========  ====================================================
 method   path       purpose
@@ -35,14 +38,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs.metrics import percentile
-from .batcher import Batcher, ServerBusy
 from .executor import resolve_topology
 from .pool import PoolSupervisor
 from .schema import (
@@ -61,12 +64,18 @@ MAX_HEADERS = 100
 #: The longest request or header line: the listener's stream limit.
 MAX_LINE_BYTES = 64 * 1024
 
+#: Seconds a connection has to deliver a whole request -- line, headers
+#: and body -- from when the server starts waiting for it: a partial
+#: request is then answered 408, a silent connection closed.
+READ_TIMEOUT_S = 30.0
+
 #: Rolling window for the /stats latency percentiles.
 _LATENCY_WINDOW = 2048
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
+    405: "Method Not Allowed", 408: "Request Timeout",
+    413: "Payload Too Large",
     422: "Unprocessable Entity", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -77,21 +86,30 @@ _STATUS_TEXT = {
 # the rolling window and the histogram view agree (the old local copy
 # used ``round()``, whose banker's rounding resolved p50 of ``[1, 2]``
 # to rank 1 and quietly accepted ``fraction=0.0``).
-__all__ = ["BadRequest", "ColoringServer", "ServerHandle", "percentile"]
+__all__ = ["BadRequest", "ColoringServer", "RequestTimeout",
+           "ServerHandle", "percentile"]
 
 
 class BadRequest(ValueError):
     """A request the HTTP layer cannot frame; answered 400, then closed."""
 
 
+class RequestTimeout(Exception):
+    """A request that did not arrive within :data:`READ_TIMEOUT_S`;
+    answered 408, then closed."""
+
+
 class ColoringServer:
-    """One daemon: listener + batcher + supervised warm worker pool."""
+    """One daemon: listener + admission + supervised warm worker pool.
+
+    ``max_queue`` bounds the requests in flight -- admitted and not yet
+    answered; one more is a 503.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  workers: Optional[int] = None,
                  engine: Optional[str] = None,
                  mode: str = "process",
-                 max_batch: int = 8,
                  max_queue: int = 256,
                  prewarm: Tuple[Dict[str, Any], ...] = ()):
         self.host = host
@@ -99,8 +117,10 @@ class ColoringServer:
         self._requested_port = port
         self.supervisor = PoolSupervisor(workers=workers, engine=engine,
                                          mode=mode)
-        self.batcher = Batcher(self.supervisor, max_batch=max_batch,
-                               max_queue=max_queue)
+        self.max_queue = max_queue
+        self._in_flight = 0
+        self._drained: Optional[asyncio.Event] = None
+        self.dispatched = 0
         self._prewarm = tuple(prewarm)
         self._server: Optional[asyncio.AbstractServer] = None
         self._started_monotonic: Optional[float] = None
@@ -137,7 +157,6 @@ class ColoringServer:
             "warmup_s": warmup_s,
             "prewarmed": prewarmed,
         }
-        self.batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port,
             limit=MAX_LINE_BYTES,
@@ -153,7 +172,10 @@ class ColoringServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.batcher.stop()
+        # Let every request in flight reach its response.
+        if self._in_flight:
+            self._drained = asyncio.Event()
+            await self._drained.wait()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.supervisor.close)
         cache.save_to_disk()
@@ -176,12 +198,14 @@ class ColoringServer:
             while True:
                 try:
                     parsed = await self._read_request(reader)
-                except BadRequest as error:
+                except (BadRequest, RequestTimeout) as error:
                     # The body boundary is unknown, so the connection
                     # cannot carry another request.
-                    await self._respond(writer, 400, envelope(
+                    status = 400 if isinstance(error, BadRequest) else 408
+                    await self._respond(writer, status, envelope(
                         "error", status="error",
-                        error={"type": "BadRequest", "message": str(error)},
+                        error={"type": type(error).__name__,
+                               "message": str(error)},
                     ))
                     break
                 if parsed is None:
@@ -217,17 +241,42 @@ class ColoringServer:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        """Parse one request; ``None`` on clean EOF.
+        """Parse one request; ``None`` on clean EOF or an idle timeout.
 
         Returns ``(method, path, headers, body)``; an oversized body is
         *not* read -- the body slot carries its length as an ``int``.
-        Raises :class:`BadRequest` for a malformed request line, a line
-        over :data:`MAX_LINE_BYTES`, more than :data:`MAX_HEADERS`
-        headers, or a ``Content-Length`` that is not a plain decimal
-        byte count.
+        The whole request must arrive within :data:`READ_TIMEOUT_S` of
+        the start of the wait: a connection silent that long gets
+        ``None`` (it is closed), one that sent part of a request gets
+        :class:`RequestTimeout`.  Raises :class:`BadRequest`
+        for a malformed request line, a line over
+        :data:`MAX_LINE_BYTES`, more than :data:`MAX_HEADERS` headers,
+        or a ``Content-Length`` that is not a plain decimal byte count.
         """
-        line = await ColoringServer._read_line(reader)
-        if not line or line in (b"\r\n", b"\n"):
+        arrived: List[bytes] = []
+        try:
+            return await asyncio.wait_for(
+                ColoringServer._read_parts(reader, arrived), READ_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            if not arrived:
+                return None
+            raise RequestTimeout(
+                f"request not received within {READ_TIMEOUT_S:g} s"
+            ) from None
+
+    @staticmethod
+    async def _read_parts(reader: asyncio.StreamReader,
+                          arrived: List[bytes]):
+        """:meth:`_read_request` without its deadline; puts the first
+        byte in ``arrived`` once one has come."""
+        first = await reader.read(1)
+        if not first:
+            return None
+        arrived.append(first)
+        line = first if first == b"\n" else \
+            first + await ColoringServer._read_line(reader)
+        if line in (b"\r\n", b"\n"):
             return None
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
@@ -388,18 +437,25 @@ class ColoringServer:
         self._rewrite_upload(spec)
         name = spec["algorithm"]["name"]
         self._by_algorithm[name] = self._by_algorithm.get(name, 0) + 1
-        try:
-            payload = await self.batcher.submit(spec)
-        except ServerBusy as error:
+        if self._in_flight >= self.max_queue:
             self.requests["rejected"] += 1
             return 503, envelope("error", status="error", error={
-                "type": "ServerBusy", "message": str(error),
+                "type": "ServerBusy",
+                "message": f"admission full ({self.max_queue} requests "
+                           "in flight)",
             })
+        self._in_flight += 1
+        try:
+            payload = await self._dispatch(spec, time.perf_counter())
         except RuntimeError as error:
             self.requests["errors"] += 1
             return 500, envelope("error", status="error", error={
-                "type": "BatchFailed", "message": str(error),
+                "type": "DispatchFailed", "message": str(error),
             })
+        finally:
+            self._in_flight -= 1
+            if not self._in_flight and self._drained is not None:
+                self._drained.set()
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._latencies_ms.append(elapsed_ms)
         obs_metrics.histogram(
@@ -415,13 +471,65 @@ class ColoringServer:
         status = 400 if payload["error"]["type"] == "RequestError" else 422
         return status, envelope("coloring", **payload)
 
+    async def _dispatch(self, spec: Dict[str, Any],
+                        admitted: float) -> Dict[str, Any]:
+        """Run one admitted request on the pool; resolves to its payload.
+
+        A request whose worker dies is retried once on a freshly
+        restarted pool; a second failure raises ``RuntimeError``.
+        """
+        dispatched = time.perf_counter()
+        self.dispatched += 1
+        obs_metrics.histogram(
+            "repro_queue_wait_seconds",
+            "Admission-to-dispatch wait per request",
+            buckets=obs_metrics.LATENCY_BUCKETS,
+        ).observe(dispatched - admitted)
+        loop = asyncio.get_running_loop()
+        error: Optional[Exception] = None
+        for attempt in (0, 1):
+            pool = self.supervisor.pool
+            try:
+                future = asyncio.wrap_future(self.supervisor.submit(spec))
+                payload = self._unwrap(await future)
+                break
+            except Exception as exc:  # noqa: BLE001 - fault barrier
+                # Typically BrokenProcessPool from a worker killed
+                # mid-request; rebuild the pool and retry once.
+                error = exc
+                if attempt == 0:
+                    await loop.run_in_executor(
+                        None, self.supervisor.restart, pool
+                    )
+        else:
+            raise RuntimeError(f"request execution failed: {error}")
+        payload["timing"]["queue_wait_s"] = dispatched - admitted
+        return payload
+
+    @staticmethod
+    def _unwrap(result: Dict[str, Any]) -> Dict[str, Any]:
+        """The payload of a worker result, folding in its metrics.
+
+        :func:`~repro.serve.executor.execute_batch_metrics` wraps the
+        payload with the worker's registry delta and pid.  Same-pid
+        deltas -- thread-mode pools share this process, whose registry
+        already saw the updates -- are dropped to avoid double-counting.
+        """
+        delta = result["metrics"]
+        if delta and result["pid"] != os.getpid():
+            try:
+                obs_metrics.merge(delta)
+            except obs_metrics.MetricError:
+                pass  # a foreign layout must not fail the request
+        return result["payload"]
+
     def _rewrite_upload(self, spec: Dict[str, Any]) -> None:
         """Resolve a ``graph`` handle the workers cannot see via shm.
 
         When the upload could not be published to shared memory (or a
         thread-mode pool shares this process anyway), the spec is
         rewritten to inline edges whose digest reproduces the same
-        topology key, so caching and batching identities are unchanged.
+        topology key, so caching identities are unchanged.
         """
         topology = spec["topology"]
         if topology["kind"] != "graph":
@@ -447,8 +555,8 @@ class ColoringServer:
         scrapes always see current values.
         """
         obs_metrics.gauge(
-            "repro_queue_depth", "Requests admitted but not yet dispatched"
-        ).set(float(self.batcher.depth()))
+            "repro_queue_depth", "Requests admitted and not yet answered"
+        ).set(float(self._in_flight))
         pool = self.supervisor.stats()
         obs_metrics.gauge(
             "repro_pool_workers", "Worker processes/threads in the pool"
@@ -475,7 +583,14 @@ class ColoringServer:
                 "p50": percentile(window, 0.50),
                 "p99": percentile(window, 0.99),
             },
-            queue=self.batcher.stats(),
+            # ``batches`` and ``batched_requests`` both count dispatched
+            # requests: one request per pool dispatch.
+            queue={
+                "depth": self._in_flight,
+                "capacity": self.max_queue,
+                "batches": self.dispatched,
+                "batched_requests": self.dispatched,
+            },
             pool=self.supervisor.stats(),
             caches={
                 "enabled": cache.cache_enabled(),
@@ -484,9 +599,7 @@ class ColoringServer:
                 "disk": cache.disk_state(),
             },
             topologies={
-                "published": sorted(
-                    str(key) for key in (shm.export_handles() or {})
-                ),
+                "published": sorted(str(key) for key in shm.published_keys()),
                 "uploads": len(self._uploads),
             },
             metrics=obs_metrics.snapshot(),

@@ -382,12 +382,6 @@ class WorkerPool:
                 handles[key] = handle
         return handles
 
-    def topology_handles(self) -> Optional[Dict[Hashable, dict]]:
-        """Every handle published by this process (task payload form)."""
-        from . import shm
-
-        return shm.export_handles() or None
-
     # -- dispatch -------------------------------------------------------
     @property
     def in_flight(self) -> int:

@@ -178,6 +178,12 @@ def export_handles() -> Dict[Hashable, dict]:
     return {key: entry[1] for key, entry in _exported.items()}
 
 
+def export_handle(key: Hashable) -> Optional[dict]:
+    """The handle published under ``key``, or ``None`` (task payload)."""
+    entry = _exported.get(key)
+    return entry[1] if entry is not None else None
+
+
 def receive_handles(handles: Optional[Dict[Hashable, dict]]) -> None:
     """Worker side: remember the parent's handles for lazy attachment."""
     if handles:

@@ -2,11 +2,7 @@
 
 import json
 
-from repro.obs.metrics import (
-    LATENCY_BUCKETS,
-    SIZE_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.top import (
     render_top,
     snapshot_from_jsonl,
@@ -25,12 +21,10 @@ def _loaded_registry() -> MetricsRegistry:
                              buckets=LATENCY_BUCKETS)
     for v in (0.002, 0.004, 0.01, 0.5):
         req.observe(v)
-    registry.histogram("repro_queue_wait_seconds", "t",
-                       buckets=LATENCY_BUCKETS).observe(0.001)
-    batch = registry.histogram("repro_batch_size", "t",
-                               buckets=SIZE_BUCKETS)
-    batch.observe(2)
-    batch.observe(4)
+    wait = registry.histogram("repro_queue_wait_seconds", "t",
+                              buckets=LATENCY_BUCKETS)
+    wait.observe(0.001)
+    wait.observe(0.002)
     registry.gauge("repro_queue_depth", "t").set(3.0)
     registry.gauge("repro_pool_workers", "t").set(4.0)
     registry.gauge("repro_uptime_seconds", "t").set(10.0)
@@ -62,8 +56,7 @@ class TestSummarize:
     def test_queue_and_pool(self):
         summary = summarize_metrics(_loaded_registry().snapshot())
         assert summary["queue"]["depth"] == 3.0
-        assert summary["queue"]["batches"] == 2
-        assert summary["queue"]["mean_batch"] == 3.0
+        assert summary["queue"]["dispatched"] == 2
         assert summary["pool"]["workers"] == 4.0
 
     def test_kernel_hit_rate(self):

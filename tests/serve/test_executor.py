@@ -9,7 +9,7 @@ import pytest
 from repro.obs.tracer import canonical_lines
 from repro.serve.executor import (
     counters_delta,
-    execute_batch,
+    execute_batch_metrics,
     execute_request,
 )
 from repro.serve.schema import parse_request
@@ -375,6 +375,9 @@ class TestEdgesTopology:
 
 
 class TestBatch:
+    """The pool worker's entry, :func:`execute_batch_metrics`: one spec
+    per call."""
+
     def test_batch_preserves_order_and_isolation(self):
         specs = [
             _spec({"kind": "ring-stream", "n": 40}, "greedy-reduction"),
@@ -383,9 +386,10 @@ class TestBatch:
                    "check": False}),
             _spec({"kind": "ring-stream", "n": 40}, "greedy-reduction"),
         ]
-        payloads = execute_batch(specs)
+        payloads = [execute_batch_metrics(spec)["payload"]
+                    for spec in specs]
         assert [p["status"] for p in payloads] == ["ok", "error", "ok"]
-        # The failure in the middle did not contaminate its neighbors.
+        # The failure in the middle did not contaminate the next call.
         assert payloads[0]["result"]["colors_blake2b"] == \
             payloads[2]["result"]["colors_blake2b"]
 
@@ -393,7 +397,7 @@ class TestBatch:
         spec = _spec({"kind": "gnp", "n": 26, "density": 0.2, "seed": 2},
                      {"name": "two-sweep", "p": 2, "seed": 3})
         serial = execute_request(spec)
-        batched = execute_batch([spec])[0]
+        batched = execute_batch_metrics(spec)["payload"]
         assert batched["result"]["colors_blake2b"] == \
             serial["result"]["colors_blake2b"]
         assert batched["ledger"] == serial["ledger"]

@@ -1,11 +1,10 @@
-"""Daemon metrics under load: /metrics and /stats mid-batch.
+"""Daemon metrics under load: /metrics and /stats mid-traffic.
 
 Satellite for the unified metrics registry: drive concurrent coloring
 clients while other clients scrape ``/stats`` and ``/metrics``
-mid-batch, then assert the scraped numbers are internally consistent --
-the latency window matches the request counters, the queue-wait
-histogram counts every batched request exactly once, and the
-batch-size histogram agrees with the batcher's own coalescing counters.
+mid-traffic, then assert the scraped numbers are internally
+consistent -- the latency window matches the request counters, and the
+queue-wait histogram counts every dispatched request exactly once.
 """
 
 import pathlib
@@ -53,8 +52,7 @@ def _hist_totals(snap, name):
 def loaded_server():
     """One daemon driven by concurrent clients, plus mid-batch scrapes."""
     obs_metrics.reset_metrics()
-    server = ColoringServer(workers=2, mode="thread", max_batch=4,
-                            max_queue=256)
+    server = ColoringServer(workers=2, mode="thread", max_queue=256)
     requests_per_client = 6
     clients = 4
     scrapers = 2
@@ -102,7 +100,7 @@ def loaded_server():
         "scrapes": scrapes,
         "final_stats": final_stats,
         "final_text": final_text,
-        "batcher": server.batcher,
+        "dispatched": server.dispatched,
     }
 
 
@@ -122,18 +120,16 @@ class TestUnderLoad:
         assert total > 0.0
 
     def test_queue_wait_counts_every_batched_request(self, loaded_server):
-        snap = loaded_server["final_stats"]["metrics"]
-        batcher = loaded_server["batcher"]
-        wait_count, _ = _hist_totals(snap, "repro_queue_wait_seconds")
-        assert wait_count == batcher.batched_requests
-
-    def test_batch_size_histogram_matches_batcher(self, loaded_server):
-        snap = loaded_server["final_stats"]["metrics"]
-        batcher = loaded_server["batcher"]
-        batches, coalesced = _hist_totals(snap, "repro_batch_size")
-        assert batches == batcher.batches
-        assert coalesced == batcher.batched_requests
-        assert coalesced >= batches  # every batch has >= 1 request
+        """One queue-wait observation per dispatched request; /stats
+        keeps counting dispatches as ``batches`` (one request each)."""
+        stats = loaded_server["final_stats"]
+        wait_count, _ = _hist_totals(stats["metrics"],
+                                     "repro_queue_wait_seconds")
+        dispatched = loaded_server["dispatched"]
+        assert dispatched == loaded_server["total_requests"]
+        assert wait_count == dispatched
+        assert stats["queue"]["batches"] == dispatched
+        assert stats["queue"]["batched_requests"] == dispatched
 
     def test_latency_window_consistent_with_requests(self, loaded_server):
         stats = loaded_server["final_stats"]
@@ -185,7 +181,7 @@ class TestUnderLoad:
                                     stats["uptime_s"])
         assert summary["requests"]["total"] == \
             loaded_server["total_requests"]
-        assert summary["queue"]["batches"] == \
-            loaded_server["batcher"].batches
+        assert summary["queue"]["dispatched"] == \
+            stats["queue"]["batches"]
         text = render_top(summary, source="test")
         assert "requests" in text and "queue" in text

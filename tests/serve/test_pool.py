@@ -66,13 +66,12 @@ class TestPoolSupervisor:
         supervisor = PoolSupervisor(workers=1, mode="thread")
         try:
             supervisor.warm()
-            future = supervisor.submit_batch([_greedy_spec(48)])
+            future = supervisor.submit(_greedy_spec(48))
             result = future.result(timeout=60)
-            # The supervisor ships execute_batch_metrics: payloads plus
-            # the worker's registry delta and pid.
-            assert set(result) == {"payloads", "pid", "metrics"}
-            payloads = result["payloads"]
-            assert payloads[0]["status"] == "ok"
+            # The supervisor ships execute_batch_metrics: one payload
+            # plus the worker's registry delta and pid.
+            assert set(result) == {"payload", "pid", "metrics"}
+            assert result["payload"]["status"] == "ok"
             stats = supervisor.stats()
             assert stats["restarts"] == 0
             assert stats["completed"] >= 1
@@ -92,13 +91,29 @@ class TestPoolSupervisor:
                 # Republish-before-close keeps the segment alive across
                 # the handover.
                 assert shm.lookup(key) is not None
-            future = supervisor.submit_batch([_greedy_spec(49)])
+            future = supervisor.submit(_greedy_spec(49))
             result = future.result(timeout=60)
-            assert result["payloads"][0]["status"] == "ok"
+            assert result["payload"]["status"] == "ok"
         finally:
             supervisor.close()
         if handles:
             assert shm.lookup(key) is None
+
+    def test_restart_of_a_replaced_pool_is_a_no_op(self):
+        """Every request in flight on a dead pool fails and asks for a
+        restart with the pool it failed on; only the first one acts."""
+        supervisor = PoolSupervisor(workers=1, mode="thread")
+        try:
+            broken = supervisor.pool
+            supervisor.restart(broken)
+            replacement = supervisor.pool
+            supervisor.restart(broken)
+            assert supervisor.pool is replacement is not broken
+            assert supervisor.stats()["restarts"] == 1
+            future = supervisor.submit(_greedy_spec(50))
+            assert future.result(timeout=60)["payload"]["status"] == "ok"
+        finally:
+            supervisor.close()
 
     def test_engine_stable_across_restart(self):
         supervisor = PoolSupervisor(workers=1, engine="reference",

@@ -8,7 +8,6 @@ from repro.serve.schema import (
     MAX_REQUEST_LIST_ENTRIES,
     RequestError,
     SCHEMA_VERSION,
-    batch_key,
     edges_digest,
     envelope,
     parse_algorithm,
@@ -244,27 +243,3 @@ class TestRequestParsing:
     def test_non_object_body(self):
         with pytest.raises(RequestError, match="JSON object"):
             parse_request([1, 2, 3])
-
-
-class TestBatchKey:
-    def test_same_topology_same_algorithm_coalesce(self):
-        a = parse_request({"topology": {"kind": "ring-stream", "n": 32},
-                           "algorithm": {"name": "greedy-reduction"}})
-        b = parse_request({"topology": {"kind": "ring-stream", "n": 32},
-                           "algorithm": {"name": "greedy-reduction",
-                                         "colors": 32}})
-        assert batch_key(a) == batch_key(b)
-
-    def test_different_topology_splits(self):
-        a = parse_request({"topology": {"kind": "ring-stream", "n": 32},
-                           "algorithm": "greedy-reduction"})
-        b = parse_request({"topology": {"kind": "ring-stream", "n": 33},
-                           "algorithm": "greedy-reduction"})
-        assert batch_key(a) != batch_key(b)
-
-    def test_different_algorithm_splits(self):
-        a = parse_request({"topology": {"kind": "ring-stream", "n": 32},
-                           "algorithm": "greedy-reduction"})
-        b = parse_request({"topology": {"kind": "ring-stream", "n": 32},
-                           "algorithm": {"name": "two-sweep"}})
-        assert batch_key(a) != batch_key(b)

@@ -1,34 +1,37 @@
-"""End-to-end daemon tests: HTTP, batching, bit-identity, isolation.
+"""End-to-end daemon tests: HTTP, admission, bit-identity, isolation.
 
 Most tests share one thread-mode daemon (module-scoped): a single
 in-process worker lane makes runs deterministic and fork-free while
-still exercising the full HTTP -> admission -> batching -> pool ->
-executor path over a real TCP socket.  Process-mode behavior (worker
-death, restarts) is covered separately with skip guards for sandboxes
-where process pools are unavailable.
+still exercising the full HTTP -> admission -> pool -> executor path
+over a real TCP socket.  Process-mode behavior (worker death, restarts)
+is covered separately with skip guards for sandboxes where process
+pools are unavailable.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import os
+import select
 import socket
 import threading
 import time
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import canonical_lines
 from repro.serve import (
-    Batcher,
     ColoringServer,
-    PoolSupervisor,
     ServeClient,
-    ServerBusy,
     ServerHandle,
     execute_request,
     parse_request,
 )
+from repro.serve import executor as serve_executor
+from repro.serve import server as serve_server
+from repro.sim.parallel import WorkerPool
 
 RING = {"kind": "ring-stream", "n": 96}
 GNP = {"kind": "gnp", "n": 26, "density": 0.2, "seed": 5}
@@ -38,7 +41,7 @@ SWEEP = {"name": "two-sweep", "p": 2, "seed": 7}
 
 @pytest.fixture(scope="module")
 def daemon():
-    server = ColoringServer(mode="thread", max_batch=4,
+    server = ColoringServer(mode="thread",
                             prewarm=({"kind": "ring-stream", "n": 96},))
     with ServerHandle(server) as handle:
         yield handle
@@ -244,7 +247,6 @@ class TestColoring:
         assert status == 200
         assert payload["kind"] == "coloring"
         assert payload["result"]["valid"] is True
-        assert payload["batch"]["size"] >= 1
         assert payload["timing"]["queue_wait_s"] >= 0
         assert payload["timing"]["request_wall_s"] > 0
 
@@ -349,50 +351,196 @@ class TestBitIdentity:
                 canonical_lines(reference["trace"])
 
 
-class TestBatcherAdmission:
-    def test_full_queue_raises_server_busy(self):
-        async def scenario():
-            supervisor = PoolSupervisor(workers=1, mode="thread")
-            try:
-                batcher = Batcher(supervisor, max_queue=1)
-                # No dispatch loop running: the first submit parks in
-                # the queue, the second must be shed immediately.
-                first = asyncio.ensure_future(
-                    batcher.submit(parse_request(
-                        {"topology": RING, "algorithm": GREEDY})))
-                await asyncio.sleep(0)
-                with pytest.raises(ServerBusy):
-                    await batcher.submit(parse_request(
-                        {"topology": RING, "algorithm": GREEDY}))
-                first.cancel()
-            finally:
-                supervisor.close()
+@pytest.fixture()
+def gated_pool(monkeypatch):
+    """Hold every request inside the pool until ``gate`` is set;
+    ``entered`` is set once the first one is there."""
+    gate, entered = threading.Event(), threading.Event()
+    original = serve_executor.execute_request
 
-        asyncio.run(scenario())
+    def held(spec):
+        entered.set()
+        gate.wait(timeout=60)
+        return original(spec)
 
-    def test_compatible_requests_coalesce(self):
-        async def scenario():
-            supervisor = PoolSupervisor(workers=1, mode="thread")
-            try:
-                batcher = Batcher(supervisor, max_batch=8)
-                spec = parse_request(
-                    {"topology": RING, "algorithm": GREEDY})
-                pending = [asyncio.ensure_future(batcher.submit(spec))
-                           for _ in range(4)]
-                await asyncio.sleep(0)  # everything queued, no loop yet
-                batcher.start()
-                payloads = await asyncio.gather(*pending)
-                await batcher.stop()
-                return payloads
-            finally:
-                supervisor.close()
+    monkeypatch.setattr(serve_executor, "execute_request", held)
+    yield gate, entered
+    gate.set()
 
-        payloads = asyncio.run(scenario())
-        # All four were waiting when the dispatcher first looked, so
-        # they ran as one micro-batch.
-        assert [p["batch"]["size"] for p in payloads] == [4, 4, 4, 4]
-        assert [p["batch"]["index"] for p in payloads] == [0, 1, 2, 3]
-        assert all(p["status"] == "ok" for p in payloads)
+
+def _color_in_thread(handle, results, index):
+    def run():
+        with ServeClient(handle.host, handle.port) as conn:
+            results[index] = conn.color(
+                {"topology": RING, "algorithm": GREEDY})
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+class TestAdmission:
+    def test_staggered_arrivals_past_max_queue_get_503(self, gated_pool):
+        """``max_queue`` bounds the requests in flight: with one request
+        held in the pool, arrivals spaced well apart are still shed once
+        ``max_queue`` of them are admitted and unanswered."""
+        gate, entered = gated_pool
+        server = ColoringServer(mode="thread", workers=1, max_queue=2)
+        results = {}
+        with ServerHandle(server) as handle:
+            threads = [_color_in_thread(handle, results, 0)]
+            assert entered.wait(timeout=30)
+            for index in (1, 2, 3):
+                threads.append(_color_in_thread(handle, results, index))
+                time.sleep(0.2)
+            gate.set()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            with ServeClient(handle.host, handle.port) as conn:
+                stats = conn.stats()
+        assert [results[i][0] for i in range(4)] == [200, 200, 503, 503]
+        busy = results[2][1]["error"]
+        assert busy["type"] == "ServerBusy"
+        assert "2 requests in flight" in busy["message"]
+        assert stats["requests"]["rejected"] == 2
+        assert stats["queue"]["depth"] == 0
+        assert stats["queue"]["batches"] == 2
+
+    def test_request_in_flight_at_stop_is_answered(self, gated_pool):
+        gate, entered = gated_pool
+        server = ColoringServer(mode="thread")
+        handle = ServerHandle(server).__enter__()
+        results = {}
+        client = _color_in_thread(handle, results, 0)
+        assert entered.wait(timeout=30)
+        stopper = threading.Thread(target=handle.__exit__,
+                                   args=(None, None, None))
+        stopper.start()
+        time.sleep(0.2)
+        # stop() waits for the request it found in flight.
+        assert stopper.is_alive()
+        gate.set()
+        stopper.join(timeout=120)
+        client.join(timeout=60)
+        assert not stopper.is_alive() and not client.is_alive()
+        status, payload = results[0]
+        assert status == 200
+        assert payload["result"]["valid"] is True
+
+
+class TestWorkerMetrics:
+    def test_only_foreign_pid_deltas_merge(self):
+        """A thread-mode worker shares this process's registry, so its
+        delta has already landed; a process worker's delta merges."""
+        worker = MetricsRegistry()
+        worker.counter("repro_test_worker_delta_total", "t").inc(3)
+        delta = worker.snapshot()
+
+        def merged():
+            entry = obs_metrics.snapshot().get(
+                "repro_test_worker_delta_total", {})
+            return sum(s["value"] for s in entry.get("samples", ()))
+
+        before = merged()
+        payload = {"status": "ok"}
+        assert ColoringServer._unwrap({"payload": payload,
+                                       "pid": os.getpid(),
+                                       "metrics": delta}) is payload
+        assert merged() == before
+        ColoringServer._unwrap({"payload": payload, "pid": -1,
+                                "metrics": delta})
+        assert merged() == before + 3
+
+
+class TestHandles:
+    def test_dispatch_ships_at_most_its_own_handle(self, monkeypatch):
+        shipped = []
+        original = WorkerPool.submit
+
+        def spy(pool, fn, *args):
+            shipped.append(args[1])
+            return original(pool, fn, *args)
+
+        monkeypatch.setattr(WorkerPool, "submit", spy)
+        server = ColoringServer(mode="thread")
+        with ServerHandle(server) as handle:
+            with ServeClient(handle.host, handle.port) as conn:
+                ids = []
+                for n in (11, 12, 13, 14):
+                    status, upload = conn.upload(
+                        n, [(i, (i + 1) % n) for i in range(n)])
+                    assert status == 200
+                    if not upload["published"]:
+                        pytest.skip("shared memory unavailable")
+                    ids.append(upload["id"])
+                for graph_id in ids:
+                    status, _ = conn.color({
+                        "topology": {"kind": "graph", "id": graph_id},
+                        "algorithm": GREEDY})
+                    assert status == 200
+                status, _ = conn.color({"topology": {"kind": "ring-stream",
+                                                     "n": 30},
+                                        "algorithm": GREEDY})
+                assert status == 200
+                server.supervisor.restart()
+                status, payload = conn.color({
+                    "topology": {"kind": "graph", "id": ids[0]},
+                    "algorithm": GREEDY})
+                assert status == 200
+                assert payload["result"]["valid"] is True
+        assert [list(h) if h else None for h in shipped] == [
+            [("uploaded", graph_id)] for graph_id in ids
+        ] + [None, [("uploaded", ids[0])]]
+
+
+class TestReadTimeout:
+    def test_slow_headers_get_408(self, daemon, monkeypatch):
+        """A peer that drips its headers one byte every 0.1 s is cut
+        off by the read deadline with a 408, then closed."""
+        monkeypatch.setattr(serve_server, "READ_TIMEOUT_S", 0.5)
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            started = time.monotonic()
+            for byte in b"X-Slow: " + b"a" * 100:
+                if select.select([sock], [], [], 0.1)[0]:
+                    break
+                try:
+                    sock.sendall(bytes([byte]))
+                except OSError:
+                    break
+            elapsed = time.monotonic() - started
+            chunks = []
+            while True:
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    break
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), head
+        assert b"Connection: close" in head
+        payload = json.loads(body)
+        assert payload["error"]["type"] == "RequestTimeout"
+        assert elapsed < 5.0
+
+    def test_partial_request_line_gets_408(self, daemon, monkeypatch):
+        monkeypatch.setattr(serve_server, "READ_TIMEOUT_S", 0.5)
+        data = _raw_exchange(daemon, b"GET /hea")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), data[:200]
+        assert json.loads(body)["error"]["type"] == "RequestTimeout"
+
+    def test_idle_connection_closed_silently(self, daemon, monkeypatch):
+        monkeypatch.setattr(serve_server, "READ_TIMEOUT_S", 0.5)
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=10) as sock:
+            started = time.monotonic()
+            assert sock.recv(65536) == b""
+            assert time.monotonic() - started < 5.0
 
 
 class TestProcessMode:
@@ -400,7 +548,7 @@ class TestProcessMode:
         import os
         import signal
 
-        server = ColoringServer(mode="process", workers=2, max_batch=4)
+        server = ColoringServer(mode="process", workers=2)
         try:
             with ServerHandle(server) as handle:
                 if server.supervisor.pool.mode != "process":
@@ -422,7 +570,7 @@ class TestProcessMode:
                            and time.monotonic() < deadline):
                         time.sleep(0.01)
                     assert executor._broken, "worker death went unnoticed"
-                    # The batch hit by the kill is retried on a fresh
+                    # The request hit by the kill is retried on a fresh
                     # pool; either way the daemon must answer correctly.
                     status, payload = conn.color(
                         {"topology": RING, "algorithm": GREEDY})
