@@ -110,14 +110,6 @@ def _word_chunk(expected: float) -> int:
     return int(expected + 6.0 * math.sqrt(2.0 * expected)) + 32
 
 
-def _mt_words(np, rng: random.Random, count: int):
-    """The next ``count`` Mersenne Twister words of ``rng``, in order:
-    ``getrandbits(32 * count)`` packs them little-endian."""
-    return np.frombuffer(
-        rng.getrandbits(32 * count).to_bytes(4 * count, "little"),
-        dtype="<u4")
-
-
 def _call_tables(np, words, bound: int, calls: int):
     """``(one, many)``: where one ``_randbelow(bound)`` call, and where
     ``calls`` successive ones, that start at word ``i`` leave the
@@ -262,7 +254,7 @@ def _bulk_columns(np, rng: random.Random, degrees, p: int, k: int,
         while True:
             if len(words) < need:
                 words = np.concatenate(
-                    [words, _mt_words(np, rng, need - len(words))])
+                    [words, arrays.mt_words(np, rng, need - len(words))])
             drawn = _draw_block(np, words, k, sample_bounds, block_bounds,
                                 hi - lo)
             if drawn is not None:

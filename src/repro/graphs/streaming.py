@@ -193,12 +193,16 @@ def csr_from_edges(n: int, edges: Iterable[Edge]):
     contract.  ``edges`` is an iterable of pairs or, with the array
     backend on, one int64 ``(m, 2)`` NumPy block holding the stream in
     order.  Takes a NumPy counting-sort path for blocks and large
-    streams when the array backend is enabled; both paths are
-    bit-identical.
+    streams when the array backend is enabled, and a key sort for a
+    block in lexicographic order (:func:`_csr_fill_sorted`); all paths
+    are bit-identical.
     """
     np = arrays.get_numpy()
     if np is not None and isinstance(edges, np.ndarray):
-        return _csr_fill_numpy(np, n, _checked_block(np, n, edges))
+        block = _checked_block(np, n, edges)
+        if _lexicographic(np, n, block):
+            return _csr_fill_sorted(np, n, block)
+        return _csr_fill_numpy(np, n, block)
     pairs = array(_ID_TYPECODE)
     append = pairs.append
     for u, v in edges:
@@ -214,18 +218,62 @@ def csr_from_edges(n: int, edges: Iterable[Edge]):
 
 
 def _checked_block(np, n: int, block):
-    """``block`` flattened to ``u0, v0, u1, v1, ...``; raises what the
+    """``block`` as a contiguous int64 ``(m, 2)`` array; raises what the
     stream loop would raise at the block's first bad edge."""
     block = np.ascontiguousarray(block, dtype=np.int64).reshape(-1, 2)
     u = block[:, 0]
     v = block[:, 1]
+    if not block.size or (block.min() >= 0 and block.max() < n
+                          and not (u == v).any()):
+        return block
     bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
     if bad.any():
         k = int(np.argmax(bad))
         if u[k] == v[k]:
             raise NetworkError("self-loops are not allowed")
         raise NetworkError("edge endpoint out of range")
-    return block.reshape(-1)
+    return block
+
+
+def _lexicographic(np, n: int, block) -> bool:
+    """Whether every pair of the checked ``block`` has ``u < v`` and
+    the pairs strictly increase in lexicographic order, as G(n, p)'s
+    walk and the grid emit them."""
+    u = block[:, 0]
+    v = block[:, 1]
+    if n > 1 << 31 or not (u < v).all():
+        return False
+    keys = u << max(n - 1, 1).bit_length()
+    keys |= v
+    return bool((keys[1:] > keys[:-1]).all())
+
+
+def _csr_fill_sorted(np, n: int, block):
+    """:func:`_csr_fill_numpy`'s bytes for a :func:`_lexicographic` block.
+
+    Row ``x`` of the stable fill lists the ``w < x`` of the edges
+    ``(w, x)``, which all come first and by ascending ``w``, then the
+    ``y > x`` of the edges ``(x, y)``, ascending: its sorted neighbor
+    list.  So one in-place sort of the distinct keys ``src << shift |
+    dst``, masked back to ``dst``, is the indices buffer.
+    """
+    edges = block.shape[0]
+    u = block[:, 0]
+    v = block[:, 1]
+    indptr = array(_ID_TYPECODE, bytes(8 * (n + 1)))
+    counts = np.bincount(u, minlength=n)
+    counts += np.bincount(v, minlength=n)
+    np.cumsum(counts, out=np.frombuffer(indptr, dtype=np.int64)[1:])
+    indices = array(_ID_TYPECODE, [0]) * (2 * edges)
+    keys = np.frombuffer(indices, dtype=np.int64)
+    shift = max(n - 1, 1).bit_length()
+    np.left_shift(u, shift, out=keys[:edges])
+    keys[:edges] |= v
+    np.left_shift(v, shift, out=keys[edges:])
+    keys[edges:] |= u
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return indptr, indices
 
 
 def _csr_fill_python(n: int, pairs: array):
@@ -252,7 +300,7 @@ def _csr_fill_python(n: int, pairs: array):
 
 def _csr_fill_numpy(np, n: int, pairs):
     """CSR from the flat int64 endpoints ``u0, v0, u1, v1, ...`` (any
-    contiguous int64 buffer)."""
+    contiguous int64 buffer, or a checked ``(m, 2)`` block)."""
     # Directed incidence in stream order: (u -> v, v -> u) per edge.
     src = np.frombuffer(pairs, dtype=np.int64)
     dst = src.reshape(-1, 2)[:, ::-1].reshape(-1)
@@ -331,16 +379,57 @@ def _gnp_chunk(expected: float) -> int:
     return int(expected + 4.0 * math.sqrt(expected)) + 16
 
 
+#: Relative half-width of the bracket :func:`_gnp_gaps` puts around each
+#: gap quotient: 2**12 ulps, far beyond the ulp or two by which
+#: ``np.log`` and ``math.log`` differ.
+_GAP_SLACK = 2.0 ** -40
+
+
+def _bulk_log(np, values):
+    """``np.log(values)``, which may differ from ``math.log`` by an ulp;
+    :func:`_gnp_gaps` repairs every gap that difference could move."""
+    return np.log(values)
+
+
+def _gnp_gaps(np, rng: random.Random, count: int, log_skip: float,
+              total: int):
+    """The next ``count`` gaps of :func:`gnp_edges`'s walk,
+    ``int(math.log(1.0 - rng.random()) / log_skip)`` clipped at
+    ``total``, as int64.
+
+    The uniforms are replayed exactly from bulk words, and ``1 - u`` is
+    exact for ``u`` on the 2**-53 grid, so only the log can differ from
+    the stream's.  Each quotient is bracketed by :data:`_GAP_SLACK`; where
+    the clipped floors of the bracket's ends differ (the quotient lies
+    within a few ulps of an integer, ``total`` included), the quotient is
+    recomputed with ``math.log`` itself.
+    """
+    rest = arrays.mt_doubles(np, rng, count)
+    np.subtract(1.0, rest, out=rest)
+    quotient = _bulk_log(np, rest)
+    quotient /= log_skip
+    bound = float(total)
+    low = quotient * (1.0 - _GAP_SLACK)
+    np.minimum(low, bound, out=low)
+    gaps = low.astype(np.int64)
+    quotient *= 1.0 + _GAP_SLACK
+    np.minimum(quotient, bound, out=quotient)
+    log = math.log
+    for i in np.flatnonzero(quotient.astype(np.int64) != gaps).tolist():
+        gaps[i] = int(min(log(rest[i]) / log_skip, bound))
+    return gaps
+
+
 def _gnp_block(np, n: int, p: float, seed: int):
     """:func:`gnp_edges` as one int64 ``(m, 2)`` block, same order.
 
-    The same draws: ``math.log(1.0 - random())`` per edge from the same
-    seeded ``random.Random``, taken in chunks sized from the expected
-    edge count (draws past the last edge are discarded; the generator
-    is local).  The gap division, the cumulative pair index and the
-    row unranking run in NumPy; each gap is clipped at the pair count
-    first, which ends the walk exactly where the stream's ``t >= total``
-    does and keeps tiny-``p`` gaps inside int64.
+    The same draws from the same seeded ``random.Random``
+    (:func:`_gnp_gaps`), taken in chunks sized from the expected edge
+    count (draws past the last edge are discarded; the generator is
+    local).  Each gap is clipped at the pair count, which ends the walk
+    exactly where the stream's ``t >= total`` does and keeps tiny-``p``
+    gaps inside int64.  The pair index is sorted, so the rows are
+    unranked by searching the ``n`` row starts in it.
     """
     if n < 0:
         raise NetworkError("node count must be non-negative")
@@ -352,15 +441,12 @@ def _gnp_block(np, n: int, p: float, seed: int):
     log_skip = math.log(1.0 - p)
     if log_skip == 0.0:  # edgeless, as the stream
         return np.empty((0, 2), dtype=np.int64)
-    draw = random.Random(seed).random
-    log = math.log
+    rng = random.Random(seed)
     chunk = _gnp_chunk(p * total)
     t = -1
     found = []
     while True:
-        logs = np.fromiter((log(1.0 - draw()) for _ in range(chunk)),
-                           dtype=np.float64, count=chunk)
-        steps = np.minimum(logs / log_skip, float(total)).astype(np.int64)
+        steps = _gnp_gaps(np, rng, chunk, log_skip, total)
         steps += 1
         np.cumsum(steps, out=steps)
         steps += t
@@ -370,12 +456,17 @@ def _gnp_block(np, n: int, p: float, seed: int):
             break
         found.append(steps)
         t = int(steps[-1])
-    index = np.concatenate(found)
-    # Row u holds the pairs [row_start[u], row_start[u] + n - u - 1).
+    index = found[0] if len(found) == 1 else np.concatenate(found)
+    # Row u holds the pairs [row_start[u], row_start[u] + n - u - 1), so
+    # pair t sits in column t - (row_start[u] - u - 1).
     row_start = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=row_start[1:])
-    u = np.searchsorted(row_start, index, side="right") - 1
-    return np.stack([u, u + 1 + index - row_start[u]], axis=1)
+    counts = np.diff(np.searchsorted(index, row_start), append=len(index))
+    block = np.empty((len(index), 2), dtype=np.int64)
+    block[:, 0] = np.repeat(np.arange(n, dtype=np.int64), counts)
+    np.subtract(index, np.repeat(row_start - np.arange(1, n + 1), counts),
+                out=block[:, 1])
+    return block
 
 
 def stream_ring(n: int) -> CompiledNetwork:

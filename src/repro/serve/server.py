@@ -144,18 +144,20 @@ class ColoringServer:
         disk_loaded = cache.load_from_disk()
         shm.install_signal_cleanup()
         warmup_s = await loop.run_in_executor(None, self.supervisor.warm)
-        prewarmed = []
+        prewarm_s: Dict[str, float] = {}
         for raw in self._prewarm:
             topology = parse_topology(raw)
+            started = time.perf_counter()
             key, compiled = await loop.run_in_executor(
                 None, resolve_topology, topology
             )
             self.supervisor.add_topologies({key: compiled})
-            prewarmed.append(str(key))
+            prewarm_s[str(key)] = time.perf_counter() - started
         self.boot = {
             "disk_cache_loaded": disk_loaded,
             "warmup_s": warmup_s,
-            "prewarmed": prewarmed,
+            "prewarmed": list(prewarm_s),
+            "prewarm_s": prewarm_s,
         }
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port,
@@ -399,16 +401,17 @@ class ColoringServer:
         )
         handles = self.supervisor.add_topologies({key: compiled})
         graph_id = topology["id"]
-        self._uploads[graph_id] = {
-            "n": topology["n"],
-            "edges": topology["edges"],
-            "published": key in handles,
-        }
+        record: Dict[str, Any] = {"published": key in handles}
+        if not record["published"]:
+            # Only an upload the workers cannot attach keeps its edge
+            # list: _rewrite_upload inlines it into each request for it.
+            record.update(n=topology["n"], edges=topology["edges"])
+        self._uploads[graph_id] = record
         return 200, envelope(
             "graph-upload", status="ok", id=graph_id,
             n=compiled.n, m=compiled.m,
             max_degree=compiled.raw_max_degree(),
-            published=key in handles,
+            published=record["published"],
         )
 
     @staticmethod
@@ -655,7 +658,7 @@ class ServerHandle:
 
     def __exit__(self, *exc_info: Any) -> None:
         assert self._loop is not None and self._thread is not None
-        future = asyncio.run_coroutine_threadsafe(self.server.stop(),
+        future = asyncio.run_coroutine_threadsafe(self._shutdown(),
                                                   self._loop)
         try:
             future.result(timeout=120)
@@ -664,3 +667,15 @@ class ServerHandle:
             self._thread.join(timeout=120)
             if not self._loop.is_running():
                 self._loop.close()
+
+    async def _shutdown(self) -> None:
+        """Stop the server, then cancel and await the connection
+        handlers still parked on a keep-alive read, so none is left
+        pending when the loop closes."""
+        await self.server.stop()
+        current = asyncio.current_task()
+        pending = [task for task in asyncio.all_tasks()
+                   if task is not current]
+        for task in pending:
+            task.cancel()
+        await asyncio.gather(*pending, return_exceptions=True)

@@ -21,8 +21,10 @@ This module is the single switch point for that backend:
   :data:`MAX_COLOR`); fields beyond that fall back to pure Python, whose
   integers never overflow;
 * **helpers** -- batched modular Horner evaluation of a
-  :class:`~repro.substrates.cover_free.PolynomialFamily` and the color
-  reduction's whole-bucket mex.
+  :class:`~repro.substrates.cover_free.PolynomialFamily`, the color
+  reduction's whole-bucket mex, and the exact bulk Mersenne Twister
+  draws that replay a seeded ``random.Random`` (:func:`mt_words`,
+  :func:`mt_doubles`).
 
 Process-pool workers inherit the parent's *resolved* decision via
 :func:`set_arrays_override` (shipped through ``_init_worker`` initargs),
@@ -171,6 +173,41 @@ def iter_chunks(total: int, chunk: int):
         return
     for lo in range(0, total, chunk):
         yield (lo, min(lo + chunk, total))
+
+
+# ----------------------------------------------------------------------
+# Bulk Mersenne Twister draws
+# ----------------------------------------------------------------------
+def mt_words(np, rng, count: int):
+    """The next ``count`` Mersenne Twister words of the
+    ``random.Random`` ``rng``, in order: ``getrandbits(32 * count)``
+    packs them little-endian.  (``numpy.random.MT19937`` would draw them
+    faster, but importing ``numpy.random`` costs more per process than
+    it saves here.)"""
+    return np.frombuffer(
+        rng.getrandbits(32 * count).to_bytes(4 * count, "little"),
+        dtype="<u4")
+
+
+#: :func:`mt_doubles` draws this many values per ``getrandbits`` call, so
+#: the words and their bytes stay small and reused between calls.
+_MT_PIECE = 1 << 15
+
+
+def mt_doubles(np, rng, count: int):
+    """The next ``count`` values of ``rng.random()``, exactly, as a
+    float64 array: each takes two words ``w0, w1`` and is
+    ``((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53``, every step exact in
+    float64."""
+    values = np.empty(count, dtype=np.float64)
+    for lo, hi in iter_chunks(count, _MT_PIECE):
+        words = mt_words(np, rng, 2 * (hi - lo)).reshape(-1, 2)
+        piece = values[lo:hi]
+        np.right_shift(words[:, 0], 5, out=piece, casting="unsafe")
+        piece *= 67108864.0
+        piece += words[:, 1] >> 6
+    values *= 1.0 / 9007199254740992.0
+    return values
 
 
 # ----------------------------------------------------------------------

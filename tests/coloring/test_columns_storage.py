@@ -311,14 +311,14 @@ def test_bulk_draws_refill_and_blocks(numpy_backend, bulk_draws,
     generator.  A small table budget splits the nodes into blocks that
     carry the unused words over."""
     words = []
-    real_words = random_instances._mt_words
+    real_words = arrays.mt_words
     real_chunk = random_instances._word_chunk
 
     def counted(np, rng, count):
         words.append(count)
         return real_words(np, rng, count)
 
-    monkeypatch.setattr(random_instances, "_mt_words", counted)
+    monkeypatch.setattr(arrays, "mt_words", counted)
     monkeypatch.setattr(random_instances, "_word_chunk", lambda expected: 1)
     graph = orient_by_id(stream_gnp(300, 4 / 299, 2))
     _assert_draws_match(graph, 2, 6, 0.25)

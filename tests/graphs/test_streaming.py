@@ -14,6 +14,9 @@ must be proper.
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from array import array
 
 import pytest
@@ -171,6 +174,159 @@ class TestRandomizedStreams:
     def test_gnp_is_seeded(self):
         assert list(gnp_edges(50, 0.2, 3)) == list(gnp_edges(50, 0.2, 3))
         assert list(gnp_edges(50, 0.2, 3)) != list(gnp_edges(50, 0.2, 4))
+
+
+def _pair_block(np, edges):
+    """An edge stream as the int64 ``(m, 2)`` array it would fill."""
+    flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64)
+    return flat.reshape(-1, 2)
+
+
+def _perturbed_log(direction):
+    """A ``_bulk_log`` one ulp off ``np.log``, towards ``direction``."""
+    def log(np, values):
+        return np.nextafter(np.log(values), direction)
+    return log
+
+
+class TestGnpBulkDraws:
+    """``_gnp_block`` replays ``gnp_edges``'s ``random()`` stream from
+    bulk Mersenne Twister words and takes its logs with ``np.log``; the
+    block must still equal the pair stream edge for edge."""
+
+    @pytest.mark.parametrize("n,p,seed", [
+        (4000, 0.15, 1),
+        *((300, p, 4) for p in (1e-17, 1e-12, 0.5, 0.999, 1.0)),
+        *((n, 0.5, seed) for n in (0, 1, 2, 3) for seed in range(4)),
+        (2000, 4 / 1999, 3),
+    ])
+    def test_block_equals_pair_stream(self, n, p, seed):
+        np = pytest.importorskip("numpy")
+        got = streaming._gnp_block(np, n, p, seed)
+        assert got.dtype == np.int64 and got.shape[1:] == (2,)
+        assert np.array_equal(got, _pair_block(np, gnp_edges(n, p, seed)))
+
+    def test_mt_doubles_replay_random(self):
+        np = pytest.importorskip("numpy")
+        for count in (0, 1, 7, arrays._MT_PIECE + 3):
+            rng = random.Random(count)
+            got = arrays.mt_doubles(np, rng, count)
+            oracle = random.Random(count)
+            assert got.tolist() == [oracle.random() for _ in range(count)]
+            assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("direction", [0.0, -math.inf])
+    def test_block_survives_a_one_ulp_log(self, monkeypatch, direction):
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(streaming, "_bulk_log", _perturbed_log(direction))
+        for n, p, seed in ((4000, 0.15, 1), (300, 0.5, 2), (60, 0.999, 3)):
+            assert np.array_equal(streaming._gnp_block(np, n, p, seed),
+                                  _pair_block(np, gnp_edges(n, p, seed)))
+
+    @pytest.mark.parametrize("direction", [0.0, -math.inf])
+    def test_gaps_repair_quotients_near_an_integer(self, monkeypatch,
+                                                   direction):
+        """Uniforms whose quotient ``log(1 - u) / log(1 - p)`` lies within
+        an ulp of an integer: a one-ulp log moves some of their floors,
+        and the gaps must still be ``math.log``'s."""
+        np = pytest.importorskip("numpy")
+        p, total = 0.3, 10
+        log_skip = math.log(1.0 - p)
+        uniforms = []
+        for k in range(1, 12):
+            grid = round((1.0 - p) ** k * 2.0 ** 53)
+            uniforms += [1.0 - (grid + i) * 2.0 ** -53 for i in range(-8, 9)]
+        values = np.array(uniforms)
+        want = [int(min(math.log(1.0 - u) / log_skip, total))
+                for u in uniforms]
+        perturbed = _perturbed_log(direction)(np, 1.0 - values) / log_skip
+        moved = np.minimum(perturbed, total).astype(np.int64).tolist()
+        assert moved != want  # the one-ulp log alone would move gaps
+        monkeypatch.setattr(streaming, "_bulk_log", _perturbed_log(direction))
+        monkeypatch.setattr(arrays, "mt_doubles",
+                            lambda np, rng, count: values[:count].copy())
+        gaps = streaming._gnp_gaps(np, None, len(uniforms), log_skip, total)
+        assert gaps.tolist() == want
+
+
+class TestKeySortFill:
+    """Blocks whose pairs have ``u < v`` and strictly increase take the
+    key-sort fill; every other block keeps the stable fill.  Both give
+    the pair stream's bytes."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_backend(self):
+        pytest.importorskip("numpy")
+        previous = arrays.set_arrays_override(True)
+        yield
+        arrays.set_arrays_override(previous)
+
+    @staticmethod
+    def _fill_paths(monkeypatch):
+        taken = []
+        original = streaming._csr_fill_sorted
+
+        def spy(*args):
+            taken.append("sorted")
+            return original(*args)
+
+        monkeypatch.setattr(streaming, "_csr_fill_sorted", spy)
+        return taken
+
+    @pytest.mark.parametrize("n,block,stream", [
+        (300, lambda np: streaming._gnp_block(np, 300, 0.15, 1),
+         lambda: gnp_edges(300, 0.15, 1)),
+        (4000, lambda np: streaming._gnp_block(np, 4000, 4 / 3999, 2),
+         lambda: gnp_edges(4000, 4 / 3999, 2)),
+        (40, lambda np: streaming._gnp_block(np, 40, 1.0, 0),
+         lambda: gnp_edges(40, 1.0, 0)),
+        (63 * 65, lambda np: streaming._grid_block(np, 63, 65),
+         lambda: grid_edges(63, 65)),
+        (7, lambda np: streaming._grid_block(np, 7, 1),
+         lambda: grid_edges(7, 1)),
+    ], ids=["gnp-dense", "gnp-sparse", "gnp-complete", "grid", "grid7x1"])
+    def test_lexicographic_blocks_take_the_key_sort(self, monkeypatch, n,
+                                                    block, stream):
+        np = pytest.importorskip("numpy")
+        edges = block(np)
+        taken = self._fill_paths(monkeypatch)
+        got = csr_from_edges(n, edges)
+        assert taken == ["sorted"]
+        checked = streaming._checked_block(np, n, edges)
+        assert _pair_bytes(got) == _pair_bytes(
+            _csr_fill_numpy(np, n, checked))
+        assert _pair_bytes(got) == _pair_bytes(
+            csr_from_edges(n, stream()))
+
+    @pytest.mark.parametrize("n,edges", [
+        (50, lambda np: streaming._ring_block(np, 50)),
+        (2 ** 7 - 1, lambda np: streaming._tree_block(np, 6)),
+        (300, lambda np: np.random.default_rng(5).permutation(
+            streaming._gnp_block(np, 300, 0.1, 5))),
+        (5, lambda np: np.array([[0, 1], [0, 1], [1, 2]])),
+        (5, lambda np: np.array([[0, 1], [2, 1]])),
+    ], ids=["ring", "tree", "shuffled", "duplicate", "descending-pair"])
+    def test_other_blocks_keep_the_stable_fill(self, monkeypatch, n, edges):
+        np = pytest.importorskip("numpy")
+        block = edges(np)
+        taken = self._fill_paths(monkeypatch)
+        got = csr_from_edges(n, block)
+        assert taken == []
+        pairs = array("q", block.reshape(-1).tolist())
+        assert _pair_bytes(got) == _pair_bytes(_csr_fill_python(n, pairs))
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (1, 1)], "self-loops are not allowed"),
+        ([(0, 1), (1, 3), (2, 2)], "edge endpoint out of range"),
+        ([(0, 1), (2, 2), (1, 3)], "self-loops are not allowed"),
+        ([(-1, 2)], "edge endpoint out of range"),
+    ])
+    def test_block_errors_keep_their_text(self, pairs, message):
+        np = pytest.importorskip("numpy")
+        for edges in (iter(pairs), np.array(pairs, dtype=np.int64)):
+            with pytest.raises(NetworkError) as raised:
+                csr_from_edges(3, edges)
+            assert str(raised.value) == message
 
 
 class TestCSRFills:

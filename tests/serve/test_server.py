@@ -10,6 +10,7 @@ pools are unavailable.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import select
@@ -238,6 +239,9 @@ class TestEndpoints:
         assert stats["caches"]["enabled"] is True
         assert "counters" in stats["caches"]
         assert stats["boot"]["prewarmed"] == ["('ring-stream', 96)"]
+        prewarm_s = stats["boot"]["prewarm_s"]
+        assert list(prewarm_s) == ["('ring-stream', 96)"]
+        assert 0 < prewarm_s["('ring-stream', 96)"] < 60
 
 
 class TestColoring:
@@ -301,6 +305,37 @@ class TestColoring:
         assert status == 200
         assert payload["result"]["valid"] is True
         assert payload["topology"]["n"] == 10
+
+    def test_published_upload_keeps_no_edge_list(self, daemon, client):
+        status, upload = client.upload(6, [(i, (i + 1) % 6)
+                                           for i in range(6)])
+        assert status == 200
+        if not upload["published"]:
+            pytest.skip("shared memory unavailable")
+        assert daemon.server._uploads[upload["id"]] == {"published": True}
+
+    def test_unpublished_upload_colors_by_handle(self, monkeypatch):
+        """An upload the workers cannot attach keeps its edge list and
+        is colored from it, inlined into each request."""
+        server = ColoringServer(mode="thread")
+        monkeypatch.setattr(server.supervisor, "add_topologies",
+                            lambda topologies: {})
+        edges = [(i, (i + 1) % 7) for i in range(7)]
+        with ServerHandle(server) as handle:
+            with ServeClient(handle.host, handle.port) as conn:
+                status, upload = conn.upload(7, edges)
+                assert status == 200 and upload["published"] is False
+                record = server._uploads[upload["id"]]
+                assert record["published"] is False
+                assert record["n"] == 7
+                assert [tuple(edge) for edge in record["edges"]] == edges
+                status, payload = conn.color({
+                    "topology": {"kind": "graph", "id": upload["id"]},
+                    "algorithm": GREEDY,
+                })
+        assert status == 200
+        assert payload["result"]["valid"] is True
+        assert payload["topology"]["n"] == 7
 
     def test_unknown_handle_400(self, client):
         status, payload = client.color({
@@ -427,6 +462,28 @@ class TestAdmission:
         status, payload = results[0]
         assert status == 200
         assert payload["result"]["valid"] is True
+
+
+    def test_exit_cancels_parked_keep_alive_handlers(self, caplog):
+        """A keep-alive connection left open parks its handler on a read;
+        leaving the handle cancels and awaits it before the loop closes,
+        so no task is destroyed pending."""
+        import gc
+
+        server = ColoringServer(mode="thread")
+        handle = ServerHandle(server).__enter__()
+        conn = ServeClient(handle.host, handle.port)
+        try:
+            assert conn.healthz()["status"] == "ok"
+            handle.__exit__(None, None, None)
+        finally:
+            conn.close()
+        loop = handle._loop
+        assert loop.is_closed()
+        assert not asyncio.all_tasks(loop)
+        del loop, handle
+        gc.collect()
+        assert "Task was destroyed" not in caplog.text
 
 
 class TestWorkerMetrics:
