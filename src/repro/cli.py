@@ -335,9 +335,10 @@ def cmd_scale(args: argparse.Namespace) -> int:
         stream_ring,
         stream_tree,
     )
-    from .obs.manifest import peak_rss_kb
+    from .obs.manifest import minor_faults, peak_rss_kb
     from .serve.executor import _color_count, _run_greedy_reduction
 
+    faults_before = minor_faults()
     build_start = time.perf_counter()
     if args.topology == "ring-stream":
         compiled = stream_ring(args.n)
@@ -367,6 +368,8 @@ def cmd_scale(args: argparse.Namespace) -> int:
     invalid = outcome.get("invalid_reason")
     rate = compiled.n / solve_s if solve_s > 0 else float("inf")
     rss_kb = peak_rss_kb()
+    faults = (None if faults_before is None
+              else minor_faults() - faults_before)
     if args.json:
         import hashlib
         import json as _json
@@ -393,7 +396,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
                     **({"invalid_reason": invalid} if invalid else {})},
             ledger=ledger.to_dict(),
             timing={"build_s": build_s, "solve_s": solve_s,
-                    "nodes_per_s": rate},
+                    "nodes_per_s": rate, "minor_faults": faults},
             nodes_per_s=round(rate) if rate != float("inf") else None,
             peak_rss_kb=rss_kb,
         )))
@@ -411,6 +414,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         ["solve wall s", f"{solve_s:.3f}"],
         ["nodes per s", f"{rate:,.0f}"],
         ["peak rss MiB", "n/a" if rss_kb is None else f"{rss_kb / 1024:.1f}"],
+        ["minor faults", "n/a" if faults is None else f"{faults:,}"],
     ])
     return 0
 
@@ -775,6 +779,10 @@ def _write_trace(args: argparse.Namespace, tracer, status: int) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .sim.parallel import keep_freed_memory
+
+    # The daemon and single-process runs reuse freed temporaries too.
+    keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.engine is not None:

@@ -321,7 +321,7 @@ def _csr_fill_numpy(np, n: int, pairs):
 # ----------------------------------------------------------------------
 # Streamed topologies (CompiledNetwork, no Network anywhere)
 # ----------------------------------------------------------------------
-def _stream_compiled(key, n: int, factory, block=None) -> CompiledNetwork:
+def _stream_compiled(key, n: int, factory, fill=None) -> CompiledNetwork:
     from ..sim import shm
     from ..substrates.cache import record_lookup
 
@@ -334,23 +334,38 @@ def _stream_compiled(key, n: int, factory, block=None) -> CompiledNetwork:
         return shared
 
     def build() -> CompiledNetwork:
-        # A deterministic family hands the CSR fill its whole stream as
-        # one NumPy edge block, in stream order, when the backend is on.
+        # A deterministic family fills its CSR on NumPy (from one edge
+        # block in stream order, or in closed form) when the backend is
+        # on; otherwise its edge stream is consumed pair by pair.
         np = arrays.get_numpy()
-        edges = block(np) if block is not None and np is not None \
-            else factory()
-        indptr, indices = csr_from_edges(n, edges)
+        if fill is not None and np is not None:
+            indptr, indices = fill(np)
+        else:
+            indptr, indices = csr_from_edges(n, factory())
         return CompiledNetwork.from_csr(indptr, indices)
 
     return _interned(key, build, nodes=n)
 
 
-def _ring_block(np, n: int):
-    """:func:`ring_edges` as one int64 ``(n, 2)`` block."""
+def _ring_csr(np, n: int):
+    """:func:`ring_edges`' CSR in closed form: ``indptr[i] = 2 i`` and
+    row ``i`` is ``[i - 1, i + 1]``, except row 0, ``[1, n - 1]``, and
+    row ``n - 1``, ``[n - 2, 0]``.  That is the stable fill's order:
+    edge ``(i - 1, i)`` precedes edge ``(i, i + 1)``, and the closing
+    edge ``(n - 1, 0)`` comes last."""
     if n < 3:
         raise NetworkError("a ring needs at least 3 nodes")
-    tail = np.arange(n, dtype=np.int64)
-    return np.stack([tail, (tail + 1) % n], axis=1)
+    indptr = array(_ID_TYPECODE, [0]) * (n + 1)
+    np.frombuffer(indptr, dtype=np.int64)[:] = np.arange(
+        0, 2 * n + 1, 2, dtype=np.int64)
+    indices = array(_ID_TYPECODE, [0]) * (2 * n)
+    rows = np.frombuffer(indices, dtype=np.int64).reshape(n, 2)
+    ids = np.arange(-1, n + 1, dtype=np.int64)
+    rows[:, 0] = ids[:n]
+    rows[:, 1] = ids[2:]
+    rows[0] = (1, n - 1)
+    rows[n - 1, 1] = 0
+    return indptr, indices
 
 
 def _grid_block(np, rows: int, cols: int):
@@ -473,14 +488,15 @@ def stream_ring(n: int) -> CompiledNetwork:
     """The cycle on ``n`` nodes, streamed straight to CSR."""
     return _stream_compiled(("ring-stream", n), n,
                             lambda: ring_edges(n),
-                            lambda np: _ring_block(np, n))
+                            lambda np: _ring_csr(np, n))
 
 
 def stream_grid(rows: int, cols: int) -> CompiledNetwork:
     """The rows x cols grid, streamed straight to CSR."""
     return _stream_compiled(("grid-stream", rows, cols), rows * cols,
                             lambda: grid_edges(rows, cols),
-                            lambda np: _grid_block(np, rows, cols))
+                            lambda np: csr_from_edges(
+                                rows * cols, _grid_block(np, rows, cols)))
 
 
 def stream_tree(depth: int) -> CompiledNetwork:
@@ -488,7 +504,8 @@ def stream_tree(depth: int) -> CompiledNetwork:
     n = 2 ** (depth + 1) - 1
     return _stream_compiled(("tree-stream", depth), n,
                             lambda: tree_edges(depth),
-                            lambda np: _tree_block(np, depth))
+                            lambda np: csr_from_edges(
+                                n, _tree_block(np, depth)))
 
 
 def stream_gnp(n: int, p: float, seed: int) -> CompiledNetwork:
@@ -497,7 +514,8 @@ def stream_gnp(n: int, p: float, seed: int) -> CompiledNetwork:
         raise NetworkError("edge probability must lie in [0, 1]")
     return _stream_compiled(("gnp-stream", n, p, seed), n,
                             lambda: gnp_edges(n, p, seed),
-                            lambda np: _gnp_block(np, n, p, seed))
+                            lambda np: csr_from_edges(
+                                n, _gnp_block(np, n, p, seed)))
 
 
 def stream_regular(n: int, degree: int, seed: int) -> CompiledNetwork:
@@ -640,37 +658,57 @@ def _greedy_seed_numpy(np, compiled: CompiledNetwork):
 
     * none: color 0;
     * exactly one (its *parent*): color ``[parent color == 0]``.  Chains
-      of such nodes are collapsed by pointer jumping: each finds its
-      chain root (the first ancestor without exactly one lower
-      neighbor) and the parity of its distance to it.  At odd distance
-      the color is ``[root color == 0]``, at even distance ``[root
-      color != 0]``;
+      of such nodes are collapsed: each finds its chain root (the first
+      ancestor without exactly one lower neighbor) and the parity of its
+      distance to it.  At odd distance the color is ``[root color ==
+      0]``, at even distance ``[root color != 0]``.  A chain node whose
+      parent is ``i - 1`` first jumps to the head of its run of such
+      nodes (the last id at or below it that is not one: a running
+      maximum) at distance ``i - head``; pointer jumping then runs over
+      the contracted links, so a ring or a path in id order needs no
+      jump at all;
     * two or more: the mex of their colors.  These nodes wait on the
       chain roots of their lower neighbors and are resolved frontier by
       frontier in topological order (Kahn's algorithm), each frontier's
       mex from one presence table.
+
+    Ids are int32 below 2**31 nodes, which halves the transients.
     """
     indptr, indices, degrees = compiled.numpy_views()
     n = compiled.n
-    source = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    lower = indices < source
-    low_src = source[lower]
-    low_nbr = indices[lower]
+    ids = np.arange(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    source = np.repeat(ids, degrees)
+    # One index list and two takes: faster than two boolean masks.
+    low = np.flatnonzero(indices < source)
+    low_src = source[low]
+    del source
+    low_nbr = indices[low].astype(ids.dtype)
+    del low
     counts = np.bincount(low_src, minlength=n)
     low_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=low_ptr[1:])
 
     chain = counts == 1
     linked = chain[low_src]
-    root = np.arange(n, dtype=np.int64)
+    root = ids.copy()
     root[low_src[linked]] = low_nbr[linked]
+    del linked
+    # Run contraction: ``root`` is the parent, so a run node has
+    # ``root == i - 1``; its head is the running maximum of the others.
+    run = root == ids - 1
+    head = np.where(run, 0, ids)
+    np.maximum.accumulate(head, out=head)
     odd = chain.copy()
+    odd[run] = ((ids - head) & 1)[run]
+    root[run] = head[run]
+    del head, run
     while True:
         jumped = root[root]
         if np.array_equal(jumped, root):
             break
         odd ^= odd[root]
         root = jumped
+    del jumped
 
     colors = np.zeros(n, dtype=np.int64)
     # Dependency DAG over the non-chain nodes: each low entry of a

@@ -111,6 +111,22 @@ def peak_rss_kb(children: bool = False) -> Optional[int]:
     return int(peak)
 
 
+def minor_faults() -> Optional[int]:
+    """Minor page faults of this process so far (``ru_minflt``), or
+    ``None`` where unmeasurable.  Process-wide: in a thread-mode pool it
+    also counts whatever the other threads faulted in meanwhile.  A
+    physical quantity, like :func:`peak_rss_kb`.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return None
+    try:
+        return int(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    except (OSError, ValueError):  # pragma: no cover - defensive
+        return None
+
+
 def _rss_state() -> Optional[Dict[str, Any]]:
     """Peak RSS of this process and its reaped children, in KiB."""
     own = peak_rss_kb()

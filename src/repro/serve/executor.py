@@ -159,7 +159,7 @@ def _colors_payload(compiled: Any, column: Sequence[Any],
     bit-identical colorings without shipping (or even keeping)
     million-entry mappings.  For ``range(n)`` nodes and non-negative
     int colors the bytes are written by NumPy (:func:`_digest_bytes`)
-    and hashed in one update; otherwise node by node.  Only the inline
+    and hashed block by block; otherwise node by node.  Only the inline
     map (``include_colors``, at most ``_COLORS_INLINE_LIMIT`` nodes)
     builds a ``{node: color}`` dict.
     """
@@ -173,7 +173,8 @@ def _colors_payload(compiled: Any, column: Sequence[Any],
     values = (int64_column(np, column)
               if np is not None and order == range(compiled.n) else None)
     if values is not None and values.shape[0] and int(values.min()) >= 0:
-        hasher.update(_digest_bytes(np, values))
+        for block in _digest_bytes(np, values):
+            hasher.update(block)
     else:
         for i in sorted(range(len(order)), key=lambda i: repr(order[i])):
             hasher.update(f"{order[i]!r}={column[i]}:".encode())
@@ -186,58 +187,86 @@ def _colors_payload(compiled: Any, column: Sequence[Any],
     return payload
 
 
-def _decimal_lengths(np: Any, values: Any) -> Any:
-    """Digit counts of the non-negative int64 ``values``."""
-    lengths = np.ones(values.shape[0], dtype=np.int64)
-    top = int(values.max()) if values.shape[0] else 0
+#: Checksum entries per block of bytes: one block's byte table and keep
+#: mask stay under about 1.5 MiB however large the coloring.
+_DIGEST_BLOCK = 1 << 16
+
+
+def _repr_order(np: Any, n: int) -> Any:
+    """``range(n)`` in ``repr``-sorted order, as int64 ids.
+
+    The ``repr`` order of ``0..n-1`` is numeric once every id is
+    left-aligned to the width of ``n - 1`` (zeros appended), a prefix
+    sorting before its extensions (shorter first).
+    """
+    ids = np.arange(n, dtype=np.int64)
+    lengths = np.ones(n, dtype=np.int64)
     bound = 10
-    while bound <= top:
-        lengths += values >= bound
+    while bound < n:
+        lengths += ids >= bound
         bound *= 10
-    return lengths
+    width = int(lengths[-1])
+    powers = np.array([10 ** k for k in range(width)], dtype=np.int64)
+    keys = powers[width - lengths]
+    keys *= ids
+    keys *= width + 1
+    keys += lengths
+    # The keys are distinct, so any sort gives this order; the stable
+    # one is faster on these presorted runs and is the sort the kernels
+    # already use, so a worker maps no further NumPy code for it.
+    return np.argsort(keys, kind="stable")
 
 
-def _decimal_cells(np: Any, values: Any) -> Tuple[Any, Any]:
-    """``(digits, keep)``: each non-negative value's decimal digits as
-    one right-aligned uint8 row, and which cells hold its digits (the
-    leading zeros are dropped, a lone ``0`` kept)."""
-    lengths = _decimal_lengths(np, values)
-    width = int(lengths.max())
-    digits = np.empty((values.shape[0], width), dtype=np.uint8)
-    rest = values
-    for k in range(width - 1, -1, -1):
-        rest, digit = np.divmod(rest, 10)
-        digits[:, k] = digit
-    digits += ord("0")
-    keep = np.arange(width) >= (width - lengths)[:, None]
-    return digits, keep
+def _write_decimal(np: Any, rest: Any, cells: Any, keep: Any) -> None:
+    """Write the non-negative ``rest`` right-aligned in decimal into the
+    uint8 ``cells`` columns, and mark in ``keep`` the cells that hold a
+    digit: a leading zero is not one, a lone ``0`` is.
+
+    Each column is one ``//`` and one subtraction.  A cell left of the
+    units cell holds a leading zero exactly when the quotient reaching
+    it is 0.
+    """
+    for k in range(cells.shape[1] - 1, -1, -1):
+        if k < cells.shape[1] - 1:
+            np.greater(rest, 0, out=keep[:, k])
+        quotient = rest // 10
+        tens = quotient * 10
+        tens -= ord("0")
+        np.subtract(rest, tens, out=cells[:, k], casting="unsafe")
+        rest = quotient
 
 
 def _digest_bytes(np: Any, values: Any) -> Any:
     """The checksum bytes ``f"{i}={values[i]}:"`` of a ``range(n)``
-    coloring, ``i`` in ``repr``-sorted order, as one uint8 array.
+    coloring of non-negative ints, ``i`` in ``repr``-sorted order, as
+    uint8 arrays of :data:`_DIGEST_BLOCK` entries each.
 
-    The ``repr`` order of ``0..n-1`` is numeric: left-align every id to
-    the width of ``n - 1`` (append zeros), then a prefix sorts before
-    its extensions (shorter first).  Each entry is one row of byte
-    cells -- id digits, ``=``, color digits, ``:`` -- and the unused
-    cells are masked out, so one compaction writes the whole stream.
+    One table row per entry holds its cells -- id digits, ``=``, color
+    digits, ``:`` -- each field right-aligned (:func:`_write_decimal`);
+    one compaction by the keep mask drops the leading zeros.  The table
+    and mask are allocated once and reused by every block.
     """
-    ids = np.arange(values.shape[0], dtype=np.int64)
-    lengths = _decimal_lengths(np, ids)
-    width = int(lengths[-1])
-    powers = np.array([10 ** k for k in range(width)], dtype=np.int64)
-    aligned = ids * powers[width - lengths]
-    # The keys are distinct, so any sort gives this order; the stable
-    # one is faster on these presorted runs and is the sort the kernels
-    # already use, so a worker maps no further NumPy code for it.
-    ids = np.argsort(aligned * (width + 1) + lengths, kind="stable")
-    id_digits, id_keep = _decimal_cells(np, ids)
-    color_digits, color_keep = _decimal_cells(np, values[ids])
-    fixed = np.ones((ids.shape[0], 1), dtype=bool)
-    cells = np.hstack([id_digits, np.full_like(fixed, ord("="), np.uint8),
-                       color_digits, np.full_like(fixed, ord(":"), np.uint8)])
-    return cells[np.hstack([id_keep, fixed, color_keep, fixed])]
+    n = values.shape[0]
+    order = _repr_order(np, n)
+    narrow = np.int32 if n < 1 << 31 else np.int64
+    id_width = len(str(n - 1))
+    color_width = len(str(int(values.max())))
+    table = np.empty((min(n, _DIGEST_BLOCK), id_width + color_width + 2),
+                     dtype=np.uint8)
+    keep = np.ones(table.shape, dtype=bool)
+    table[:, id_width] = ord("=")
+    table[:, -1] = ord(":")
+    ids_at = slice(0, id_width)
+    colors_at = slice(id_width + 1, id_width + 1 + color_width)
+    for lo in range(0, n, _DIGEST_BLOCK):
+        ids = order[lo:lo + _DIGEST_BLOCK]
+        rows = table[:ids.shape[0]]
+        mask = keep[:ids.shape[0]]
+        _write_decimal(np, values[ids], rows[:, colors_at],
+                       mask[:, colors_at])
+        _write_decimal(np, ids.astype(narrow), rows[:, ids_at],
+                       mask[:, ids_at])
+        yield rows[mask]
 
 
 def _color_count(column: Sequence[Any]) -> int:
@@ -423,8 +452,12 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
     Never raises for algorithm- or instance-level failures; those come
     back as ``{"status": "error", "error": {...}}`` payloads so a worker
     process survives any request it is handed.  Only truly unexpected
-    exceptions (bugs) propagate.
+    exceptions (bugs) propagate.  ``timing`` is physical only: wall
+    seconds per stage and ``minor_faults``, the process's ``ru_minflt``
+    delta over the request (process-wide, so in a thread-mode pool it
+    includes what other threads faulted meanwhile).
     """
+    from ..obs.manifest import minor_faults, peak_rss_kb
     from ..obs.tracer import Tracer, logical_view, use_tracer
     from ..sim.kernels import kernel_stats
     from ..sim.scheduler import default_engine
@@ -434,6 +467,7 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
     topology = spec["topology"]
     counters_before = cache_counters()
     kernels_before = kernel_stats()
+    faults_before = minor_faults()
     started = time.perf_counter()
     ledger = CostLedger()
     tracer: Optional[Tracer] = Tracer() if spec.get("trace", True) else None
@@ -481,11 +515,11 @@ def execute_request(spec: Dict[str, Any]) -> Dict[str, Any]:
             "message": str(exc),
         }
         payload["timing"] = {}
-    from ..obs.manifest import peak_rss_kb
-
     payload["ledger"] = ledger.to_dict()
     payload["trace"] = logical_view(tracer.events) if tracer else None
     payload["timing"]["total_s"] = time.perf_counter() - started
+    if faults_before is not None:
+        payload["timing"]["minor_faults"] = minor_faults() - faults_before
     payload["peak_rss_kb"] = peak_rss_kb()
     payload["manifest"] = {
         "engine": default_engine(),

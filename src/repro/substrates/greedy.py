@@ -565,10 +565,11 @@ class _ColorReductionKernel(RoundKernel):
         an int64 ndarray) within ``MAX_COLOR`` and one presence-table
         row (``target + 1`` cells) fits ``MAX_MATCH_ELEMENTS``.  The
         mirror is always a copy: the caller's column is never written.
-        Buckets of the deciding
-        colors ``target..q-1`` are cut once from a stable sort, so each
-        holds its dense ids ascending; ``rows`` bounds one batched mex
-        call by the table cap and ``REPRO_SIM_CHUNK``.
+        Buckets of the deciding colors ``target..q-1`` are cut once from
+        a stable sort (linear: a radix sort of uint16 keys whenever the
+        color range fits), so each holds its dense ids ascending;
+        ``rows`` bounds one batched mex call by the table cap and
+        ``REPRO_SIM_CHUNK``.
         """
         np = arrays.get_numpy()
         if (np is None or compiled.n < arrays.MIN_BATCH
@@ -579,15 +580,26 @@ class _ColorReductionKernel(RoundKernel):
             return None
         if mirror is colors:
             mirror = colors.copy()
-        if (int(mirror.min()) < -arrays.MAX_COLOR
-                or int(mirror.max()) > arrays.MAX_COLOR):
+        low = int(mirror.min())
+        high = int(mirror.max())
+        if low < -arrays.MAX_COLOR or high > arrays.MAX_COLOR:
             return None
         indptr, indices, degrees = compiled.numpy_views()
-        perm = np.argsort(mirror, kind="stable")
+        keys = mirror
+        if high - low <= 0xFFFF:
+            # uint16 keys take NumPy's linear radix sort.
+            keys = np.empty(mirror.shape[0], dtype=np.uint16)
+            np.subtract(mirror, low, out=keys, casting="unsafe")
+        perm = np.argsort(keys, kind="stable")
+        del keys
         ordered = mirror[perm]
         lo = int(np.searchsorted(ordered, target, "left"))
         hi = int(np.searchsorted(ordered, q - 1, "right"))
-        values, starts = np.unique(ordered[lo:hi], return_index=True)
+        # The slice is sorted and its values are >= target: a bucket
+        # starts wherever the color moves.
+        segment = ordered[lo:hi]
+        starts = np.flatnonzero(np.diff(segment, prepend=target - 1))
+        values = segment[starts]
         bounds = starts.tolist() + [hi - lo]
         ids = perm[lo:hi]
         # Gathered elements per bucket: its deciders plus their rows.

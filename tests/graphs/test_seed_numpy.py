@@ -1,11 +1,11 @@
 """Seeded differential tests: the NumPy greedy seeds and edge blocks.
 
-``_greedy_seed_numpy`` (chain collapse by pointer jumping plus Kahn
-frontiers) and ``_greedy_seed_rows`` (one NumPy mex per node) must equal
-the first-fit loop they replace, node for node, on every family; the
-NumPy edge blocks of the deterministic families must fill the same CSR
-bytes as their edge streams.  Draws come from stdlib ``random`` with
-fixed seeds.
+``_greedy_seed_numpy`` (chain collapse by run contraction and pointer
+jumping, plus Kahn frontiers) and ``_greedy_seed_rows`` (one NumPy mex
+per node) must equal the first-fit loop they replace, node for node, on
+every family; the NumPy edge blocks of the deterministic families, and
+the ring's closed form, must fill the same CSR bytes as their edge
+streams.  Draws come from stdlib ``random`` with fixed seeds.
 """
 
 from __future__ import annotations
@@ -80,6 +80,57 @@ def _draw(rng: random.Random) -> CompiledNetwork:
         n = 2 * rng.randint(3, 100)
         return stream_regular(n, rng.randint(1, 5), rng.randrange(10**6))
     return _edges_graph(rng)
+
+
+def _from_pairs(n, pairs) -> CompiledNetwork:
+    return CompiledNetwork.from_csr(*csr_from_edges(n, pairs))
+
+
+def _chain_cases():
+    """Graphs that exercise the run contraction of the chain roots, by
+    name; each value builds its graph."""
+    rng = random.Random(77)
+    n = 500
+    path = [(i, i + 1) for i in range(n - 1)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    # Runs of parent i - 1 cut by nodes with two lower neighbors.
+    broken = path + [(j - 3, j) for j in range(5, n, 7)]
+    # A run whose head is itself a chain node with a far parent.
+    far_head = [(i, i + 1) for i in range(10)] + [(3, 20)] + \
+        [(i, i + 1) for i in range(20, 40)]
+    return {
+        "ring-odd": lambda: stream_ring(1001),
+        "ring-even": lambda: stream_ring(1000),
+        "path-up": lambda: _from_pairs(n, path),
+        "path-down": lambda: _from_pairs(
+            n, [(v, u) for u, v in reversed(path)]),
+        "path-stride-2": lambda: _from_pairs(
+            n, [(i, i + 2) for i in range(0, n - 2, 2)]
+            + [(i, i + 2) for i in range(1, n - 2, 2)]),
+        "path-shuffled": lambda: _from_pairs(
+            n, [(perm[i], perm[i + 1]) for i in range(n - 1)]),
+        "runs-broken": lambda: _from_pairs(n, broken),
+        "runs-broken-reversed": lambda: _from_pairs(n, broken[::-1]),
+        "far-head": lambda: _from_pairs(41, far_head),
+        "paths-disjoint": lambda: _from_pairs(
+            n, [(i, i + 1) for i in range(n - 1) if i % 50 != 49]),
+        "tree": lambda: stream_tree(9),
+        "grid": lambda: stream_grid(31, 29),
+        "gnp": lambda: stream_gnp(3000, 3.0 / 3000, 5),
+    }
+
+
+_CHAIN_CASES = _chain_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_CASES))
+def test_numpy_seed_run_contraction(name):
+    compiled = _CHAIN_CASES[name]()
+    want = list(streaming._greedy_seed_loop(compiled))
+    got = streaming._greedy_seed_numpy(np, compiled)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -265,10 +316,16 @@ def test_inflated_column_on_both_backends(enabled):
     ]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 1000, 9000, 20001])
+def test_ring_csr_matches_edge_stream(n):
+    want = [a.tobytes() for a in csr_from_edges(n, ring_edges(n))]
+    assert [a.tobytes() for a in streaming._ring_csr(np, n)] == want
+    compiled = stream_ring(n)
+    assert [bytes(memoryview(compiled.indptr)),
+            bytes(memoryview(compiled.indices))] == want
+
+
 @pytest.mark.parametrize("stream, block, n", [
-    (lambda: ring_edges(3), lambda: streaming._ring_block(np, 3), 3),
-    (lambda: ring_edges(9000), lambda: streaming._ring_block(np, 9000),
-     9000),
     (lambda: grid_edges(1, 7), lambda: streaming._grid_block(np, 1, 7), 7),
     (lambda: grid_edges(7, 1), lambda: streaming._grid_block(np, 7, 1), 7),
     (lambda: grid_edges(63, 65), lambda: streaming._grid_block(np, 63, 65),
@@ -276,17 +333,18 @@ def test_inflated_column_on_both_backends(enabled):
     (lambda: tree_edges(0), lambda: streaming._tree_block(np, 0), 1),
     (lambda: tree_edges(12), lambda: streaming._tree_block(np, 12),
      2 ** 13 - 1),
-], ids=["ring3", "ring9000", "grid1x7", "grid7x1", "grid63x65", "tree0",
-        "tree12"])
+], ids=["grid1x7", "grid7x1", "grid63x65", "tree0", "tree12"])
 def test_edge_block_fills_stream_bytes(stream, block, n):
     want = csr_from_edges(n, stream())
     got = csr_from_edges(n, block())
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-def test_ring_block_rejects_tiny_ring():
+def test_ring_csr_rejects_tiny_ring():
     with pytest.raises(NetworkError, match="at least 3"):
-        streaming._ring_block(np, 2)
+        streaming._ring_csr(np, 2)
+    with pytest.raises(NetworkError, match="at least 3"):
+        stream_ring(2)
 
 
 @pytest.mark.parametrize("pairs, message", [

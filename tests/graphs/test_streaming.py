@@ -299,7 +299,7 @@ class TestKeySortFill:
             csr_from_edges(n, stream()))
 
     @pytest.mark.parametrize("n,edges", [
-        (50, lambda np: streaming._ring_block(np, 50)),
+        (50, lambda np: np.array(list(ring_edges(50)), dtype=np.int64)),
         (2 ** 7 - 1, lambda np: streaming._tree_block(np, 6)),
         (300, lambda np: np.random.default_rng(5).permutation(
             streaming._gnp_block(np, 300, 0.1, 5))),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -31,6 +32,59 @@ class TestCountersDelta:
             "a": {"hits": 3, "misses": 0},
             "c": {"hits": 0, "misses": 1},
         }
+
+
+#: A warm ring request with the worker heap setting, in a fresh process:
+#: prints the request's minor faults, or null off glibc.
+_WARM_RING_FAULTS = """
+import json
+from repro.serve.executor import execute_request
+from repro.serve.schema import parse_request
+from repro.sim.parallel import keep_freed_memory
+
+if not keep_freed_memory():
+    print("null")
+    raise SystemExit
+spec = parse_request({"topology": {"kind": "ring-stream", "n": 100000},
+                      "algorithm": {"name": "greedy-reduction",
+                                    "validate": True}})
+for _ in range(3):
+    payload = execute_request(spec)
+print(json.dumps(payload["timing"]["minor_faults"]))
+"""
+
+
+class TestMinorFaults:
+    def test_timing_reports_minor_faults(self):
+        payload = execute_request(_spec({"kind": "ring-stream", "n": 67},
+                                        "greedy-reduction"))
+        faults = payload["timing"].get("minor_faults")
+        if sys.platform.startswith("linux"):
+            assert isinstance(faults, int) and faults >= 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs ru_minflt and glibc's mallopt")
+    def test_warm_ring_request_keeps_its_pages(self):
+        """With freed memory kept in the heap, a warm n = 100,000 ring
+        request reuses its temporaries instead of faulting them in."""
+        pytest.importorskip("numpy")
+        import os
+        import pathlib
+        import subprocess
+
+        import repro
+
+        env = dict(os.environ, REPRO_SIM_ARRAYS="1")
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", _WARM_RING_FAULTS],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        faults = json.loads(done.stdout.strip().splitlines()[-1])
+        if faults is None:
+            pytest.skip("the C library has no mallopt")
+        assert faults < 1000
 
 
 class TestGreedyReduction:
@@ -332,6 +386,33 @@ class TestColumnDigest:
                 assert all(type(c) is int for c in got["colors"].values())
         finally:
             arrays.set_arrays_override(previous)
+
+    @pytest.mark.parametrize("n, block", [
+        (9, None), (10, None), (11, None), (99, None), (100, None),
+        (101, None), (999, None), (1000, None), (1001, None), (9999, None),
+        (10000, None), (10001, None), (99999, None), (100000, None),
+        (100001, None), (11, 1), (101, 7), (1001, 64), (10001, 1000),
+    ])
+    def test_digest_bytes_match_node_loop(self, n, block, monkeypatch):
+        """The NumPy bytes, block after block, are the per-node
+        ``f"{node!r}={color}:"`` stream: ids and colors at every digit
+        count, and entries split across blocks anywhere."""
+        import random
+
+        from repro.serve import executor
+
+        np = pytest.importorskip("numpy")
+        if block is not None:
+            monkeypatch.setattr(executor, "_DIGEST_BLOCK", block)
+        rng = random.Random(n)
+        colors = [rng.choice([0, 7, 10, 99, 100, 12345, 10**12 + 1])
+                  for _ in range(n)]
+        want = b"".join(f"{node!r}={colors[node]}:".encode()
+                        for node in sorted(range(n), key=repr))
+        blocks = list(executor._digest_bytes(
+            np, np.array(colors, dtype=np.int64)))
+        assert len(blocks) == -(-n // executor._DIGEST_BLOCK)
+        assert b"".join(block.tobytes() for block in blocks) == want
 
     def test_non_dense_nodes_match_dict(self):
         from repro.serve.executor import _colors_payload

@@ -199,6 +199,43 @@ class TestRunTrials:
         assert results == ["vectorized", "vectorized"]
 
 
+class TestKeepFreedMemory:
+    def test_no_op_without_mallopt(self, monkeypatch):
+        import ctypes
+
+        from repro.sim import parallel
+
+        class _NoMallopt:
+            """A C library without ``mallopt`` (musl, macOS)."""
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: _NoMallopt())
+        assert parallel.keep_freed_memory() is False
+
+    def test_no_op_without_a_c_library(self, monkeypatch):
+        import ctypes
+
+        from repro.sim import parallel
+
+        def missing(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert parallel.keep_freed_memory() is False
+
+    def test_init_worker_calls_it(self, monkeypatch):
+        from repro.sim import arrays, parallel
+
+        calls = []
+        monkeypatch.setattr(parallel, "keep_freed_memory",
+                            lambda: calls.append("heap") or True)
+        previous = arrays.set_arrays_override(None)
+        try:
+            parallel._init_worker(None)
+        finally:
+            arrays.set_arrays_override(previous)
+        assert calls == ["heap"]
+
+
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "8")
