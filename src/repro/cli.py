@@ -371,19 +371,16 @@ def cmd_scale(args: argparse.Namespace) -> int:
     faults = (None if faults_before is None
               else minor_faults() - faults_before)
     if args.json:
-        import hashlib
         import json as _json
-        from array import array
 
+        from .serve.executor import colors_blake2b
         from .serve.schema import envelope
 
         global _last_ledger
         _last_ledger = ledger
-        # Checksum of the dense int64 color column: a cheap bit-identity
-        # probe for comparing runs across engines.
-        raw = (column.astype("int64").tobytes() if hasattr(column, "dtype")
-               else array("q", column).tobytes())
-        digest = hashlib.blake2b(raw, digest_size=16).hexdigest()
+        # The daemon's checksum: a bit-identity probe for comparing runs
+        # across engines, and this run with a request's.
+        digest = colors_blake2b(compiled.order, column)
         print(_json.dumps(envelope(
             "scale-run",
             status="invalid" if invalid else "ok",

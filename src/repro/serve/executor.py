@@ -27,7 +27,9 @@ Design constraints that shape this module:
 from __future__ import annotations
 
 import os
+import threading
 import time
+from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..sim.errors import SimulationError
@@ -153,43 +155,140 @@ def _colors_payload(compiled: Any, column: Sequence[Any],
                     include_colors: bool) -> Dict[str, Any]:
     """Summarize a dense-id coloring: class count, checksum, optional map.
 
-    ``column`` holds the colors in ``compiled.order``.  The blake2b
-    checksum runs over ``f"{node!r}={color}:"`` for every node, nodes in
-    ``repr``-sorted order, so two payloads can be compared for
-    bit-identical colorings without shipping (or even keeping)
-    million-entry mappings.  For ``range(n)`` nodes and non-negative
-    int colors the bytes are written by NumPy (:func:`_digest_bytes`)
-    and hashed block by block; otherwise node by node.  Only the inline
-    map (``include_colors``, at most ``_COLORS_INLINE_LIMIT`` nodes)
-    builds a ``{node: color}`` dict.
+    ``column`` holds the colors in ``compiled.order``; the checksum is
+    :func:`colors_blake2b`.  Only the inline map (``include_colors``, at
+    most ``_COLORS_INLINE_LIMIT`` nodes) builds a ``{node: color}`` dict.
     """
-    import hashlib
+    from ..sim.arrays import as_list
 
-    from ..sim.arrays import as_list, get_numpy, int64_column
-
-    hasher = hashlib.blake2b(digest_size=16)
-    order = compiled.order
-    np = get_numpy()
-    values = (int64_column(np, column)
-              if np is not None and order == range(compiled.n) else None)
-    if values is not None and values.shape[0] and int(values.min()) >= 0:
-        for block in _digest_bytes(np, values):
-            hasher.update(block)
-    else:
-        for i in sorted(range(len(order)), key=lambda i: repr(order[i])):
-            hasher.update(f"{order[i]!r}={column[i]}:".encode())
     payload: Dict[str, Any] = {
         "color_count": _color_count(column),
-        "colors_blake2b": hasher.hexdigest(),
+        "colors_blake2b": colors_blake2b(compiled.order, column),
     }
     if include_colors and compiled.n <= _COLORS_INLINE_LIMIT:
-        payload["colors"] = dict(zip(map(str, order), as_list(column)))
+        payload["colors"] = dict(zip(map(str, compiled.order),
+                                     as_list(column)))
     return payload
 
 
-#: Checksum entries per block of bytes: one block's byte table and keep
-#: mask stay under about 1.5 MiB however large the coloring.
-_DIGEST_BLOCK = 1 << 16
+def colors_blake2b(order: Sequence[Any], column: Sequence[Any]) -> str:
+    """The checksum of a coloring, ``column[i]`` the color of node
+    ``order[i]``: a 16-byte blake2b over ``f"{node!r}={color}:"`` for
+    every node, nodes in ``repr``-sorted order.
+
+    Two runs can so be compared for bit-identical colorings without
+    shipping (or even keeping) million-entry mappings; ``repro scale``
+    and every daemon result report it.  For ``range(n)`` nodes and
+    non-negative int colors NumPy writes the bytes
+    (:func:`_digest_bytes`) and they are hashed in one ``update``;
+    otherwise node by node.
+    """
+    import hashlib
+
+    from ..sim.arrays import get_numpy, int64_column
+
+    hasher = hashlib.blake2b(digest_size=16)
+    np = get_numpy()
+    values = (int64_column(np, column)
+              if np is not None and order == range(len(order)) else None)
+    if values is not None and values.shape[0] and int(values.min()) >= 0:
+        with _DIGEST_LOCK:
+            hasher.update(_digest_bytes(np, values))
+    else:
+        for i in sorted(range(len(order)), key=lambda i: repr(order[i])):
+            hasher.update(f"{order[i]!r}={column[i]}:".encode())
+    return hasher.hexdigest()
+
+
+#: Byte bound on the checksum layouts (:func:`_digest_layout`) one
+#: process keeps: 250,000 nodes with one-digit colors take 3.0 MiB of
+#: it.  A layout above the bound serves its one checksum and is dropped.
+_DIGEST_STORE_BYTES = 7 << 19
+
+#: ``(n, color width) -> (template, cells)``, least recently used first.
+_digest_store: "OrderedDict[Tuple[int, int], Tuple[Any, Any]]" = \
+    OrderedDict()
+
+#: Held while a checksum looks up a layout and writes its digits into
+#: the shared template: a thread-mode pool checksums in one process.
+_DIGEST_LOCK = threading.Lock()
+
+
+def _digest_bytes(np: Any, values: Any) -> Any:
+    """The checksum bytes ``f"{i}={values[i]}:"`` of a ``range(n)``
+    coloring of non-negative ints, ``i`` in ``repr``-sorted order, as a
+    uint8 array.
+
+    The colors' digits are written right-aligned into the stored layout
+    for ``(n, width of the largest color)``, one scatter per digit
+    column.  When some color is narrower, a keep mask drops its leading
+    zeros (a lone ``0`` stays) in one compaction.  The result may be the
+    stored template itself: hash it under :data:`_DIGEST_LOCK`.
+    """
+    n = values.shape[0]
+    width = len(str(int(values.max())))
+    key = (n, width)
+    template, cells = _digest_store.pop(key, None) or \
+        _digest_layout(np, n, width)
+    size = template.nbytes + cells.nbytes
+    if size <= _DIGEST_STORE_BYTES:
+        held = size + sum(a.nbytes + b.nbytes
+                          for a, b in _digest_store.values())
+        while held > _DIGEST_STORE_BYTES:
+            old, old_cells = _digest_store.popitem(last=False)[1]
+            held -= old.nbytes + old_cells.nbytes
+        _digest_store[key] = template, cells
+    keep = (np.ones(template.shape[0], dtype=bool)
+            if len(str(int(values.min()))) < width else None)
+    digit = np.empty(n, dtype=np.uint8)
+    rest = values
+    for k in range(width - 1, -1, -1):
+        if keep is not None and k < width - 1:
+            # A cell left of the units cell holds a leading zero exactly
+            # when the quotient reaching it is 0.
+            keep[k:][cells] = rest > 0
+        quotient = rest // 10 if k else 0  # the leftmost cell: rest < 10
+        np.subtract(rest, quotient * 10 - ord("0"), out=digit,
+                    casting="unsafe")
+        template[k:][cells] = digit
+        rest = quotient
+    return template if keep is None else template[keep]
+
+
+def _digest_layout(np: Any, n: int, width: int) -> Tuple[Any, Any]:
+    """The checksum bytes of a ``range(n)`` coloring whose colors have
+    ``width`` digits, less the colors: ``(template, cells)``.
+
+    ``template`` (uint8) is ``f"{i}={'?' * width}:"`` for every ``i`` in
+    ``repr``-sorted order, its color cells left unwritten; ``cells[i]``
+    (int32 below 2**31 bytes) is the offset of node ``i``'s first color
+    cell.  Each id-length group ``[10**(d-1), 10**d)`` is a slice of
+    ids, so its cells are written group by group.
+    """
+    order = _repr_order(np, n)
+    bounds = [0] + [10 ** d for d in range(1, len(str(n - 1)))] + [n]
+    ranked = np.empty(n, dtype=np.int64)
+    for digits in range(1, len(bounds)):
+        ranked[bounds[digits - 1]:bounds[digits]] = digits + width + 2
+    # Cell lengths in repr order, summed to each cell's end.
+    ranked = np.cumsum(ranked[order], out=ranked)
+    total = int(ranked[-1])
+    ranked -= width + 1
+    cells = np.empty(n, dtype=np.int32 if total < 1 << 31 else np.int64)
+    cells[order] = ranked
+    del order, ranked
+    template = np.empty(total, dtype=np.uint8)
+    template[width:][cells] = ord(":")
+    for digits in range(1, len(bounds)):
+        lo, hi = bounds[digits - 1], bounds[digits]
+        at = cells[lo:hi] - 1
+        template[at] = ord("=")
+        rest = np.arange(lo, hi, dtype=cells.dtype)
+        for _ in range(digits):
+            at -= 1
+            template[at] = rest % 10 + ord("0")
+            rest //= 10
+    return template, cells
 
 
 def _repr_order(np: Any, n: int) -> Any:
@@ -215,58 +314,6 @@ def _repr_order(np: Any, n: int) -> Any:
     # one is faster on these presorted runs and is the sort the kernels
     # already use, so a worker maps no further NumPy code for it.
     return np.argsort(keys, kind="stable")
-
-
-def _write_decimal(np: Any, rest: Any, cells: Any, keep: Any) -> None:
-    """Write the non-negative ``rest`` right-aligned in decimal into the
-    uint8 ``cells`` columns, and mark in ``keep`` the cells that hold a
-    digit: a leading zero is not one, a lone ``0`` is.
-
-    Each column is one ``//`` and one subtraction.  A cell left of the
-    units cell holds a leading zero exactly when the quotient reaching
-    it is 0.
-    """
-    for k in range(cells.shape[1] - 1, -1, -1):
-        if k < cells.shape[1] - 1:
-            np.greater(rest, 0, out=keep[:, k])
-        quotient = rest // 10
-        tens = quotient * 10
-        tens -= ord("0")
-        np.subtract(rest, tens, out=cells[:, k], casting="unsafe")
-        rest = quotient
-
-
-def _digest_bytes(np: Any, values: Any) -> Any:
-    """The checksum bytes ``f"{i}={values[i]}:"`` of a ``range(n)``
-    coloring of non-negative ints, ``i`` in ``repr``-sorted order, as
-    uint8 arrays of :data:`_DIGEST_BLOCK` entries each.
-
-    One table row per entry holds its cells -- id digits, ``=``, color
-    digits, ``:`` -- each field right-aligned (:func:`_write_decimal`);
-    one compaction by the keep mask drops the leading zeros.  The table
-    and mask are allocated once and reused by every block.
-    """
-    n = values.shape[0]
-    order = _repr_order(np, n)
-    narrow = np.int32 if n < 1 << 31 else np.int64
-    id_width = len(str(n - 1))
-    color_width = len(str(int(values.max())))
-    table = np.empty((min(n, _DIGEST_BLOCK), id_width + color_width + 2),
-                     dtype=np.uint8)
-    keep = np.ones(table.shape, dtype=bool)
-    table[:, id_width] = ord("=")
-    table[:, -1] = ord(":")
-    ids_at = slice(0, id_width)
-    colors_at = slice(id_width + 1, id_width + 1 + color_width)
-    for lo in range(0, n, _DIGEST_BLOCK):
-        ids = order[lo:lo + _DIGEST_BLOCK]
-        rows = table[:ids.shape[0]]
-        mask = keep[:ids.shape[0]]
-        _write_decimal(np, values[ids], rows[:, colors_at],
-                       mask[:, colors_at])
-        _write_decimal(np, ids.astype(narrow), rows[:, ids_at],
-                       mask[:, ids_at])
-        yield rows[mask]
 
 
 def _color_count(column: Sequence[Any]) -> int:

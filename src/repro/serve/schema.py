@@ -37,7 +37,10 @@ from ..sim.scheduler import DEFAULT_MAX_ROUNDS
 #: Version stamp carried by every response body this repo emits.
 #: v2 (over v1): ``scale-run`` and daemon results carry ``peak_rss_kb``
 #: (renamed from ``rss_kb``), a top-level ``nodes_per_s``, and a
-#: ``colors_blake2b`` checksum of the final color column.
+#: ``colors_blake2b`` checksum of the final coloring.  Both compute it
+#: with :func:`repro.serve.executor.colors_blake2b` (blake2b over
+#: ``f"{node!r}={color}:"``, nodes in ``repr`` order), so one coloring
+#: has one checksum.
 #: v3 (over v2): drops ``algorithm.shards`` along with the sharded
 #: engine, and algorithm specs reject fields their algorithm does not
 #: read.
@@ -109,7 +112,8 @@ def _require_float(mapping: Dict[str, Any], field: str, minimum: float,
         raise RequestError(f"missing required field {field!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise RequestError(f"{field!r} must be a number")
-    if not minimum <= float(value) <= maximum:
+    # Compared before the float conversion, which overflows on huge ints.
+    if not minimum <= value <= maximum:
         raise RequestError(
             f"{field!r} must lie in [{minimum}, {maximum}], got {value}"
         )

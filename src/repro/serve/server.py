@@ -377,7 +377,9 @@ class ColoringServer:
     def _parse_body(body: bytes) -> Any:
         try:
             return json.loads(body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except ValueError as error:
+            # JSONDecodeError, UnicodeDecodeError, and the ValueError of
+            # an integer literal past Python's 4300-digit limit.
             raise RequestError(f"body is not valid JSON: {error}") from None
 
     async def _post_graph(self, body: bytes) -> Tuple[int, Dict[str, Any]]:

@@ -343,14 +343,22 @@ class TestColumnDigest:
     ``f"{node!r}={color}:"`` in ``repr``-sorted node order."""
 
     @staticmethod
-    def _dict_payload(colors, n, include_colors):
+    def _loop_digest(colors):
+        """The per-node checksum of a ``{node: color}`` mapping, or of a
+        list of colors by index."""
         import hashlib
 
+        if isinstance(colors, list):
+            colors = dict(enumerate(colors))
         hasher = hashlib.blake2b(digest_size=16)
         for node in sorted(colors, key=repr):
             hasher.update(f"{node!r}={colors[node]}:".encode())
+        return hasher.hexdigest()
+
+    @classmethod
+    def _dict_payload(cls, colors, n, include_colors):
         payload = {"color_count": len(set(colors.values())),
-                   "colors_blake2b": hasher.hexdigest()}
+                   "colors_blake2b": cls._loop_digest(colors)}
         if include_colors and n <= 4096:
             payload["colors"] = {str(node): color
                                  for node, color in colors.items()}
@@ -394,25 +402,185 @@ class TestColumnDigest:
         (100001, None), (11, 1), (101, 7), (1001, 64), (10001, 1000),
     ])
     def test_digest_bytes_match_node_loop(self, n, block, monkeypatch):
-        """The NumPy bytes, block after block, are the per-node
-        ``f"{node!r}={color}:"`` stream: ids and colors at every digit
-        count, and entries split across blocks anywhere."""
+        """The NumPy bytes are the per-node ``f"{node!r}={color}:"``
+        stream: ids and colors at every digit count, whether the layout
+        is kept or (a store bound of ``block`` bytes) dropped."""
         import random
+        from collections import OrderedDict
 
         from repro.serve import executor
 
         np = pytest.importorskip("numpy")
+        monkeypatch.setattr(executor, "_digest_store", OrderedDict())
         if block is not None:
-            monkeypatch.setattr(executor, "_DIGEST_BLOCK", block)
+            monkeypatch.setattr(executor, "_DIGEST_STORE_BYTES", block)
         rng = random.Random(n)
         colors = [rng.choice([0, 7, 10, 99, 100, 12345, 10**12 + 1])
                   for _ in range(n)]
         want = b"".join(f"{node!r}={colors[node]}:".encode()
                         for node in sorted(range(n), key=repr))
-        blocks = list(executor._digest_bytes(
-            np, np.array(colors, dtype=np.int64)))
-        assert len(blocks) == -(-n // executor._DIGEST_BLOCK)
-        assert b"".join(block.tobytes() for block in blocks) == want
+        for _ in range(2):
+            got = executor._digest_bytes(np, np.array(colors,
+                                                      dtype=np.int64))
+            assert got.tobytes() == want
+        held = sum(a.nbytes + b.nbytes
+                   for a, b in executor._digest_store.values())
+        assert held <= executor._DIGEST_STORE_BYTES
+        assert bool(held) == (block is None)
+
+    #: The CI color mix: one width each, then all widths at once.
+    COLOR_MIXES = ([0], [3], [10], [4096], [10**12], [0, 3, 10, 4096, 10**12])
+
+    @pytest.mark.parametrize("n", sorted(
+        {10 ** k + d for k in range(6) for d in (-1, 0, 1)} - {0}
+        | {250_001}
+    ))
+    def test_checksum_matches_node_loop(self, n, monkeypatch):
+        """``colors_blake2b`` hashes like the per-node loop at every
+        ``10**k +- 1`` and for every color width, on ndarray and list
+        columns alike."""
+        import random
+
+        from repro.serve.executor import colors_blake2b
+        from repro.sim import arrays
+
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(arrays, "_override", True)
+        rng = random.Random(n)
+        for mix in self.COLOR_MIXES:
+            colors = [rng.choice(mix) for _ in range(n)]
+            want = self._loop_digest(colors)
+            assert colors_blake2b(range(n), colors) == want, mix
+            assert colors_blake2b(
+                range(n), np.array(colors, dtype=np.int64)) == want, mix
+
+    def test_eviction_never_changes_a_digest(self, monkeypatch):
+        """Interleaved sizes and widths through a store that holds about
+        two layouts: every digest is the node loop's, and the store
+        stays under its bound."""
+        import random
+        from collections import OrderedDict
+
+        from repro.serve import executor
+        from repro.sim import arrays
+
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(arrays, "_override", True)
+        monkeypatch.setattr(executor, "_digest_store", OrderedDict())
+        monkeypatch.setattr(executor, "_DIGEST_STORE_BYTES", 400_000)
+        rng = random.Random(4)
+        cases = []
+        for n in (20_000, 4_000, 300, 400):
+            for top in (2, 600):
+                colors = [rng.randint(0, top) for _ in range(n)]
+                cases.append((colors, self._loop_digest(colors)))
+        for _ in range(3):
+            rng.shuffle(cases)
+            for colors, want in cases:
+                column = np.array(colors, dtype=np.int64)
+                assert executor.colors_blake2b(range(len(colors)),
+                                               column) == want
+                held = sum(a.nbytes + b.nbytes
+                           for a, b in executor._digest_store.values())
+                assert held <= executor._DIGEST_STORE_BYTES
+        assert 1 < len(executor._digest_store) < len(cases)
+
+    def test_layout_built_once_per_n(self, monkeypatch):
+        """A warm checksum neither builds a layout nor sorts ids: the
+        builder runs once per n, across serve-mixed's alternating
+        sizes."""
+        from collections import Counter, OrderedDict
+
+        from repro.serve import executor
+        from repro.sim import arrays
+
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(arrays, "_override", True)
+        monkeypatch.setattr(executor, "_digest_store", OrderedDict())
+        builds = Counter()
+        sorts = Counter()
+        build, sort = executor._digest_layout, executor._repr_order
+
+        def counted_build(np, n, width):
+            builds[n] += 1
+            return build(np, n, width)
+
+        def counted_sort(np, n):
+            sorts[n] += 1
+            return sort(np, n)
+
+        monkeypatch.setattr(executor, "_digest_layout", counted_build)
+        monkeypatch.setattr(executor, "_repr_order", counted_sort)
+        sizes = (20_000, 4_000, 300, 400)
+        for _ in range(3):
+            for n in sizes:
+                executor.colors_blake2b(
+                    range(n), np.arange(n, dtype=np.int64) % 3)
+        assert builds == sorts == Counter(dict.fromkeys(sizes, 1))
+
+    def test_threads_share_the_templates_safely(self, monkeypatch):
+        """Threads checksumming different colorings of one size share
+        one template; each still gets its own coloring's digest."""
+        import random
+        import threading
+        from collections import OrderedDict
+
+        from repro.serve import executor
+
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(executor, "_digest_store", OrderedDict())
+        n = 3000
+        rng = random.Random(5)
+        cases = []
+        for _ in range(6):
+            colors = [rng.randint(0, 9) for _ in range(n)]
+            cases.append((np.array(colors, dtype=np.int64),
+                          self._loop_digest(colors)))
+        wrong = []
+
+        def work(column, want):
+            for _ in range(150):
+                if executor.colors_blake2b(range(n), column) != want:
+                    wrong.append(want)
+
+        threads = [threading.Thread(target=work, args=case)
+                   for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    @pytest.mark.parametrize("args, topology", [
+        (["--topology", "ring-stream", "--n", "3"],
+         {"kind": "ring-stream", "n": 3}),
+        (["--topology", "ring-stream", "--n", "20001"],
+         {"kind": "ring-stream", "n": 20001}),
+        (["--topology", "grid-stream", "--n", "100"],
+         {"kind": "grid-stream", "rows": 10, "cols": 10}),
+        (["--topology", "grid-stream", "--n", "20000"],
+         {"kind": "grid-stream", "rows": 141, "cols": 141}),
+        (["--topology", "gnp-stream", "--n", "2000", "--p", "0.01"],
+         {"kind": "gnp-stream", "n": 2000, "p": 0.01, "seed": 7}),
+        (["--topology", "gnp-stream", "--n", "3000", "--p", "0.05"],
+         {"kind": "gnp-stream", "n": 3000, "p": 0.05, "seed": 7}),
+    ])
+    def test_cli_and_request_checksums_agree(self, args, topology, capsys):
+        """``repro scale --json`` reports the daemon's checksum."""
+        from repro.cli import main
+
+        assert main(["scale", *args, "--json"]) == 0
+        cli = json.loads(capsys.readouterr().out)["result"]
+        request = execute_request(_spec(topology, "greedy-reduction"))
+        assert cli["colors_blake2b"] == \
+            request["result"]["colors_blake2b"]
+        assert cli["color_count"] == request["result"]["color_count"]
 
     def test_non_dense_nodes_match_dict(self):
         from repro.serve.executor import _colors_payload

@@ -243,3 +243,100 @@ class TestRequestParsing:
     def test_non_object_body(self):
         with pytest.raises(RequestError, match="JSON object"):
             parse_request([1, 2, 3])
+
+
+class TestParseRequestFuzz:
+    """Seeded mutations of valid bodies: ``parse_request`` returns a spec
+    or raises :class:`RequestError`, never anything else."""
+
+    VALID = [
+        {"topology": {"kind": "ring-stream", "n": 100},
+         "algorithm": {"name": "greedy-reduction", "colors": 16,
+                       "validate": True}},
+        {"topology": {"kind": "grid-stream", "rows": 4, "cols": 5},
+         "algorithm": "greedy-reduction", "include_colors": True},
+        {"topology": {"kind": "tree-stream", "depth": 5},
+         "algorithm": {"name": "two-sweep", "p": 2, "seed": 1}},
+        {"topology": {"kind": "gnp-stream", "n": 200, "p": 0.02,
+                      "seed": 3},
+         "algorithm": {"name": "fast-two-sweep", "p": 3,
+                       "epsilon": 0.5, "id_bits": 8}, "trace": False},
+        {"topology": {"kind": "regular-stream", "n": 20, "degree": 3,
+                      "seed": 1},
+         "algorithm": {"name": "two-sweep", "lists": "stuck",
+                       "check": False}},
+        {"topology": {"kind": "gnp", "n": 30, "density": 0.2, "seed": 2},
+         "algorithm": {"name": "greedy-reduction"}},
+        {"topology": {"kind": "edges", "n": 4,
+                      "edges": [[0, 1], [1, 2], [2, 3]]},
+         "algorithm": {"name": "two-sweep", "p": 1}},
+        {"topology": {"kind": "graph", "id": "abc"},
+         "algorithm": {"name": "fast-two-sweep"}},
+    ]
+
+    JUNK = [
+        None, True, False, 0, 1, -1, 3, 2 ** 31, 2 ** 63, -(2 ** 63),
+        10 ** 400, -(10 ** 400), 0.5, -0.0, 1e308, 1e-320,
+        float("nan"), float("inf"), float("-inf"), "", "x", "ring-stream",
+        "two-sweep", [], [0, 1], [[0, 1]], [None], {}, {"kind": []},
+        {"n": {"n": [1.5]}}, [[[float("nan")]]],
+    ]
+
+    @classmethod
+    def _mutate(cls, rng, value):
+        """``value`` with one mutation at a random depth."""
+        if isinstance(value, dict) and value and rng.random() < 0.7:
+            key = rng.choice(sorted(value))
+            out = dict(value)
+            roll = rng.random()
+            if roll < 0.15:
+                del out[key]
+            elif roll < 0.25:
+                out[rng.choice(["extra", "N", "kind ", "", "p"])] = \
+                    rng.choice(cls.JUNK)
+            else:
+                out[key] = cls._mutate(rng, out[key])
+            return out
+        if isinstance(value, list) and value and rng.random() < 0.7:
+            out = list(value)
+            k = rng.randrange(len(out))
+            out[k] = cls._mutate(rng, out[k])
+            return out
+        roll = rng.random()
+        if isinstance(value, int) and not isinstance(value, bool) \
+                and roll < 0.5:
+            return rng.choice([
+                bool(value), not value, -value, value - 1, value + 1,
+                -rng.randrange(1, 10 ** 6), 10 ** rng.randrange(6, 40),
+                rng.random() * 100, str(value), [value],
+            ])
+        if isinstance(value, float) and roll < 0.5:
+            return rng.choice([float("nan"), float("inf"),
+                               float("-inf"), -value, 10 ** 400, 1,
+                               str(value), True])
+        if roll < 0.8:
+            return rng.choice(cls.JUNK)
+        return rng.choice([[value], {"value": value}, [cls.JUNK, value]])
+
+    def test_mutated_bodies_parse_or_raise_request_error(self):
+        import random
+
+        rng = random.Random(20261019)
+        outcomes = {"spec": 0, "rejected": 0}
+        for _ in range(200_000):
+            body = rng.choice(self.VALID)
+            for _ in range(rng.randint(1, 3)):
+                body = self._mutate(rng, body)
+            try:
+                spec = parse_request(body)
+            except RequestError:
+                outcomes["rejected"] += 1
+                continue
+            except Exception as exc:  # pragma: no cover - the finding
+                pytest.fail(f"{type(exc).__name__}: {exc} on {body!r}")
+            assert set(spec) == {"topology", "algorithm",
+                                 "include_colors", "trace"}
+            outcomes["spec"] += 1
+        # Both outcomes occur, so the mutations reach past the first
+        # check without always breaking the body.
+        assert min(outcomes.values()) > 100, outcomes

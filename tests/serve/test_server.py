@@ -95,6 +95,17 @@ class TestEndpoints:
         assert response.status == 400
         response.read()
 
+    def test_oversized_integer_literal_400(self, client):
+        # json.loads raises a plain ValueError past 4300 digits.
+        client.conn.request("POST", "/color",
+                            body='{"topology": {"kind": "ring-stream", '
+                                 '"n": 1' + "0" * 5000 + "}}",
+                            headers={"Content-Type": "application/json"})
+        response = client.conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read())["error"]["type"] == \
+            "RequestError"
+
     def test_bad_request_400(self, client):
         status, payload = client.color({"topology": {"kind": "torus"},
                                         "algorithm": GREEDY})
