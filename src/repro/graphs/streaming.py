@@ -614,29 +614,17 @@ def _greedy_seed_rows(np, compiled: CompiledNetwork):
     """:func:`_greedy_seed_loop`'s colors, each node's mex on NumPy.
 
     Still one node at a time in dense-id order, but a node's mex is a
-    few array operations over its whole CSR row.  ``colors`` starts at
+    few array operations over its whole CSR row
+    (:func:`~repro.sim.arrays.first_fit_rows`).  ``colors`` starts at
     ``n``, above any color, so the not yet colored (higher-id) neighbors
-    need no mask and rows need not be sorted.  A row of ``d`` entries
-    has a mex of at most ``d``, so values are clipped to ``d`` and
-    marked in the first ``d + 1`` slots of one reused presence buffer;
-    a clipped sentinel can only land above the mex.  Extra memory is
+    need no mask and rows need not be sorted.  Extra memory is
     O(n + Delta): no per-row table.
     """
-    indptr = compiled.indptr
-    indices = compiled.numpy_views()[1]
     n = compiled.n
     colors = np.full(n, n, dtype=np.int64)
-    seen = np.empty(compiled.max_degree() + 1, dtype=bool)
-    take = colors.take
-    minimum = np.minimum
-    for i in range(n):
-        lo = indptr[i]
-        hi = indptr[i + 1]
-        d = hi - lo
-        present = seen[:d + 1]
-        present.fill(False)
-        present[minimum(take(indices[lo:hi]), d)] = True
-        colors[i] = present.argmin()
+    arrays.first_fit_rows(np, compiled.indptr, compiled.numpy_views()[1],
+                          colors, range(n), colors,
+                          np.empty(compiled.max_degree() + 1, dtype=bool))
     return colors
 
 

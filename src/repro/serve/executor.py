@@ -221,12 +221,15 @@ def _digest_bytes(np: Any, values: Any) -> Any:
 
     The colors' digits are written right-aligned into the stored layout
     for ``(n, width of the largest color)``, one scatter per digit
-    column.  When some color is narrower, a keep mask drops its leading
-    zeros (a lone ``0`` stays) in one compaction.  The result may be the
-    stored template itself: hash it under :data:`_DIGEST_LOCK`.
+    column, all quotients in one buffer of the narrowest type holding
+    the colors.  When some color is narrower, a keep mask drops its
+    leading zeros (a lone ``0`` stays) in one compaction.  The result
+    may be the stored template itself: hash it under
+    :data:`_DIGEST_LOCK`.
     """
     n = values.shape[0]
-    width = len(str(int(values.max())))
+    high = int(values.max())
+    width = len(str(high))
     key = (n, width)
     template, cells = _digest_store.pop(key, None) or \
         _digest_layout(np, n, width)
@@ -238,20 +241,29 @@ def _digest_bytes(np: Any, values: Any) -> Any:
             old, old_cells = _digest_store.popitem(last=False)[1]
             held -= old.nbytes + old_cells.nbytes
         _digest_store[key] = template, cells
-    keep = (np.ones(template.shape[0], dtype=bool)
-            if len(str(int(values.min()))) < width else None)
+    keep = positive = None
+    if len(str(int(values.min()))) < width:
+        keep = np.ones(template.shape[0], dtype=bool)
+        positive = np.empty(n, dtype=bool)
     digit = np.empty(n, dtype=np.uint8)
     rest = values
     for k in range(width - 1, -1, -1):
         if keep is not None and k < width - 1:
             # A cell left of the units cell holds a leading zero exactly
             # when the quotient reaching it is 0.
-            keep[k:][cells] = rest > 0
-        quotient = rest // 10 if k else 0  # the leftmost cell: rest < 10
-        np.subtract(rest, quotient * 10 - ord("0"), out=digit,
-                    casting="unsafe")
+            np.greater(rest, 0, out=positive)
+            keep[k:][cells] = positive
+        if k:
+            np.remainder(rest, 10, out=digit, casting="unsafe")
+            digit += ord("0")
+            # The caller's column is read, never written.
+            rest = np.floor_divide(rest, 10, casting="unsafe", out=(
+                np.empty(n, dtype=np.min_scalar_type(high))
+                if rest is values else rest))
+        else:  # the leftmost cell: rest < 10
+            np.add(rest, ord("0"), out=digit, casting="unsafe")
         template[k:][cells] = digit
-        rest = quotient
+    del rest, positive  # freed before the compaction copy
     return template if keep is None else template[keep]
 
 
@@ -370,8 +382,8 @@ def _run_greedy_reduction(compiled: Any, params: Dict[str, Any],
 
 
 #: CSR entries one NumPy validation chunk gathers: bounds its
-#: temporaries (source ids, two color gathers, three masks) to about
-#: 1.7 MiB, and is no slower than larger chunks.
+#: temporaries (two color gathers and a mask; on a clash, source ids and
+#: two masks) to about 1.7 MiB, and is no slower than larger chunks.
 _VALIDATE_CHUNK = 1 << 16
 
 
@@ -395,22 +407,28 @@ def _coloring_violation(compiled: Any, column: Sequence[Any],
         values = int64_column(np, column)
         if values is not None:
             indptr, indices, degrees = views
+            high = int(values.max())
+            # The narrowest int type holding every color: cheaper gathers.
+            values = values.astype(np.result_type(
+                np.min_scalar_type(int(values.min())),
+                np.min_scalar_type(high)))
             lo = 0
             while lo < n:
                 hi = int(np.searchsorted(indptr, indptr[lo] + _VALIDATE_CHUNK,
                                          "right")) - 1
                 hi = min(max(hi, lo + 1), n)
-                source = np.repeat(np.arange(lo, hi), degrees[lo:hi])
                 row = indices[indptr[lo]:indptr[hi]]
-                clash = np.flatnonzero(
-                    (source < row) & (values[source] == values[row])
-                )
-                if clash.shape[0]:
-                    k = clash[0]
+                # Both directions of every edge (a CSR has no self-loops):
+                # the first chunk with a clash holds the first in edge_ids
+                # order.
+                same = np.repeat(values[lo:hi], degrees[lo:hi]) == values[row]
+                if same.any():
+                    source = np.repeat(np.arange(lo, hi), degrees[lo:hi])
+                    k = np.flatnonzero(same & (source < row))[0]
                     return (f"edge ({int(source[k])}, {int(row[k])}) "
                             f"is monochromatic")
                 lo = hi
-            if int(values.max()) >= target:
+            if high >= target:
                 return f"color >= target {target}"
             return None
     indptr = compiled.indptr

@@ -22,9 +22,10 @@ This module is the single switch point for that backend:
   integers never overflow;
 * **helpers** -- batched modular Horner evaluation of a
   :class:`~repro.substrates.cover_free.PolynomialFamily`, the color
-  reduction's whole-bucket mex, and the exact bulk Mersenne Twister
-  draws that replay a seeded ``random.Random`` (:func:`mt_words`,
-  :func:`mt_doubles`).
+  reduction's whole-class mex, the first-fit row mex shared by the
+  reduction's narrow classes and the greedy seed, and the exact bulk
+  Mersenne Twister draws that replay a seeded ``random.Random``
+  (:func:`mt_words`, :func:`mt_doubles`).
 
 Process-pool workers inherit the parent's *resolved* decision via
 :func:`set_arrays_override` (shipped through ``_init_worker`` initargs),
@@ -64,13 +65,6 @@ MAX_COLOR = (1 << 62) - 1
 #: handful of ndarray round-trips costs more than a short Python loop.
 #: Tests monkeypatch this to 0 to force the array path on tiny graphs.
 MIN_BATCH = 32
-
-#: The color reduction's batched mex takes a bucket only from this many
-#: gathered elements (its deciders plus their neighbor rows); smaller
-#: buckets keep the per-decider set loop.  A NumPy call's fixed cost of
-#: ~10-30us only pays off once the batch runs to a few hundred
-#: elements.
-MIN_TALLY = 512
 
 #: Cap on ``edges * m`` for the dense conflict matrix; populations whose
 #: worst-case match matrix would exceed this many int64 elements decline
@@ -308,3 +302,29 @@ def mex_below_rows(np, indptr, indices, colors, rows, limit: int):
     table = table.reshape(count, width)
     table[:, limit] = False
     return table.argmin(axis=1)
+
+
+def first_fit_rows(np, indptr, indices, colors, rows, out, seen) -> None:
+    """``out[k]``: the smallest non-negative color absent from the
+    neighbor colors of ``rows[k]``, one row at a time.
+
+    ``indptr`` is indexed with Python ints (an ``array('q')`` or list),
+    ``indices`` is the int64 CSR view and ``colors`` a column of
+    non-negative values (pass a uint64 view of a signed column: a
+    negative color becomes too large to be a mex).  A row of ``d``
+    entries has a mex of at most ``d``, so values are clipped to ``d``
+    and marked in the first ``d + 1`` slots of ``seen``, a bool buffer
+    of at least ``max degree + 1`` reused for every row; a clipped value
+    can only land above the mex.  ``out`` may be ``colors`` itself with
+    ``rows`` = ``range(n)``: each row then reads the rows before it.
+    """
+    take = colors.take
+    minimum = np.minimum
+    for k, i in enumerate(rows):
+        lo = indptr[i]
+        hi = indptr[i + 1]
+        d = hi - lo
+        present = seen[:d + 1]
+        present.fill(False)
+        present[minimum(take(indices[lo:hi]), d)] = True
+        out[k] = present.argmin()

@@ -34,6 +34,7 @@ from ..sim.kernels import (
     KernelRound,
     RoundKernel,
     broadcast_round,
+    check_broadcasts,
     fanout_totals,
     register_kernel,
 )
@@ -480,39 +481,38 @@ class _ColorReductionProgram(NodeProgram):
         return self.color
 
 
-def _python_mex(read, row) -> int:
-    """Smallest non-negative color absent from ``read(j)`` over ``row``."""
-    used = {read(j) for j in row}
-    new_color = 0
-    while new_color in used:
-        new_color += 1
-    return new_color
-
-
 class _ColorReductionKernel(RoundKernel):
-    """Array-at-a-time one-color-per-round reduction.
+    """One-color-per-round reduction that decides eagerly, then replays
+    its rounds.
 
-    Round ``t`` retires old color ``q - t + 1``: only nodes *of that
-    color* act, so the kernel buckets nodes by color once and each
-    round touches one bucket -- the reference engine dispatches an
-    ``on_round`` ingest no-op to every other node, which on a
-    ``q``-round reduction is almost all of the work.
+    Round ``t`` retires old color ``q - t + 1``: its nodes read the
+    colors left by the classes before (same-class deciders read each
+    other's *old* colors -- the reference's stale view, observable on
+    improper inputs), and an undecided node holds a color of at least
+    ``target``, blocking no free color below it.  So
+    :meth:`from_columns` decides every class before round 1, in class
+    order ``q-1 ... target``, ascending dense ids within a class, each
+    class reading the column before writing to it:
 
-    ``greedy_color_reduction`` reaches :meth:`from_columns` through the
-    scheduler's columns entry.
+    * with the array backend on, ``n >= arrays.MIN_BATCH``, plain-int
+      colors within ``MAX_COLOR`` and a ``target + 1`` presence row
+      within ``MAX_MATCH_ELEMENTS``: on an int64 copy, classes cut
+      from one stable sort; a class of at least ``MIN_BATCH`` deciders
+      (the ring's ``n / q``) in one batched mex
+      (:func:`~repro.sim.arrays.mex_below_rows`, chunked by the table
+      cap and ``REPRO_SIM_CHUNK``), a narrower one (a dense G(n, p)'s
+      two or three) by :func:`~repro.sim.arrays.first_fit_rows`;
+    * otherwise in a loop over a list copy, one set per decider.
 
-    With the NumPy backend an int64 color column is authoritative and a
-    bucket whose deciders plus their gathered neighbors reach
-    ``MIN_TALLY`` elements takes one batched mex
-    (:func:`~repro.sim.arrays.mex_below_rows`); smaller buckets keep
-    the per-decider set loop, reading the same column.  Recolorings
-    computed this round are applied only at the round boundary: a
-    node's broadcast is ingested by its neighbors one round later, so
-    same-round deciders read each other's *old* colors (the reference's
-    stale-view semantics, observable on improper inputs).  Failures and
-    CONGEST fan-out checks are raised decider by decider in dense-id
-    order after the round's mex values are known.  ``finalize`` fills
-    ``ColumnInputs.outputs`` with the color column.
+    Deciding stops at the first class with a decider that finds no free
+    color.  Every round's charges are known up front, so :meth:`step`
+    looks its round up; with a bandwidth model other than LOCAL it
+    replays the round's CONGEST checks in reference order (round 1 over
+    the caller's column, which is never written), and the failing round
+    raises its :class:`AlgorithmFailure` after the checks of the
+    deciders before it: ledger at failure, exception order and text
+    match the reference engine, and rounds past ``max_rounds`` never
+    run.  ``finalize`` fills ``ColumnInputs.outputs`` with the column.
     """
 
     def prepare(self, compiled, inputs, bandwidth):
@@ -521,55 +521,51 @@ class _ColorReductionKernel(RoundKernel):
                                  data["target"], bandwidth)
 
     def from_columns(self, compiled, colors, q, target, bandwidth):
-        """Column state for a reduction of the dense-id ``colors``.
-
-        ``colors`` is any sequence; an int64 ndarray is taken as the
-        NumPy color column without a round trip through Python ints.
-        """
-        state = self._prepare_arrays(compiled, colors, q, target)
-        by_color: Dict[int, list] = {}
-        if state is None:
-            colors = arrays.as_list(colors)
-            for i, color in enumerate(colors):
-                by_color.setdefault(color, []).append(i)
-        else:
-            # The NumPy column is authoritative; round 1 reads it.
-            colors = None
-        total_copies, envelopes = fanout_totals(compiled)
+        """Decisions and per-round charges for a reduction of the
+        dense-id ``colors`` (any sequence; an int64 ndarray is used
+        without a round trip through Python ints)."""
+        decided = self._decide_arrays(compiled, colors, q, target)
+        if decided is None:
+            decided = self._decide_loop(compiled, colors, q, target)
+        column, classes, failed = decided
+        n = compiled.n
+        bits = color_bits(q)
+        copies, envelopes = fanout_totals(compiled)
+        plan = {1: KernelRound(n, copies, copies * bits,
+                               bits if copies else 0, envelopes),
+                max(2, q - target + 2): KernelRound(0)}
+        for color, (_, messages, broadcasts) in classes.items():
+            plan[q - color + 1] = KernelRound(
+                n, messages, messages * bits, bits if messages else 0,
+                broadcasts)
         return {
             "order": compiled.order,
             "degrees": compiled.degrees,
-            # Deciders slice their CSR row on demand: each node decides
-            # exactly once, so pre-materializing n row copies would only
-            # double the topology's footprint at scale.
-            "indices": compiled.indices,
-            "indptr": compiled.indptr,
-            "arrays": state,
-            "n": compiled.n,
-            "colors": colors,
-            "by_color": by_color,
+            "initial": colors,
+            "colors": column,
+            "classes": classes,
+            "plan": plan,
+            "idle": KernelRound(n),
             "q": q,
             "target": target,
-            "bits": color_bits(q),
-            "total_copies": total_copies,
-            "envelopes": envelopes,
+            "bits": bits,
+            "failed": failed,
+            "failing": (None if failed is None
+                        else q - min(classes) + 1),
             "check_fanout": (None if type(bandwidth) is LocalModel
                              else bandwidth.check_fanout),
         }
 
-    def _prepare_arrays(self, compiled, colors, q, target):
-        """NumPy state for the whole-bucket mex, or ``None`` to decline.
+    def _decide_arrays(self, compiled, colors, q, target):
+        """``(column, classes, failed)`` on NumPy, or ``None`` to decline.
 
-        Engages when the backend is enabled, the population reaches
-        ``MIN_BATCH``, every color is a plain ``int`` (or the column is
-        an int64 ndarray) within ``MAX_COLOR`` and one presence-table
-        row (``target + 1`` cells) fits ``MAX_MATCH_ELEMENTS``.  The
-        mirror is always a copy: the caller's column is never written.
-        Buckets of the deciding colors ``target..q-1`` are cut once from
-        a stable sort (linear: a radix sort of uint16 keys whenever the
-        color range fits), so each holds its dense ids ascending;
-        ``rows`` bounds one batched mex call by the table cap and
-        ``REPRO_SIM_CHUNK``.
+        ``classes`` maps each decided color to its deciders (an int64
+        ndarray, ascending), the class's messages and broadcasts;
+        ``failed`` is the dense id that finds no free color, or ``None``.
+        The classes of ``target..q-1`` are cut once from a stable sort
+        (linear: a radix sort of uint16 keys whenever the color range
+        fits).  The column is always a copy: the caller's is never
+        written.
         """
         np = arrays.get_numpy()
         if (np is None or compiled.n < arrays.MIN_BATCH
@@ -584,6 +580,7 @@ class _ColorReductionKernel(RoundKernel):
         high = int(mirror.max())
         if low < -arrays.MAX_COLOR or high > arrays.MAX_COLOR:
             return None
+        self.backend = "numpy"
         indptr, indices, degrees = compiled.numpy_views()
         keys = mirror
         if high - low <= 0xFFFF:
@@ -595,154 +592,124 @@ class _ColorReductionKernel(RoundKernel):
         ordered = mirror[perm]
         lo = int(np.searchsorted(ordered, target, "left"))
         hi = int(np.searchsorted(ordered, q - 1, "right"))
-        # The slice is sorted and its values are >= target: a bucket
+        classes = {}
+        if hi <= lo:
+            return mirror, classes, None
+        # The slice is sorted and its values are >= target: a class
         # starts wherever the color moves.
         segment = ordered[lo:hi]
         starts = np.flatnonzero(np.diff(segment, prepend=target - 1))
-        values = segment[starts]
+        values = segment[starts].tolist()
         bounds = starts.tolist() + [hi - lo]
         ids = perm[lo:hi]
-        # Gathered elements per bucket: its deciders plus their rows.
-        sizes = (np.add.reduceat(degrees[ids], starts).tolist()
-                 if hi > lo else [])
-        buckets = {
-            color: (ids[bounds[k]:bounds[k + 1]],
-                    bounds[k + 1] - bounds[k] + sizes[k])
-            for k, color in enumerate(values.tolist())
-        }
+        del perm, ordered, segment
+        sending = degrees[ids]
+        messages = np.add.reduceat(sending, starts).tolist()
+        silent = np.add.reduceat(sending == 0, starts).tolist()
+        del sending
         rows = arrays.MAX_MATCH_ELEMENTS // (target + 1)
         chunk = arrays.chunk_size()
-        self.backend = "numpy"
-        return {
-            "np": np,
-            "colors": mirror,
-            "buckets": buckets,
-            "rows": min(rows, chunk) if chunk else rows,
-            "indptr": indptr,
-            "indices": indices,
-            "degrees": degrees,
-        }
-
-    def step(self, round_number, columns, inboxes) -> KernelRound:
-        colors = columns["colors"]
-        bits = columns["bits"]
-        n = columns["n"]
-        state = columns["arrays"]
-        if round_number == 1:
-            return broadcast_round(
-                columns, _ColorReductionProgram._TAG,
-                colors if state is None else state["colors"], bits, n)
-        target = columns["target"]
-        active_color = columns["q"] - round_number + 1
-        if active_color < target:
-            return KernelRound(active=0)
-        if state is None:
-            deciders = columns["by_color"].get(active_color)
-            if not deciders:
-                return KernelRound(active=n)
-            store = colors
-            read = colors.__getitem__
-        else:
-            bucket = state["buckets"].get(active_color)
-            if bucket is None:
-                return KernelRound(active=n)
-            ids, gathered = bucket
-            if gathered >= arrays.MIN_TALLY:
-                return self._batched_round(columns, state, ids, n)
-            deciders = ids.tolist()
-            store = state["colors"]
-            read = store.item
-        indices = columns["indices"]
-        indptr = columns["indptr"]
-        degrees = columns["degrees"]
-        degree_row = [degrees[i] for i in deciders]
-        # A generator: each decider's mex is computed just before its
-        # own checks, exactly as the per-node run interleaves them.
-        new_colors = self._check_deciders(
-            columns, deciders,
-            (_python_mex(read, indices[indptr[i]:indptr[i + 1]])
-             for i in deciders),
-            degree_row,
-        )
-        for i, new_color in zip(deciders, new_colors):
-            store[i] = new_color
-        messages = sum(degree_row)
-        return KernelRound(
-            active=n,
-            messages=messages,
-            bits=messages * bits,
-            max_message_bits=bits if messages else 0,
-            broadcasts=len(degree_row) - degree_row.count(0),
-        )
-
-    def _batched_round(self, columns, state, ids, n) -> KernelRound:
-        """One bucket's round through the batched mex, chunk by chunk."""
-        np = state["np"]
-        target = columns["target"]
-        rows = state["rows"]
-        mirror = state["colors"]
-        new_colors = np.concatenate([
-            arrays.mex_below_rows(np, state["indptr"], state["indices"],
-                                  mirror, ids[lo:hi], target)
-            for lo, hi in arrays.iter_chunks(ids.shape[0], rows)
-        ])
-        degree_row = state["degrees"][ids]
-        if columns["check_fanout"] is not None:
-            self._check_deciders(columns, ids.tolist(), new_colors.tolist(),
-                                 degree_row.tolist())
-        else:
-            failed = np.flatnonzero(new_colors >= target)
-            if failed.shape[0]:
-                raise self._failure(columns, int(ids[failed[0]]))
-        mirror[ids] = new_colors
-        messages = int(degree_row.sum())
-        bits = columns["bits"]
-        return KernelRound(
-            active=n,
-            messages=messages,
-            bits=messages * bits,
-            max_message_bits=bits if messages else 0,
-            broadcasts=int(np.count_nonzero(degree_row)),
-        )
-
-    def _check_deciders(self, columns, deciders, new_colors,
-                        degree_row) -> list:
-        """Raise what the per-node run would, decider by decider.
-
-        Returns the checked ``new_colors`` as a list.
-        """
-        target = columns["target"]
-        check_fanout = columns["check_fanout"]
-        order = columns["order"]
-        bits = columns["bits"]
-        checked = []
-        for i, new_color, degree in zip(deciders, new_colors, degree_row):
-            if new_color >= target:
-                raise self._failure(columns, i)
-            if degree and check_fanout is not None:
-                check_fanout(
-                    intern_broadcast(
-                        order[i], _ColorReductionProgram._TAG,
-                        new_color, bits,
-                    ),
-                    degree,
-                )
-            checked.append(new_color)
-        return checked
+        if chunk:
+            rows = min(rows, chunk)
+        # Negative colors turn huge, so the row mex never sees them.
+        unsigned = mirror.view(np.uint64)
+        seen = np.empty(compiled.max_degree() + 1, dtype=bool)
+        for k in range(len(values) - 1, -1, -1):
+            deciders = ids[bounds[k]:bounds[k + 1]]
+            count = deciders.shape[0]
+            if count >= arrays.MIN_BATCH:
+                new_colors = np.concatenate([
+                    arrays.mex_below_rows(np, indptr, indices, mirror,
+                                          deciders[a:b], target)
+                    for a, b in arrays.iter_chunks(count, rows)
+                ])
+            else:
+                new_colors = np.empty(count, dtype=np.int64)
+                arrays.first_fit_rows(np, compiled.indptr, indices,
+                                      unsigned, deciders.tolist(),
+                                      new_colors, seen)
+            mirror[deciders] = new_colors
+            classes[values[k]] = (deciders, messages[k], count - silent[k])
+            if new_colors.max() >= target:
+                return mirror, classes, int(
+                    deciders[np.argmax(new_colors >= target)])
+        return mirror, classes, None
 
     @staticmethod
-    def _failure(columns, i) -> AlgorithmFailure:
-        return AlgorithmFailure(
-            f"node {columns['order'][i]!r}: no free color below "
-            f"{columns['target']}; "
-            f"target must be at least Delta + 1"
-        )
+    def _decide_loop(compiled, colors, q, target):
+        """:meth:`_decide_arrays`'s result over a list copy of
+        ``colors``, deciders as lists."""
+        column = arrays.as_list(colors)
+        by_color: Dict[int, list] = {}
+        for i, color in enumerate(column):
+            by_color.setdefault(color, []).append(i)
+        indices = compiled.indices
+        indptr = compiled.indptr
+        degrees = compiled.degrees
+        classes = {}
+        # One lookup per round the run steps: any key equal to the
+        # retired color (a bool, a NumPy int) acts, as in the reference.
+        for color in range(q - 1, target - 1, -1):
+            deciders = by_color.get(color)
+            if not deciders:
+                continue
+            new_colors = []
+            for i in deciders:
+                used = {column[j] for j in indices[indptr[i]:indptr[i + 1]]}
+                new_color = 0
+                while new_color in used:
+                    new_color += 1
+                new_colors.append(new_color)
+            sending = [degrees[i] for i in deciders]
+            classes[color] = (deciders, sum(sending),
+                              len(sending) - sending.count(0))
+            for i, new_color in zip(deciders, new_colors):
+                column[i] = new_color
+            for i, new_color in zip(deciders, new_colors):
+                if new_color >= target:
+                    return column, classes, i
+        return column, classes, None
+
+    def step(self, round_number, columns, inboxes) -> KernelRound:
+        if (columns["check_fanout"] is not None
+                or round_number == columns["failing"]):
+            self._replay(round_number, columns)
+        return columns["plan"].get(round_number, columns["idle"])
+
+    @staticmethod
+    def _replay(round_number, columns) -> None:
+        """Round ``round_number``'s CONGEST checks in reference order,
+        and its :class:`AlgorithmFailure` if it is the failing round."""
+        check_fanout = columns["check_fanout"]
+        order = columns["order"]
+        degrees = columns["degrees"]
+        bits = columns["bits"]
+        tag = _ColorReductionProgram._TAG
+        if round_number == 1:
+            check_broadcasts(check_fanout, order, degrees, tag,
+                             columns["initial"], bits)
+            return
+        entry = columns["classes"].get(columns["q"] - round_number + 1)
+        if entry is None:
+            return
+        column = columns["colors"]
+        # Python ints from either column: payloads are compared by repr.
+        read = getattr(column, "item", column.__getitem__)
+        for i in arrays.as_list(entry[0]):
+            if i == columns["failed"]:
+                raise AlgorithmFailure(
+                    f"node {order[i]!r}: no free color below "
+                    f"{columns['target']}; "
+                    f"target must be at least Delta + 1"
+                )
+            degree = degrees[i]
+            if degree and check_fanout is not None:
+                check_fanout(intern_broadcast(order[i], tag, read(i), bits),
+                             degree)
 
     def finalize(self, columns, inputs) -> None:
-        state = columns["arrays"]
         # The column itself (an int64 ndarray on the NumPy path).
-        inputs.outputs = (columns["colors"] if state is None
-                          else state["colors"])
+        inputs.outputs = columns["colors"]
 
 
 register_kernel(_ColorReductionProgram, _ColorReductionKernel)

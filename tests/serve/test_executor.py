@@ -66,7 +66,11 @@ class TestMinorFaults:
                         reason="needs ru_minflt and glibc's mallopt")
     def test_warm_ring_request_keeps_its_pages(self):
         """With freed memory kept in the heap, a warm n = 100,000 ring
-        request reuses its temporaries instead of faulting them in."""
+        request reuses its temporaries instead of faulting them in.
+
+        The subject is the vectorized request's NumPy path, so both are
+        pinned: the reference engine builds 100,000 program objects,
+        whose pages are a different question."""
         pytest.importorskip("numpy")
         import os
         import pathlib
@@ -74,7 +78,8 @@ class TestMinorFaults:
 
         import repro
 
-        env = dict(os.environ, REPRO_SIM_ARRAYS="1")
+        env = dict(os.environ, REPRO_SIM_ARRAYS="1",
+                   REPRO_SIM_ENGINE="vectorized")
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -265,17 +270,17 @@ class TestEnginesAgree:
     """The columns-first vectorized path is byte-identical to the
     reference engine on everything a payload pins."""
 
-    @pytest.mark.parametrize("min_tally", [0, None])
+    @pytest.mark.parametrize("min_batch", [0, None])
     @pytest.mark.parametrize("topology", [
         {"kind": "ring-stream", "n": 3001},
         {"kind": "gnp-stream", "n": 300, "p": 0.3, "seed": 5},
     ])
-    def test_vectorized_payload_equals_reference(self, topology, min_tally,
+    def test_vectorized_payload_equals_reference(self, topology, min_batch,
                                                  monkeypatch):
         from repro.sim import arrays, use_engine
 
-        if min_tally is not None:  # force the batched mex on every bucket
-            monkeypatch.setattr(arrays, "MIN_TALLY", min_tally)
+        if min_batch is not None:  # force the batched mex on every class
+            monkeypatch.setattr(arrays, "MIN_BATCH", min_batch)
         spec = _spec(topology, "greedy-reduction")
         payloads = {}
         for engine in ("reference", "vectorized"):
@@ -305,6 +310,41 @@ class TestColoringViolation:
 
         monkeypatch.setattr(executor, "_VALIDATE_CHUNK", 64)
         self._check_first_violation_and_bound(enabled)
+
+    @pytest.mark.parametrize("scale, shift", [
+        (1, 0), (1, -3), (300, 0), (70_000, -5), (1 << 40, 0), (-1, 0),
+    ])
+    def test_narrowed_colors_report_alike(self, scale, shift, monkeypatch):
+        """The NumPy check gathers the narrowest type holding the colors
+        (uint8 up to int64, signed when some color is negative); every
+        width reports what the plain loop does."""
+        from repro.graphs.streaming import stream_gnp
+        from repro.serve import executor
+        from repro.sim import arrays
+
+        if arrays._import_numpy() is None:
+            pytest.skip("NumPy not installed")
+        monkeypatch.setattr(executor, "_VALIDATE_CHUNK", 256)
+        compiled = stream_gnp(300, 0.05, 4)
+        proper = [0] * compiled.n
+        for i in range(compiled.n):
+            used = {proper[j] for j in compiled.neighbor_ids(i) if j < i}
+            proper[i] = min(set(range(len(used) + 1)) - used)
+        colors = [color * scale + shift for color in proper]
+        broken = list(colors)
+        i, j = list(compiled.edge_ids())[-3]
+        broken[j] = broken[i]
+        for column in (colors, broken):
+            for target in (max(colors), max(colors) + 1):
+                reports = []
+                for enabled in (False, True):
+                    previous = arrays.set_arrays_override(enabled)
+                    try:
+                        reports.append(executor._coloring_violation(
+                            compiled, column, target))
+                    finally:
+                        arrays.set_arrays_override(previous)
+                assert reports[0] == reports[1], (column is broken, target)
 
     @staticmethod
     def _check_first_violation_and_bound(enabled):
@@ -427,6 +467,33 @@ class TestColumnDigest:
                    for a, b in executor._digest_store.values())
         assert held <= executor._DIGEST_STORE_BYTES
         assert bool(held) == (block is None)
+
+    def test_varying_widths_reuse_their_buffers(self, monkeypatch):
+        """A warm checksum of colors of varying width at n = 250,000
+        allocates the keep mask and the compacted bytes (each at most
+        the template's size) and two n-byte columns, nothing per digit
+        column; its digest is the node loop's."""
+        import tracemalloc
+        from collections import OrderedDict
+
+        from repro.serve import executor
+        from repro.sim import arrays
+
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(arrays, "_override", True)
+        monkeypatch.setattr(executor, "_digest_store", OrderedDict())
+        n = 250_000
+        column = np.arange(n, dtype=np.int64) % 1000
+        want = executor.colors_blake2b(range(n), column)
+        template, _ = executor._digest_store[(n, 3)]
+        tracemalloc.start()
+        try:
+            got = executor.colors_blake2b(range(n), column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want == self._loop_digest(column.tolist())
+        assert peak <= 2 * template.nbytes + 2 * n
 
     #: The CI color mix: one width each, then all widths at once.
     COLOR_MIXES = ([0], [3], [10], [4096], [10**12], [0, 3, 10, 4096, 10**12])

@@ -33,7 +33,6 @@ numpy = pytest.importorskip("numpy")
 def force_arrays(monkeypatch):
     """Pin the NumPy backend on and drop the size thresholds."""
     monkeypatch.setattr(arrays, "MIN_BATCH", 0)
-    monkeypatch.setattr(arrays, "MIN_TALLY", 0)
     previous = arrays.set_arrays_override(True)
     yield
     arrays.set_arrays_override(previous)

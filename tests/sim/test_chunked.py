@@ -79,7 +79,6 @@ class TestBitIdentity:
                                                     network):
         pytest.importorskip("numpy")
         monkeypatch.setattr(arrays, "MIN_BATCH", 0)
-        monkeypatch.setattr(arrays, "MIN_TALLY", 0)
         results = []
         previous = arrays.set_arrays_override(None)
         try:
@@ -110,7 +109,6 @@ class TestPerChunkGating:
     def force_arrays(self, monkeypatch):
         pytest.importorskip("numpy")
         monkeypatch.setattr(arrays, "MIN_BATCH", 0)
-        monkeypatch.setattr(arrays, "MIN_TALLY", 0)
         previous = arrays.set_arrays_override(True)
         yield
         arrays.set_arrays_override(previous)

@@ -1,16 +1,21 @@
 """Seeded differential tests: the columns entry against the reference.
 
 The color reduction's vectorized path runs straight from dense-id color
-columns (:func:`repro.sim.scheduler.run_columns`) with a whole-bucket batched mex,
-never building a program object.  The reference engine running the
+columns (:func:`repro.sim.scheduler.run_columns`), deciding every class
+before round 1 (a batched mex for wide classes, a row mex for narrow
+ones), never building a program object.  The reference engine running the
 ``_ColorReductionProgram`` population stays the oracle.  Each case draws
 a topology (ring/grid/tree/gnp/regular streams, or a ``Network`` whose
 nodes are not ints), a palette (proper or improper, negative colors,
 colors past ``q``, bools, colors above ``MAX_COLOR``), ``q``/``target``
 (including infeasible targets), a bandwidth model that trips on chosen
-senders, the array backend on/off, ``REPRO_SIM_CHUNK`` and the batching
-thresholds -- and asserts identical outputs, exception type and text,
-ledger (at failure too) and canonical logical trace.
+senders, the array backend on/off, ``REPRO_SIM_CHUNK`` and the
+narrow/wide class threshold -- and asserts identical outputs, exception
+type and text, ledger (at failure too) and canonical logical trace.
+Dense G(n, p) inputs (many narrow classes) add ``max_rounds`` cuts
+around the failing round and a recording model that pins the CONGEST
+check order; a model tripping on an initial color shows that round 1
+reads the undecided colors.
 
 The greedy arbdefective sweep is drawn the same way: proper initial
 colorings (ids, or first-fit classes with idle ones) over feasible and
@@ -230,7 +235,9 @@ def test_columns_entry_matches_reference(seed, monkeypatch):
         monkeypatch.setenv(arrays.ARRAYS_ENV, rng.choice(["0", "1"]))
         chunk = rng.choice(["", "1", "3", "7"])
         monkeypatch.setenv(arrays.CHUNK_ENV, chunk)
-        monkeypatch.setattr(arrays, "MIN_TALLY", rng.choice([0, 6, 512]))
+        # The class size from which a class takes the batched mex (0:
+        # every class; else narrower classes take the row mex).
+        monkeypatch.setattr(arrays, "MIN_BATCH", rng.choice([0, 3, 8]))
         monkeypatch.setattr(arrays, "MAX_MATCH_ELEMENTS",
                             rng.choice([1 << 25, 2 * (target + 1),
                                         target]))
@@ -287,7 +294,7 @@ def test_greedy_color_reduction_vectorized_matches_reference(seed,
         seed_colors = _palette(rng, order, compiled, q, target)
         colors = dict(zip(order, seed_colors))
         monkeypatch.setenv(arrays.ARRAYS_ENV, rng.choice(["0", "1"]))
-        monkeypatch.setattr(arrays, "MIN_TALLY", rng.choice([0, 512]))
+        monkeypatch.setattr(arrays, "MIN_BATCH", rng.choice([0, 4]))
 
         def run(engine):
             def call(ledger):
@@ -340,6 +347,181 @@ def test_columns_run_without_columns_constructor_falls_back():
     assert got == want
     assert built == [True]
     assert kernel_stats()["by_reason"]["declined"] == before + 1
+
+
+def _dense_palette(rng, compiled):
+    """A dense G(n, p) input: many classes of a few deciders each
+    (the inflated first-fit coloring, proper) or random colors
+    (improper: adjacent deciders in one class read each other's old
+    colors), with ``q`` several times the target."""
+    delta = compiled.raw_max_degree()
+    q = rng.randint(2, 4) * (delta + 1)
+    if rng.random() < 0.5:
+        first = _first_fit(compiled)
+        colors = [color * (q // (max(first) + 1)) + i % 2
+                  for i, color in enumerate(first)]
+    else:
+        colors = [rng.randrange(q) for _ in range(compiled.n)]
+    return colors, q
+
+
+def test_reduction_failures_round_cuts_and_check_order(monkeypatch):
+    """Dense G(n, p) inputs (many narrow classes), feasible and
+    infeasible targets, ``max_rounds`` cuts before, at and after the
+    failing round: the same CONGEST check log, exception text and
+    ledger as the reference engine, on the batched mex (``MIN_BATCH``
+    0), the row mex (4), the class-order loop (``10**6``) and the
+    list backend."""
+    failing = []
+    for seed in range(6):
+        rng = random.Random(9400 + seed)
+        network = stream_gnp(rng.randint(40, 80), rng.choice([0.3, 0.5]),
+                             seed)
+        compiled = network.compile()
+        order = list(compiled.order)
+        colors, q = _dense_palette(rng, compiled)
+        delta = compiled.raw_max_degree()
+        # Odd seeds: an infeasible target, so some decider round fails.
+        target = (rng.choice([4, 6, delta // 4 + 1]) if seed % 2
+                  else delta + 1)
+
+        def run(engine, max_rounds, model):
+            def call(ledger):
+                inputs = ColumnInputs(
+                    _ColorReductionProgram,
+                    {"colors": list(colors), "q": q, "target": target},
+                    lambda: {node: _ColorReductionProgram(node, colors[i],
+                                                          q, target)
+                             for i, node in enumerate(order)})
+                outputs, _ = run_columns(network, inputs, bandwidth=model,
+                                         ledger=ledger, engine=engine,
+                                         max_rounds=max_rounds)
+                return _keyed(order, outputs)
+            return call
+
+        model = RecordingModel()
+        full = _outcome(run("reference", DEFAULT_MAX_ROUNDS, model))
+        last = full[2][0]  # rounds completed before failing or halting
+        if full[1] is not None and full[1][0] == "AlgorithmFailure":
+            failing.append(last + 1)
+        for max_rounds in sorted({1, 2, last - 1, last, last + 1,
+                                  DEFAULT_MAX_ROUNDS} - {0}):
+            outcomes = []
+            for engine, backend, batch in (("reference", "1", 0),
+                                           ("vectorized", "1", 0),
+                                           ("vectorized", "1", 4),
+                                           ("vectorized", "1", 10 ** 6),
+                                           ("vectorized", "0", 0)):
+                monkeypatch.setenv(arrays.ARRAYS_ENV, backend)
+                monkeypatch.setattr(arrays, "MIN_BATCH", batch)
+                model = RecordingModel()
+                outcomes.append((_outcome(run(engine, max_rounds, model)),
+                                 model.log))
+            for got in outcomes[1:]:
+                assert got == outcomes[0], (seed, max_rounds)
+    # Every infeasible target fails, in a decider round past round 2.
+    assert len(failing) == 3 and min(failing) > 2, failing
+
+
+def test_round_one_checks_read_initial_colors(monkeypatch):
+    """A model that trips on one decider's *initial* color in round 1:
+    the vectorized run decided every class before round 1, yet raises
+    the same round-1 BandwidthExceeded, at the same ledger, as the
+    reference engine."""
+    network = stream_gnp(60, 0.4, 3)
+    compiled = network.compile()
+    order = list(compiled.order)
+    target = compiled.raw_max_degree() + 1
+    q = 3 * target
+    colors = [color * 3 for color in _first_fit(compiled)]
+    decider = max(range(compiled.n), key=colors.__getitem__)
+    assert colors[decider] >= target and compiled.degrees[decider]
+    model = TrippingModel([order[decider]], [colors[decider]])
+    outcomes = []
+    for engine, backend, batch in (("reference", "1", 0),
+                                   ("vectorized", "1", 0),
+                                   ("vectorized", "1", 32),
+                                   ("vectorized", "0", 0)):
+        monkeypatch.setenv(arrays.ARRAYS_ENV, backend)
+        monkeypatch.setattr(arrays, "MIN_BATCH", batch)
+
+        def call(ledger, _engine=engine):
+            with use_engine(_engine):
+                return greedy_color_reduction(network, colors, q, target,
+                                              ledger=ledger,
+                                              bandwidth=model)
+
+        outcomes.append(_outcome(
+            lambda ledger: _keyed(range(compiled.n), call(ledger))))
+    assert outcomes[0][1][0] == "BandwidthExceeded"
+    assert outcomes[0][2][0] == 0  # round 1 never completed
+    assert all(got == outcomes[0] for got in outcomes[1:])
+
+
+class _StubContext:
+    """Round 2 of one ``_ColorReductionProgram``: its neighbors' colors
+    as received, its broadcast captured."""
+
+    round_number = 2
+
+    def __init__(self, neighbor_colors):
+        self.inbox = dict(enumerate(neighbor_colors))
+        self.sent = None
+
+    def received(self, tag):
+        return self.inbox
+
+    def broadcast(self, tag, payload, bits=None):
+        self.sent = payload
+
+    def halt(self):
+        raise AssertionError("an active decider halted")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_fit_rows_matches_program_mex_and_seed_loop(seed,
+                                                          monkeypatch):
+    """The shared row primitive: per row, the mex of
+    ``_ColorReductionProgram.on_round`` (signed and huge colors through
+    a uint64 view); over ``range(n)`` writing into its own column, the
+    first-fit seed of ``_greedy_seed_loop``."""
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(arrays, "_override", True)
+    streaming = importlib.import_module("repro.graphs.streaming")
+    rng = random.Random(9600 + seed)
+    for _ in range(20):
+        n = rng.randint(1, 40)
+        colors = [rng.choice([rng.randint(-3, 12), rng.randint(0, 6),
+                              arrays.MAX_COLOR]) for _ in range(n)]
+        lengths = [rng.randint(0, 30) for _ in range(rng.randint(1, 8))]
+        indptr = [0]
+        indices = []
+        for length in lengths:
+            indices.extend(rng.randrange(n) for _ in range(length))
+            indptr.append(len(indices))
+        rows = rng.sample(range(len(lengths)), rng.randint(1, len(lengths)))
+        out = np.empty(len(rows), dtype=np.int64)
+        arrays.first_fit_rows(
+            np, indptr, np.asarray(indices, dtype=np.int64),
+            np.asarray(colors, dtype=np.int64).view(np.uint64), rows, out,
+            np.empty(max(lengths) + 1, dtype=bool))
+        for row, got in zip(rows, out.tolist()):
+            # Round 2 retires color q - 1; a mex is at most the row
+            # length, so a target above it never fails.
+            q = max(lengths) + 2
+            program = _ColorReductionProgram("v", q - 1, q, q - 1)
+            ctx = _StubContext(colors[j] for j in
+                               indices[indptr[row]:indptr[row + 1]])
+            program.on_round(ctx)
+            assert got == ctx.sent, (row, colors)
+    for _ in range(6):
+        compiled = _topology(rng).compile()
+        n = compiled.n
+        column = np.full(n, n, dtype=np.int64)
+        arrays.first_fit_rows(np, compiled.indptr, compiled.numpy_views()[1],
+                              column, range(n), column,
+                              np.empty(compiled.max_degree() + 1, dtype=bool))
+        assert column.tolist() == list(streaming._greedy_seed_loop(compiled))
 
 
 # ----------------------------------------------------------------------
@@ -545,12 +727,13 @@ def test_sweep_pair_matches_reference(seed, monkeypatch):
     rng = random.Random(8100 + seed)
     for case in range(SWEEP_CASES):
         network = _path(rng) if rng.random() < 0.2 else _topology(rng)
-        # MIN_BATCH 0 puts every sweep on the NumPy wave form; 4 and 32
-        # send small or deep-DAG populations to the class-order loop.
+        # MIN_BATCH 0 puts every sweep on the NumPy wave form and every
+        # reduction class on the batched mex; 4 and 32 send small or
+        # deep-DAG populations to the class-order loop and narrow
+        # reduction classes to the row mex.
         monkeypatch.setattr(arrays, "MIN_BATCH", rng.choice([0, 0, 4, 32]))
         monkeypatch.setenv(arrays.ARRAYS_ENV, rng.choice(["0", "1"]))
         monkeypatch.setenv(arrays.CHUNK_ENV, rng.choice(["", "3"]))
-        monkeypatch.setattr(arrays, "MIN_TALLY", rng.choice([0, 6, 512]))
         call, context = _sweep_call(rng, network)
 
         def on(engine):

@@ -77,7 +77,6 @@ def backend(request, monkeypatch):
         if arrays._import_numpy() is None:
             pytest.skip("NumPy not installed")
         monkeypatch.setattr(arrays, "MIN_BATCH", 0)
-        monkeypatch.setattr(arrays, "MIN_TALLY", 0)
         previous = arrays.set_arrays_override(True)
     else:
         previous = arrays.set_arrays_override(False)
