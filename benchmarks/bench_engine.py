@@ -17,7 +17,7 @@ two execution engines of :class:`repro.sim.Scheduler`:
   message pattern per round;
 * ``linial_algebraic`` -- the repository's real Linial coloring on a
   G(n,p), exercising the algebraic recoloring substrate (and its
-  process-level caches) end to end;
+  schedule and family memos) end to end;
 * ``star_fanout`` -- flooding on a star: one node broadcasts to n-1
   neighbors every round, the worst case for per-copy delivery overhead
   and the best case for shared broadcast envelopes;
@@ -43,10 +43,7 @@ instead of silently inflating a speedup.
 Every run's (rounds, messages, bits) fingerprint is compared across
 engines, so the benchmark doubles as an end-to-end equivalence check.
 Results go to ``BENCH_engine.json`` at the repository root (uploaded as a
-CI artifact) and to ``benchmarks/results/BENCH_engine.txt``.  With
-``REPRO_SIM_CACHE_DIR`` set, the substrate caches are loaded from and
-spilled back to a versioned file there, so repeated invocations start
-warm.
+CI artifact) and to ``benchmarks/results/BENCH_engine.txt``.
 
 Run directly for the full sizes, or with ``--smoke`` for a seconds-long
 sanity pass::
@@ -57,6 +54,7 @@ sanity pass::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import platform
@@ -70,13 +68,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from repro.coloring import random_arbdefective_instance, random_oldc_instance
 from repro.core import fast_two_sweep, two_sweep
 from repro.graphs import (
-    binary_tree,
-    complete_graph,
-    gnp_graph,
+    generators,
     orient_by_id,
     random_ids,
     sequential_ids,
-    star_graph,
 )
 from repro.sim import (
     CostLedger,
@@ -90,9 +85,18 @@ from repro.sim import (
 from repro.sim.kernels import ColumnInputs, fanout_totals
 from repro.sim.scheduler import run_columns
 from repro.substrates import greedy_arbdefective_sweep, linial_coloring
-from repro.substrates.cache import load_from_disk, save_to_disk
 
 from _util import emit, write_manifest_sidecar
+
+# Each topology is built once per argument tuple and shared by every
+# engine and repeat of its workload, so the timings measure the engines
+# rather than the generators (a G(2000, p) build alone takes longer than
+# a vectorized run on it).
+binary_tree, complete_graph, gnp_graph, star_graph = (
+    functools.lru_cache(maxsize=None)(generator)
+    for generator in (generators.binary_tree, generators.complete_graph,
+                      generators.gnp_graph, generators.star_graph)
+)
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_engine.json"
@@ -323,7 +327,7 @@ def workload_linial_algebraic(n: int, engine: str):
     # Linial needs q >> Delta^2 to make progress, so run it where it
     # belongs: a bounded-degree graph colored by unique ids.  One pass is
     # only O(log* q) rounds, so repeat it -- which is also exactly the
-    # shape the substrate caches (schedules, polynomial families) serve.
+    # shape the schedule and polynomial-family memos serve.
     network = binary_tree(max(3, n.bit_length() - 1))
     ids = sequential_ids(network)
     reps = max(3, n // 100)
@@ -525,9 +529,6 @@ def main(argv=None) -> int:
                              "repro trace PATH')")
     args = parser.parse_args(argv)
     n = args.n if args.n is not None else (300 if args.smoke else 2000)
-    # Warm the substrate caches from a previous invocation's spill (a
-    # no-op unless REPRO_SIM_CACHE_DIR is set) and spill back at the end.
-    load_from_disk()
     if args.trace is not None:
         from repro.obs import Tracer, collect_manifest, use_tracer, write_jsonl
 
@@ -542,7 +543,6 @@ def main(argv=None) -> int:
               f"({len(tracer.events)} records)")
     else:
         report = run_benchmark(n=n, smoke=args.smoke)
-    save_to_disk()
     write_report(report, pathlib.Path(args.out))
     print(_render(report))
     return 0

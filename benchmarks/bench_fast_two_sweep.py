@@ -21,8 +21,7 @@ from _util import emit
 
 #: Env override wins (CI diffs reference vs vectorized tables); the
 #: emitted table reports only ledger/validity columns, so it is
-#: engine-invariant.  Every cell reuses the same interned 60-node graph,
-#: so each pool worker compiles the topology exactly once.
+#: engine-invariant.
 _ENGINE = os.environ.get("REPRO_SIM_ENGINE") or "vectorized"
 
 

@@ -1,7 +1,7 @@
 """Serving benchmark: warm daemon throughput vs cold per-request CLI.
 
 The daemon's reason to exist is amortization: worker spawn, imports,
-substrate caches, and topology builds are paid once per *process*
+schedule memos, and topology builds are paid once per *process*
 instead of once per *request*.  This benchmark quantifies that on a
 mixed workload (two topology families x greedy reduction + the sweep
 algorithms, interleaved from concurrent keep-alive clients):

@@ -15,56 +15,6 @@ from typing import Dict, List, Tuple
 from ..sim.errors import NetworkError
 from ..sim.network import Network
 
-#: The interned-network registry stays tiny: entries are whole networks
-#: (with their compiled CSR topologies attached by ``Network.compile``),
-#: not scalar derivations.
-_NETWORK_REGISTRY_LIMIT = 64
-
-#: Topologies above this many nodes are never interned.  The registry is
-#: bounded by *entry count* (64), not bytes, and it rides along in the
-#: substrate-cache snapshot shipped to every pool worker -- a handful of
-#: million-node graphs would pin gigabytes in the parent and again in
-#: each worker.  Above the gate, callers get a fresh build (scale work
-#: shares topologies through ``repro.sim.shm`` instead).
-INTERN_NODE_LIMIT = 1 << 16
-
-
-def _interned(key: Tuple, build, nodes: int = 0):
-    """Memoize deterministic generators in the substrate cache.
-
-    Benchmark sweeps call the same generator with the same arguments for
-    every parameter point (E2 builds one 60-node graph per cell; trial
-    runners rebuild the topology per seed), then pay ``Network.compile``
-    again on each fresh copy.  Interning returns one shared instance per
-    argument tuple, so the compiled topology is built once per process --
-    and, because the registry rides along in the substrate-cache snapshot
-    shipped to pool workers, once per *worker* instead of once per trial.
-
-    Networks are immutable by repository convention (adjacency is fixed
-    at construction; ``compile()`` only attaches a cache), which is what
-    makes sharing safe.  ``REPRO_SIM_CACHE=0`` disables interning along
-    with every other process-level memo, and topologies larger than
-    :data:`INTERN_NODE_LIMIT` nodes (``nodes`` is the caller's estimate)
-    bypass the registry entirely so it cannot pin gigabytes.
-    """
-    if nodes > INTERN_NODE_LIMIT:
-        return build()
-    try:
-        from ..substrates import cache as substrate_cache
-    except ImportError:  # pragma: no cover - substrates always ship
-        return build()
-    if not substrate_cache.cache_enabled():
-        return build()
-    table = substrate_cache.registry(
-        "networks", limit=_NETWORK_REGISTRY_LIMIT
-    )
-    network = table.get(key)
-    substrate_cache.record_lookup("networks", network is not None)
-    if network is None:
-        network = table[key] = build()
-    return network
-
-
 def empty_graph(n: int) -> Network:
     """``n`` isolated nodes."""
     return Network({node: [] for node in range(n)})
@@ -85,9 +35,7 @@ def ring_graph(n: int) -> Network:
 
 def complete_graph(n: int) -> Network:
     """The clique K_n."""
-    return _interned(("complete", n), lambda: Network.from_edges(
-        range(n), itertools.combinations(range(n), 2)
-    ), nodes=n)
+    return Network.from_edges(range(n), itertools.combinations(range(n), 2))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Network:
@@ -98,9 +46,9 @@ def complete_bipartite_graph(a: int, b: int) -> Network:
 
 def star_graph(leaves: int) -> Network:
     """A star: center 0 joined to ``leaves`` leaves."""
-    return _interned(("star", leaves), lambda: Network.from_edges(
+    return Network.from_edges(
         range(leaves + 1), [(0, i) for i in range(1, leaves + 1)]
-    ), nodes=leaves + 1)
+    )
 
 
 def grid_graph(rows: int, cols: int) -> Network:
@@ -120,15 +68,11 @@ def grid_graph(rows: int, cols: int) -> Network:
 
 def binary_tree(depth: int) -> Network:
     """A complete binary tree of the given depth (depth 0 = single node)."""
-    def build() -> Network:
-        n = 2 ** (depth + 1) - 1
-        edges = []
-        for i in range(1, n):
-            edges.append((i, (i - 1) // 2))
-        return Network.from_edges(range(n), edges)
-
-    return _interned(("binary_tree", depth), build,
-                     nodes=2 ** (depth + 1) - 1)
+    n = 2 ** (depth + 1) - 1
+    edges = []
+    for i in range(1, n):
+        edges.append((i, (i - 1) // 2))
+    return Network.from_edges(range(n), edges)
 
 
 def gnp_graph(n: int, p: float, seed: int) -> Network:
@@ -136,16 +80,13 @@ def gnp_graph(n: int, p: float, seed: int) -> Network:
     if not 0.0 <= p <= 1.0:
         raise NetworkError("edge probability must lie in [0, 1]")
 
-    def build() -> Network:
-        rng = random.Random(seed)
-        edges = [
-            (u, v)
-            for u, v in itertools.combinations(range(n), 2)
-            if rng.random() < p
-        ]
-        return Network.from_edges(range(n), edges)
-
-    return _interned(("gnp", n, p, seed), build, nodes=n)
+    rng = random.Random(seed)
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if rng.random() < p
+    ]
+    return Network.from_edges(range(n), edges)
 
 
 def random_regular_graph(n: int, degree: int, seed: int) -> Network:
@@ -167,33 +108,27 @@ def random_bounded_degree_graph(n: int, max_degree: int, seed: int,
     Samples ``edge_factor * n * max_degree / 2`` candidate edges and keeps
     those that do not push an endpoint past ``max_degree``.
     """
-    def build() -> Network:
-        rng = random.Random(seed)
-        degree: Dict[int, int] = {node: 0 for node in range(n)}
-        edges = set()
-        target = int(edge_factor * n * max_degree / 2)
-        attempts = 0
-        while len(edges) < target and attempts < 20 * target + 100:
-            attempts += 1
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u == v:
-                continue
-            key = frozenset((u, v))
-            if key in edges:
-                continue
-            if degree[u] >= max_degree or degree[v] >= max_degree:
-                continue
-            edges.add(key)
-            degree[u] += 1
-            degree[v] += 1
-        return Network.from_edges(
-            range(n), [tuple(sorted(edge)) for edge in edges]
-        )
-
-    return _interned(
-        ("bounded_degree", n, max_degree, seed, edge_factor), build,
-        nodes=n,
+    rng = random.Random(seed)
+    degree: Dict[int, int] = {node: 0 for node in range(n)}
+    edges = set()
+    target = int(edge_factor * n * max_degree / 2)
+    attempts = 0
+    while len(edges) < target and attempts < 20 * target + 100:
+        attempts += 1
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        key = frozenset((u, v))
+        if key in edges:
+            continue
+        if degree[u] >= max_degree or degree[v] >= max_degree:
+            continue
+        edges.add(key)
+        degree[u] += 1
+        degree[v] += 1
+    return Network.from_edges(
+        range(n), [tuple(sorted(edge)) for edge in edges]
     )
 
 

@@ -29,11 +29,11 @@ Equivalence contract (locked by ``tests/graphs/test_streaming.py``):
   sequence of ``gnp_graph``/networkx -- they are tested byte-identical
   against ``Network.from_edges`` over the same stream instead.
 
-Large streamed topologies bypass the interning registry (see
-:data:`~repro.graphs.generators.INTERN_NODE_LIMIT`) and are shared with
-pool workers through :mod:`repro.sim.shm`: every ``stream_*`` builder
-first consults the published-topology table, so a worker whose measure
-function rebuilds "the same" graph gets the parent's single shared copy.
+Streamed topologies are shared with pool workers through
+:mod:`repro.sim.shm`: every ``stream_*`` builder first consults the
+published-topology table, so a worker whose measure function rebuilds
+"the same" graph gets the parent's single shared copy; otherwise it
+builds its own.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Iterable, Iterator, Tuple
 from ..sim import arrays
 from ..sim.compiled import CompiledNetwork, _ID_TYPECODE
 from ..sim.errors import NetworkError
-from .generators import _interned
 
 Edge = Tuple[int, int]
 
@@ -327,24 +326,19 @@ def _stream_compiled(key, n: int, factory, fill=None) -> CompiledNetwork:
 
     shared = shm.lookup(key)
     # "topologies" counts shared-memory resolution (the daemon's warm
-    # topology table); an shm miss may still hit the interned "networks"
-    # registry below.
+    # topology table).
     record_lookup("topologies", shared is not None)
     if shared is not None:
         return shared
-
-    def build() -> CompiledNetwork:
-        # A deterministic family fills its CSR on NumPy (from one edge
-        # block in stream order, or in closed form) when the backend is
-        # on; otherwise its edge stream is consumed pair by pair.
-        np = arrays.get_numpy()
-        if fill is not None and np is not None:
-            indptr, indices = fill(np)
-        else:
-            indptr, indices = csr_from_edges(n, factory())
-        return CompiledNetwork.from_csr(indptr, indices)
-
-    return _interned(key, build, nodes=n)
+    # A deterministic family fills its CSR on NumPy (from one edge block
+    # in stream order, or in closed form) when the backend is on;
+    # otherwise its edge stream is consumed pair by pair.
+    np = arrays.get_numpy()
+    if fill is not None and np is not None:
+        indptr, indices = fill(np)
+    else:
+        indptr, indices = csr_from_edges(n, factory())
+    return CompiledNetwork.from_csr(indptr, indices)
 
 
 def _ring_csr(np, n: int):

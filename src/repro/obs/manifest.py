@@ -158,12 +158,7 @@ def _cache_state() -> Optional[Dict[str, Any]]:
     try:
         from ..substrates import cache as substrate_cache
 
-        return {
-            "enabled": substrate_cache.cache_enabled(),
-            "registries": substrate_cache.registry_sizes(),
-            "counters": substrate_cache.cache_counters(),
-            "disk": substrate_cache.disk_state(),
-        }
+        return {"counters": substrate_cache.cache_counters()}
     except ImportError:  # pragma: no cover - substrates always ship
         return None
 

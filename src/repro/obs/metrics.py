@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Every layer of this repo used to keep its own private tally --
-``KernelStats`` in :mod:`repro.sim.kernels`, the substrate-cache
+``KernelStats`` in :mod:`repro.sim.kernels`, the topology lookup
 hit/miss counters, the worker-pool and admission dicts, the daemon's
 rolling latency window.
 This module is the one place those quantities now land: a

@@ -2,11 +2,11 @@
 
 The batch tools (``repro scale``, ``repro two-sweep``, the benchmark
 runners) pay the full cold start on every invocation -- interpreter
-boot, imports, worker spawn, cache building, topology compilation.
+boot, imports, worker spawn, memo building, topology compilation.
 :mod:`repro.serve` keeps all of that alive in one long-running process:
-a stdlib-only asyncio HTTP daemon whose worker pool holds the warm
-substrate caches, shared-memory topologies, and frozen engine across
-requests; each admitted request is one pool dispatch.
+a stdlib-only asyncio HTTP daemon whose worker pool holds its warm
+memos, shared-memory topologies, and frozen engine across requests;
+each admitted request is one pool dispatch.
 
 Layers (each its own module):
 

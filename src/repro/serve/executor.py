@@ -75,10 +75,10 @@ def resolve_topology(topology: Dict[str, Any]) -> Tuple[Hashable, Any]:
 
     Returns ``(key, compiled)``.  Every kind resolves to a
     :class:`~repro.sim.compiled.CompiledNetwork`: streamed families via
-    their interning/shm-aware builders, seeded ``gnp`` via the interned
-    generator's ``compile()`` cache, inline ``edges`` via a CSR build
-    that itself consults shm and the interned registry, and ``graph``
-    handles strictly via shm (the daemon publishes uploads there).
+    their shm-aware builders, seeded ``gnp`` via the generator's
+    ``compile()``, inline ``edges`` via a CSR build after an shm lookup,
+    and ``graph`` handles strictly via shm (the daemon publishes uploads
+    there).
     """
     from ..graphs.streaming import (
         csr_from_edges,
@@ -110,7 +110,6 @@ def resolve_topology(topology: Dict[str, Any]) -> Tuple[Hashable, Any]:
                             topology["seed"])
         return key, network.compile()
     if kind == "edges":
-        from ..graphs.generators import _interned
         from ..sim import shm
         from ..sim.compiled import CompiledNetwork
         from ..substrates.cache import record_lookup
@@ -119,14 +118,9 @@ def resolve_topology(topology: Dict[str, Any]) -> Tuple[Hashable, Any]:
         record_lookup("topologies", shared is not None)
         if shared is not None:
             return key, shared
-        n = topology["n"]
         edges = [tuple(pair) for pair in topology["edges"]]
-
-        def build() -> CompiledNetwork:
-            indptr, indices = csr_from_edges(n, edges)
-            return CompiledNetwork.from_csr(indptr, indices)
-
-        return key, _interned(key, build, nodes=n)
+        indptr, indices = csr_from_edges(topology["n"], edges)
+        return key, CompiledNetwork.from_csr(indptr, indices)
     # kind == "graph": strictly a warm handle -- the daemon rewrites
     # uploads to inline edges when shared memory is unavailable.
     from ..sim import shm

@@ -1,9 +1,9 @@
 """Pool supervision: keep a warm :class:`WorkerPool` alive across faults.
 
 The daemon's throughput story rests on one process-lifetime pool whose
-workers hold the warm state (substrate-cache snapshot, frozen engine,
-attached shm topologies).  The supervisor wraps that pool with the two
-things a long-running service needs on top:
+workers hold the warm state (frozen engine, attached shm topologies).
+The supervisor wraps that pool with the two things a long-running
+service needs on top:
 
 * **restart on breakage** -- a worker killed mid-task breaks a
   ``ProcessPoolExecutor`` permanently; the supervisor builds a

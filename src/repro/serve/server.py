@@ -2,16 +2,14 @@
 
 One :class:`ColoringServer` owns the whole warm-state story:
 
-* boot: load the on-disk substrate cache (``REPRO_SIM_CACHE_DIR``),
-  install shared-memory signal cleanup, spawn and warm the worker pool,
-  publish any prewarm topologies, then start listening;
+* boot: install shared-memory signal cleanup, spawn and warm the
+  worker pool, publish any prewarm topologies, then start listening;
 * steady state: parse requests, admit each one while fewer than
   ``max_queue`` are in flight (503 otherwise), hand it to the pool as
   one dispatch, and stream JSON responses over keep-alive connections
   while tracking rolling latency percentiles;
-* shutdown: stop accepting, let every request in flight finish, close
-  the pool (releasing its shm topologies), and spill the substrate
-  cache back to disk so the *next* boot starts warm.
+* shutdown: stop accepting, let every request in flight finish, and
+  close the pool (releasing its shm topologies).
 
 The HTTP layer is deliberately minimal -- request line, headers,
 ``Content-Length`` bodies, keep-alive -- because the daemon talks to
@@ -138,10 +136,8 @@ class ColoringServer:
     async def start(self) -> None:
         """Warm everything, then start listening (sets :attr:`port`)."""
         from ..sim import shm
-        from ..substrates import cache
 
         loop = asyncio.get_running_loop()
-        disk_loaded = cache.load_from_disk()
         shm.install_signal_cleanup()
         warmup_s = await loop.run_in_executor(None, self.supervisor.warm)
         prewarm_s: Dict[str, float] = {}
@@ -154,7 +150,6 @@ class ColoringServer:
             self.supervisor.add_topologies({key: compiled})
             prewarm_s[str(key)] = time.perf_counter() - started
         self.boot = {
-            "disk_cache_loaded": disk_loaded,
             "warmup_s": warmup_s,
             "prewarmed": list(prewarm_s),
             "prewarm_s": prewarm_s,
@@ -167,9 +162,7 @@ class ColoringServer:
         self._started_monotonic = time.monotonic()
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain, close pool, spill caches to disk."""
-        from ..substrates import cache
-
+        """Graceful shutdown: drain, then close the pool."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -180,7 +173,6 @@ class ColoringServer:
             await self._drained.wait()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.supervisor.close)
-        cache.save_to_disk()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -597,12 +589,7 @@ class ColoringServer:
                 "batched_requests": self.dispatched,
             },
             pool=self.supervisor.stats(),
-            caches={
-                "enabled": cache.cache_enabled(),
-                "registries": cache.registry_sizes(),
-                "counters": cache.cache_counters(),
-                "disk": cache.disk_state(),
-            },
+            caches={"counters": cache.cache_counters()},
             topologies={
                 "published": sorted(str(key) for key in shm.published_keys()),
                 "uploads": len(self._uploads),

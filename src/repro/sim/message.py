@@ -15,20 +15,11 @@ fallback for payloads that do not declare a size.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 #: Bits charged per sequence for its length header.
 _LENGTH_HEADER_BITS = 8
-
-#: ``REPRO_SIM_CACHE=0`` disables every process-level memo table in the
-#: repository (this module's payload tables and the substrate caches in
-#: :mod:`repro.substrates.cache`).  Read once at import: the knob selects
-#: a process configuration, not a per-call mode.
-CACHE_ENV = "REPRO_SIM_CACHE"
-
-_memo_enabled = os.environ.get(CACHE_ENV, "1") != "0"
 
 #: Safety valve so pathological workloads (millions of distinct payloads)
 #: cannot grow the memo tables without bound.
@@ -48,21 +39,6 @@ _intern_table: Dict[Tuple[type, Any], Any] = {}
 _broadcast_table: Dict[Tuple[Any, ...], "Broadcast"] = {}
 
 
-def payload_memo_enabled() -> bool:
-    """Whether the payload memo/interning tables are active."""
-    return _memo_enabled
-
-
-def set_payload_memo_enabled(enabled: bool) -> bool:
-    """Toggle the memo tables (tests only); returns the previous state."""
-    global _memo_enabled
-    previous = _memo_enabled
-    _memo_enabled = bool(enabled)
-    if not enabled:
-        clear_payload_memo()
-    return previous
-
-
 def clear_payload_memo() -> None:
     """Drop every memoized payload size and interned payload/envelope."""
     _payload_bits_memo.clear()
@@ -80,7 +56,7 @@ def intern_payload(payload: Any) -> Any:
     stay warm across senders, rounds, and trials.  Unhashable payloads
     are returned unchanged.
     """
-    if payload is None or not _memo_enabled:
+    if payload is None:
         return payload
     try:
         key = (payload.__class__, payload)
@@ -120,28 +96,25 @@ def payload_bits(payload: Any) -> int:
     sets and dicts of those.  Unknown objects are charged a conservative
     64 bits so forgetting to declare a size never *under*-counts by much.
 
-    Hashable payloads are memoized process-wide (disable with
-    ``REPRO_SIM_CACHE=0``): broadcast-heavy protocols re-send the same
-    colors and defect vectors every round, so each distinct payload is
-    sized exactly once.
+    Hashable payloads are memoized process-wide: broadcast-heavy
+    protocols re-send the same colors and defect vectors every round, so
+    each distinct payload is sized exactly once.
     """
     if payload is None:
         return 0
-    if _memo_enabled:
-        try:
-            key = (payload.__class__, payload)
-            cached = _payload_bits_memo.get(key)
-            if cached is not None:
-                return cached
-        except TypeError:  # unhashable: estimate without the memo
-            key = None
-        bits = _estimate_payload_bits(payload)
-        if key is not None:
-            if len(_payload_bits_memo) >= _MEMO_LIMIT:
-                _payload_bits_memo.clear()
-            _payload_bits_memo[key] = bits
-        return bits
-    return _estimate_payload_bits(payload)
+    try:
+        key = (payload.__class__, payload)
+        cached = _payload_bits_memo.get(key)
+        if cached is not None:
+            return cached
+    except TypeError:  # unhashable: estimate without the memo
+        key = None
+    bits = _estimate_payload_bits(payload)
+    if key is not None:
+        if len(_payload_bits_memo) >= _MEMO_LIMIT:
+            _payload_bits_memo.clear()
+        _payload_bits_memo[key] = bits
+    return bits
 
 
 def _estimate_payload_bits(payload: Any) -> int:
@@ -280,24 +253,23 @@ def intern_broadcast(sender: Hashable, tag: str, payload: Any = None,
 
     The key includes the payload's type (``True == 1`` but encodes
     differently) and the declared ``bits`` (the same payload may be sent
-    under different declared sizes).  Unhashable payloads, and runs with
-    ``REPRO_SIM_CACHE=0``, get a fresh envelope per call.
+    under different declared sizes).  Unhashable payloads get a fresh
+    envelope per call.
     """
-    if _memo_enabled:
-        try:
-            key = (sender, tag, payload.__class__, payload, bits)
-            envelope = _broadcast_table.get(key)
-            if envelope is not None:
-                return envelope
-            if len(_broadcast_table) >= _MEMO_LIMIT:
-                _broadcast_table.clear()
-            if bits is None:
-                payload = intern_payload(payload)
-            envelope = Broadcast(sender, tag, payload, bits)
-            _broadcast_table[key] = envelope
+    try:
+        key = (sender, tag, payload.__class__, payload, bits)
+        envelope = _broadcast_table.get(key)
+        if envelope is not None:
             return envelope
-        except TypeError:  # unhashable payload (or sender)
-            pass
+        if len(_broadcast_table) >= _MEMO_LIMIT:
+            _broadcast_table.clear()
+        if bits is None:
+            payload = intern_payload(payload)
+        envelope = Broadcast(sender, tag, payload, bits)
+        _broadcast_table[key] = envelope
+        return envelope
+    except TypeError:  # unhashable payload (or sender)
+        pass
     if bits is None:
         payload = intern_payload(payload)
     return Broadcast(sender, tag, payload, bits)

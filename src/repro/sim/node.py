@@ -59,8 +59,7 @@ class RoundContext:
         fans it out to every neighbor by reference and charges each copy
         as if it were an individual :meth:`send`.  The envelope itself is
         interned: re-broadcasting the same ``(tag, payload, bits)`` in a
-        later round reuses one canonical, sized-once envelope (disable
-        with ``REPRO_SIM_CACHE=0``).
+        later round reuses one canonical, sized-once envelope.
         """
         if not self.neighbors:
             return

@@ -17,11 +17,6 @@ on:
   (some sandboxes lack POSIX semaphores), trials run serially in-process
   with identical results.
 
-Workers additionally start with the parent's warm substrate caches
-(:mod:`repro.substrates.cache` -- schedules, prime tables, polynomial
-families), shipped once through the pool initializer; disable with
-``REPRO_SIM_CACHE=0``.
-
 :func:`parallel_sweep` is a drop-in for
 :func:`repro.analysis.experiments.sweep`.
 """
@@ -132,22 +127,6 @@ def _call_measure(task):
     return tagged
 
 
-def _substrate_snapshot():
-    """The parent's warm substrate caches, or ``None`` when empty/off.
-
-    Imported lazily: the simulator layer does not depend on the substrate
-    layer, it only ferries its (opaque, picklable) cache state across the
-    process boundary.
-    """
-    try:
-        from ..substrates import cache as substrate_cache
-    except ImportError:  # pragma: no cover - substrates always ship
-        return None
-    if not substrate_cache.cache_enabled():
-        return None
-    return substrate_cache.snapshot() or None
-
-
 #: glibc ``mallopt`` parameter numbers (``malloc.h``).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -186,11 +165,10 @@ def keep_freed_memory() -> bool:
                 and mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD))
 
 
-def _init_worker(state, engine=None, arrays_enabled=None,
-                 topologies=None):
-    """Pool initializer: seed a worker with the parent's caches,
-    scheduler engine, kernel array-backend decision, and shared-memory
-    topology handles.
+def _init_worker(engine=None, arrays_enabled=None, topologies=None):
+    """Pool initializer: seed a worker with the parent's scheduler
+    engine, kernel array-backend decision, and shared-memory topology
+    handles.
 
     The engine is resolved *once in the parent* (explicit argument, else
     the parent's ``default_engine()`` -- which reads ``use_engine`` /
@@ -229,13 +207,6 @@ def _init_worker(state, engine=None, arrays_enabled=None,
     # the parent's cumulative metrics, which must not ride back on this
     # worker's deltas or exposition.
     obs_metrics.reset_metrics()
-    if state is None:
-        return
-    try:
-        from ..substrates import cache as substrate_cache
-    except ImportError:  # pragma: no cover - substrates always ship
-        return
-    substrate_cache.restore(state)
 
 
 def _probe(task):
@@ -276,23 +247,22 @@ class WorkerPool:
     """A worker pool whose lifetime *outlives a single sweep*.
 
     Historically :func:`parallel_sweep` owned the whole process
-    lifecycle: it created a pool, shipped the warm caches, ran one sweep,
-    and tore everything down -- so every sweep (and every would-be
-    server request) repaid worker spawn, cache transfer, and topology
-    publication.  ``WorkerPool`` splits "process lifecycle" from "one
-    run": it owns the executor, the engine/array-backend decision (frozen
-    at construction), the substrate-cache snapshot shipped to workers,
-    and the shared-memory topologies it published (refcounted via
+    lifecycle: it created a pool, ran one sweep, and tore everything
+    down -- so every sweep (and every would-be server request) repaid
+    worker spawn and topology publication.  ``WorkerPool`` splits
+    "process lifecycle" from "one run": it owns the executor, the
+    engine/array-backend decision (frozen at construction), and the
+    shared-memory topologies it published (refcounted via
     :func:`repro.sim.shm.publish` and released on :meth:`close`).  One
     pool can serve many :func:`parallel_sweep` calls (pass ``pool=``) or
     a long-running daemon's request stream (:mod:`repro.serve`).
 
-    Two modes: ``"process"`` (a ``ProcessPoolExecutor`` with the warm
-    initializer) and ``"thread"`` (a single-thread executor sharing the
-    parent's caches -- the degradation target where process pools are
-    unusable, and the deterministic choice for tests).  :meth:`warm`
-    spawns the workers eagerly and degrades ``process -> thread``
-    automatically, recording ``fallback_reason``.
+    Two modes: ``"process"`` (a ``ProcessPoolExecutor`` with the
+    initializer above) and ``"thread"`` (a single-thread executor sharing
+    the parent's process state -- the degradation target where process
+    pools are unusable, and the deterministic choice for tests).
+    :meth:`warm` spawns the workers eagerly and degrades ``process ->
+    thread`` automatically, recording ``fallback_reason``.
 
     Occupancy counters (``submitted`` / ``completed`` / ``in_flight``)
     are maintained on every dispatch for the daemon's ``/stats``.
@@ -332,8 +302,8 @@ class WorkerPool:
             return ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(_substrate_snapshot(), self.engine,
-                          arrays_enabled(), shm.export_handles() or None),
+                initargs=(self.engine, arrays_enabled(),
+                          shm.export_handles() or None),
             )
         from concurrent.futures import ThreadPoolExecutor
 
@@ -733,11 +703,7 @@ def parallel_sweep(measure: Measure,
     own_pool: Optional[WorkerPool] = None
     dispatch = pool
     if dispatch is None and workers > 1 and len(tasks) > 1:
-        # One sweep, one ephemeral pool: warm substrate caches
-        # (schedules, polynomial families, prime tables, interned
-        # networks with their compiled CSR topologies) computed in this
-        # process are shipped to every worker once, instead of each
-        # worker re-deriving them per trial; the resolved engine choice
+        # One sweep, one ephemeral pool; the resolved engine choice
         # rides along.
         dispatch = own_pool = WorkerPool(max_workers=workers,
                                          engine=resolved)

@@ -15,11 +15,6 @@ from .exhaustive import (
     solve_list_defective_bruteforce,
     solve_oldc_bruteforce,
 )
-from .cache import (
-    cache_enabled,
-    clear_substrate_cache,
-    set_cache_enabled,
-)
 from .cover_free import (
     PolynomialFamily,
     RecoloringStep,
@@ -61,9 +56,7 @@ __all__ = [
     "PolynomialFamily",
     "RecoloringStep",
     "baseline_palette_size",
-    "cache_enabled",
     "ceil_log2",
-    "clear_substrate_cache",
     "choose_defective_step",
     "choose_proper_step",
     "defective_palette_bound",
@@ -86,7 +79,6 @@ __all__ = [
     "randomized_delta_plus_one",
     "randomized_list_coloring",
     "run_recoloring",
-    "set_cache_enabled",
     "shared_family",
     "TrialColoringProgram",
     "sequential_greedy_arbdefective",

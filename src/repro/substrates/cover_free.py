@@ -18,23 +18,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..sim import arrays
-from .cache import (
-    ARRAY_REGISTRY_LIMIT,
-    cache_enabled,
-    record_lookup,
-    registry,
-)
 
 #: Largest full evaluation table (``q * m`` int64 entries) exported for
 #: the NumPy kernel backend; larger families are evaluated per round on
 #: the colors actually present instead of as one dense table.
 VALUE_TABLE_LIMIT = 1 << 22
 
+#: Bound of each scalar memo below (primes, families, schedules): sweeps
+#: re-derive the same few field sizes and schedules for every trial.
+MEMO_SIZE = 1 << 16
 
-def _is_prime_raw(n: int) -> bool:
+#: Bound of the value-table memo: each entry is a ``(q, m)`` int64
+#: ndarray of up to :data:`VALUE_TABLE_LIMIT` entries.
+VALUE_TABLE_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality (fields here are small).
+
+    Memoized: schedule construction probes the same field sizes for
+    every trial of a sweep.
+    """
     if n < 2:
         return False
     if n < 4:
@@ -49,36 +58,13 @@ def _is_prime_raw(n: int) -> bool:
     return True
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality (fields here are small).
-
-    Memoized process-wide (``REPRO_SIM_CACHE=0`` disables): schedule
-    construction probes the same field sizes for every trial of a sweep.
-    """
-    if not cache_enabled():
-        return _is_prime_raw(n)
-    memo = registry("is_prime")
-    cached = memo.get(n)
-    if cached is None:
-        cached = memo[n] = _is_prime_raw(n)
-    return cached
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def next_prime(n: int) -> int:
     """The smallest prime >= n (memoized like :func:`is_prime`)."""
-    if not cache_enabled():
-        candidate = max(2, n)
-        while not _is_prime_raw(candidate):
-            candidate += 1
-        return candidate
-    memo = registry("next_prime")
-    cached = memo.get(n)
-    if cached is None:
-        candidate = max(2, n)
-        while not is_prime(candidate):
-            candidate += 1
-        cached = memo[n] = candidate
-    return cached
+    candidate = max(2, n)
+    while not is_prime(candidate):
+        candidate += 1
+    return candidate
 
 
 class PolynomialFamily:
@@ -105,8 +91,7 @@ class PolynomialFamily:
         # Per-instance memo tables.  A family is immutable apart from
         # these (they only ever grow), so a shared instance (see
         # :func:`shared_family`) keeps its evaluation table warm across
-        # nodes, trials, and -- via :func:`repro.substrates.cache.snapshot`
-        # -- process-pool workers.
+        # nodes and trials.
         self._coeff_memo: dict = {}
         self._eval_memo: dict = {}
 
@@ -168,30 +153,15 @@ class PolynomialFamily:
         pass replaces ``q * m`` scalar evaluations.  Returns ``None``
         when the array backend is off, the family exceeds the int64
         overflow bounds, or the table would be larger than
-        :data:`VALUE_TABLE_LIMIT` entries.  Cached process-wide on
-        ``(q, m, k)`` (``REPRO_SIM_CACHE=0`` disables) so repeated
-        trials -- and, via :func:`repro.substrates.cache.snapshot`,
-        process-pool workers -- share one read-only table.
+        :data:`VALUE_TABLE_LIMIT` entries.  Memoized on ``(q, m, k)``
+        (:func:`value_table`), so repeated trials share one read-only
+        table.
         """
         np = arrays.get_numpy()
         if np is None or not arrays.field_fits(self.m, self.q) \
                 or self.q * self.m > VALUE_TABLE_LIMIT:
             return None
-        if not cache_enabled():
-            return self._value_table_raw(np)
-        memo = registry("value_tables", ARRAY_REGISTRY_LIMIT)
-        key = (self.q, self.m, self.k)
-        table = memo.get(key)
-        if table is None:
-            table = memo[key] = self._value_table_raw(np)
-        return table
-
-    def _value_table_raw(self, np):
-        table = arrays.batched_horner(
-            np, np.arange(self.q, dtype=np.int64), self.m, self.k
-        )
-        table.setflags(write=False)
-        return table
+        return value_table(self.q, self.m, self.k)
 
     def value_rows(self, colors):
         """Evaluation rows for an int64 ndarray of valid color indices.
@@ -213,24 +183,26 @@ class PolynomialFamily:
         return self.m * self.m
 
 
+@lru_cache(maxsize=VALUE_TABLE_MEMO_SIZE)
+def value_table(q: int, m: int, k: int):
+    """The read-only ``(q, m)`` table ``table[i, x] == p_i(x)`` over
+    ``F_m``.  Callers (:meth:`PolynomialFamily.value_table`) check that
+    the array backend is on and the table fits its bounds."""
+    np = arrays.get_numpy()
+    table = arrays.batched_horner(np, np.arange(q, dtype=np.int64), m, k)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def shared_family(q: int, m: int, k: int) -> PolynomialFamily:
     """The process-wide :class:`PolynomialFamily` for ``(q, m, k)``.
 
     Families are pure functions of their parameters, so every trial of a
     sweep can share one instance -- and with it the coefficient and
-    evaluation memos, which dominate recoloring cost.  Falls back to a
-    fresh instance when caching is disabled.
+    evaluation memos, which dominate recoloring cost.
     """
-    if not cache_enabled():
-        record_lookup("families", False)
-        return PolynomialFamily(q, m, k)
-    memo = registry("families")
-    key = (q, m, k)
-    family = memo.get(key)
-    record_lookup("families", family is not None)
-    if family is None:
-        family = memo[key] = PolynomialFamily(q, m, k)
-    return family
+    return PolynomialFamily(q, m, k)
 
 
 @dataclass(frozen=True)
@@ -317,30 +289,20 @@ def choose_defective_step(q: int, alpha_step: float) -> Optional[RecoloringStep]
 def proper_schedule(q: int, avoid: int) -> List[RecoloringStep]:
     """The full Linial schedule: steps until the palette stops shrinking.
 
-    Memoized on ``(q, avoid)`` process-wide; a fresh list of the
-    (immutable) steps is returned so callers may slice or mutate it.
+    Memoized on ``(q, avoid)``; a fresh list of the (immutable) steps is
+    returned so callers may slice or mutate it.
     """
-    memo = registry("proper_schedule") if cache_enabled() else None
-    if memo is not None:
-        cached = memo.get((q, avoid))
-        record_lookup("proper_schedule", cached is not None)
-        if cached is not None:
-            return list(cached)
-    else:
-        record_lookup("proper_schedule", False)
-    steps = _proper_schedule_raw(q, avoid)
-    if memo is not None:
-        memo[(q, avoid)] = tuple(steps)
-    return steps
+    return list(_proper_schedule(q, avoid))
 
 
-def _proper_schedule_raw(q: int, avoid: int) -> List[RecoloringStep]:
+@lru_cache(maxsize=MEMO_SIZE)
+def _proper_schedule(q: int, avoid: int) -> Tuple[RecoloringStep, ...]:
     steps: List[RecoloringStep] = []
     current = q
     while True:
         step = choose_proper_step(current, avoid)
         if step is None:
-            return steps
+            return tuple(steps)
         steps.append(step)
         current = step.palette_size
         if len(steps) > 64:  # pragma: no cover - schedule always converges
@@ -361,22 +323,11 @@ def defective_schedule(q: int, alpha: float) -> List[RecoloringStep]:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-
-    memo = registry("defective_schedule") if cache_enabled() else None
-    if memo is not None:
-        cached = memo.get((q, alpha))
-        record_lookup("defective_schedule", cached is not None)
-        if cached is not None:
-            return list(cached)
-    else:
-        record_lookup("defective_schedule", False)
-    steps = _defective_schedule_raw(q, alpha)
-    if memo is not None:
-        memo[(q, alpha)] = tuple(steps)
-    return steps
+    return list(_defective_schedule(q, alpha))
 
 
-def _defective_schedule_raw(q: int, alpha: float) -> List[RecoloringStep]:
+@lru_cache(maxsize=MEMO_SIZE)
+def _defective_schedule(q: int, alpha: float) -> Tuple[RecoloringStep, ...]:
     t_hat = max(2, _count_equal_split_steps(q, alpha / 2.0))
     for _ in range(8):
         steps: List[RecoloringStep] = []
@@ -396,7 +347,7 @@ def _defective_schedule_raw(q: int, alpha: float) -> List[RecoloringStep]:
         final = choose_defective_step(current, alpha / 2.0)
         if final is not None:
             steps.append(final)
-        return steps
+        return tuple(steps)
     raise RuntimeError(
         "defective schedule failed to converge")  # pragma: no cover
 

@@ -27,7 +27,7 @@ from repro.graphs import (
     grid_graph,
     ring_graph,
 )
-from repro.graphs import generators, streaming
+from repro.graphs import streaming
 from repro.graphs.streaming import (
     csr_from_edges,
     gnp_edges,
@@ -383,19 +383,9 @@ class TestErrors:
 
 
 # ----------------------------------------------------------------------
-# Interning gate and shared-memory lookup
+# Shared-memory lookup
 # ----------------------------------------------------------------------
 class TestInterning:
-    def test_small_topologies_are_interned(self):
-        assert stream_ring(64) is stream_ring(64)
-
-    def test_large_topologies_bypass_registry(self, monkeypatch):
-        monkeypatch.setattr(generators, "INTERN_NODE_LIMIT", 10)
-        first = stream_ring(64)
-        second = stream_ring(64)
-        assert first is not second
-        assert _csr_bytes(first) == _csr_bytes(second)
-
     def test_published_topology_wins(self):
         from repro.sim import shm
 

@@ -91,7 +91,7 @@ class TestSelection:
         from repro.sim.parallel import _init_worker
 
         before = arrays.arrays_enabled()
-        _init_worker(None, None, False)
+        _init_worker(None, False)
         try:
             assert not arrays.arrays_enabled()
         finally:

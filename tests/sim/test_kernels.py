@@ -35,7 +35,6 @@ from repro.sim import (
 )
 from repro.sim.kernels import ColumnInputs, fanout_totals
 from repro.sim.scheduler import run_columns
-from repro.sim.message import set_payload_memo_enabled
 
 
 # ----------------------------------------------------------------------
@@ -297,18 +296,6 @@ def test_intern_broadcast_unhashable_payload_degrades():
     second = intern_broadcast(0, "t", payload, 16)
     assert first is not second
     assert first.payload == second.payload == [1, 2, 3]
-
-
-def test_intern_broadcast_honors_cache_switch():
-    clear_payload_memo()
-    previous = set_payload_memo_enabled(False)
-    try:
-        first = intern_broadcast(2, "t", 9, 8)
-        second = intern_broadcast(2, "t", 9, 8)
-        assert first is not second
-    finally:
-        set_payload_memo_enabled(previous)
-        clear_payload_memo()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.sim import (
     intern_payload,
     payload_bits,
 )
-from repro.sim.message import set_payload_memo_enabled
+from repro.sim.message import _estimate_payload_bits
 
 
 class TestIntBits:
@@ -119,15 +119,14 @@ class TestPayloadBits:
 
 class TestPayloadMemo:
     def test_memo_agrees_with_disabled_estimator(self):
+        # ``_estimate_payload_bits`` sizes a payload without reading or
+        # writing the memo at its top level.
         payloads = [0, -9, "xyz", (1, (2, -3)), frozenset({7}), True]
         clear_payload_memo()
         memoized = [payload_bits(p) for p in payloads]
         memoized_again = [payload_bits(p) for p in payloads]
-        previous = set_payload_memo_enabled(False)
-        try:
-            raw = [payload_bits(p) for p in payloads]
-        finally:
-            set_payload_memo_enabled(previous)
+        clear_payload_memo()
+        raw = [_estimate_payload_bits(p) for p in payloads]
         assert memoized == raw == memoized_again
 
     def test_unhashable_payloads_skip_the_memo(self):

@@ -230,7 +230,7 @@ class TestKeepFreedMemory:
                             lambda: calls.append("heap") or True)
         previous = arrays.set_arrays_override(None)
         try:
-            parallel._init_worker(None)
+            parallel._init_worker()
         finally:
             arrays.set_arrays_override(previous)
         assert calls == ["heap"]

@@ -12,12 +12,17 @@ original and feeds the kernels unchanged.  Publishing must degrade to
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.graphs.streaming import csr_from_edges, ring_edges
 from repro.sim import CompiledNetwork, CostLedger, parallel_sweep, shm, \
     use_engine
 from repro.substrates.greedy import greedy_color_reduction
+
+#: Subprocesses import ``repro`` from this checkout's ``src``.
+_REPO_ROOT = str(pathlib.Path(__file__).resolve().parents[2])
 
 
 def _ring_compiled(n: int) -> CompiledNetwork:
@@ -356,7 +361,7 @@ class TestWorkerDeath:
                 os.kill(os.getpid(), {int(signal.SIGKILL)})
             """)
             proc = subprocess.Popen(
-                [sys.executable, "-c", script], cwd="/root/repo",
+                [sys.executable, "-c", script], cwd=_REPO_ROOT,
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             )
             out, err = proc.communicate(timeout=60)
@@ -396,7 +401,7 @@ class TestWorkerDeath:
             time.sleep(60)
         """)
         proc = subprocess.Popen(
-            [sys.executable, "-c", script], cwd="/root/repo",
+            [sys.executable, "-c", script], cwd=_REPO_ROOT,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
