@@ -465,7 +465,15 @@ def _gnp_block(np, n: int, p: float, seed: int):
             break
         found.append(steps)
         t = int(steps[-1])
-    index = found[0] if len(found) == 1 else np.concatenate(found)
+    return _unrank_pairs(np, n, found[0] if len(found) == 1
+                         else np.concatenate(found))
+
+
+def _unrank_pairs(np, n: int, index):
+    """The int64 ``(m, 2)`` block of the pairs ``u < v`` at the sorted
+    ``index`` positions of the lexicographic sequence of all
+    ``n * (n - 1) / 2`` pairs.  The rows are unranked by searching the
+    ``n`` row starts in ``index``."""
     # Row u holds the pairs [row_start[u], row_start[u] + n - u - 1), so
     # pair t sits in column t - (row_start[u] - u - 1).
     row_start = np.zeros(n, dtype=np.int64)
@@ -476,6 +484,38 @@ def _gnp_block(np, n: int, p: float, seed: int):
     np.subtract(index, np.repeat(row_start - np.arange(1, n + 1), counts),
                 out=block[:, 1])
     return block
+
+
+#: Pair draws per chunk of :func:`gnp_compiled` (8 MiB of float64), so
+#: its memory does not grow with the ``n * (n - 1) / 2`` pairs.
+_GNP_PAIR_CHUNK = 1 << 20
+
+
+def gnp_compiled(n: int, p: float, seed: int) -> CompiledNetwork:
+    """``gnp_graph(n, p, seed).compile()``'s CSR, without the Network.
+
+    ``gnp_graph`` draws one ``rng.random()`` per pair, in lexicographic
+    order, and keeps the pairs drawn below ``p``.  With the array
+    backend on, those draws are replayed exactly from bulk Mersenne
+    Twister words (:func:`repro.sim.arrays.mt_doubles`), a chunk at a
+    time, and the kept pairs are unranked into one lexicographic edge
+    block; otherwise this is ``gnp_graph(n, p, seed).compile()``.
+    """
+    np = arrays.get_numpy()
+    if np is None:
+        from .generators import gnp_graph
+
+        return gnp_graph(n, p, seed).compile()
+    if not 0.0 <= p <= 1.0:
+        raise NetworkError("edge probability must lie in [0, 1]")
+    rng = random.Random(seed)
+    kept = [
+        np.flatnonzero(arrays.mt_doubles(np, rng, hi - lo) < p) + lo
+        for lo, hi in arrays.iter_chunks(n * (n - 1) // 2, _GNP_PAIR_CHUNK)
+    ]
+    index = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    return CompiledNetwork.from_csr(
+        *csr_from_edges(n, _unrank_pairs(np, n, index)))
 
 
 def stream_ring(n: int) -> CompiledNetwork:

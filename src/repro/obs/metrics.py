@@ -1,10 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-Every layer of this repo used to keep its own private tally --
-``KernelStats`` in :mod:`repro.sim.kernels`, the topology lookup
-hit/miss counters, the worker-pool and admission dicts, the daemon's
-rolling latency window.
-This module is the one place those quantities now land: a
+Kernel dispatch decisions, shared-topology lookups, scheduler runs,
+pool occupancy and the daemon's requests all land in one place: a
 dependency-free registry of :class:`Counter`, :class:`Gauge`, and
 :class:`Histogram` metrics with labeled children, an atomic
 :func:`snapshot`, :func:`merge` for rebasing child-process snapshots
@@ -13,11 +10,12 @@ daemon's ``GET /metrics``.
 
 Design rules, in priority order:
 
-*Observation must not change results.*  Metrics are write-only from the
-hot paths' point of view; nothing in the engines reads them back.  The
-legacy dicts (``kernel_stats()`` and friends) remain the authoritative
-views -- instrumented call sites *dual-write* into this registry, so
-every pre-existing surface stays bit-identical.
+*Observation must not change results.*  No result depends on a metric:
+the scheduler reads the kernel counts back only for physical trace
+fields.  The registry is the only store of kernel and topology-lookup
+counts: ``kernel_stats()`` and ``cache_counters()`` are read-only views
+over their families (:meth:`MetricsRegistry.values`), so a merged
+worker delta shows up in them exactly as in ``snapshot()``.
 
 *One registry object, forever.*  :func:`reset_metrics` clears values in
 place instead of swapping the registry, so module-level handles cached
@@ -46,9 +44,8 @@ from typing import (Any, Dict, IO, Iterable, List, Mapping, Optional,
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricError", "MetricsFlusher",
     "MetricsRegistry", "REGISTRY", "counter", "gauge", "histogram",
-    "exposition", "log_buckets", "merge", "metrics_enabled",
-    "nearest_rank", "percentile", "record_run", "reset_metrics",
-    "sample_quantile", "set_metrics_enabled", "snapshot",
+    "exposition", "log_buckets", "merge", "nearest_rank", "percentile",
+    "record_run", "reset_metrics", "sample_quantile", "snapshot",
     "snapshot_delta", "LATENCY_BUCKETS",
 ]
 
@@ -220,8 +217,6 @@ class CounterHandle(_Handle):
                 f"(inc({amount!r}))"
             )
         metric = self._metric
-        if not metric._registry.enabled:
-            return
         with metric._lock:
             cells = metric._cells
             cells[self._key] = cells.get(self._key, 0.0) + amount
@@ -253,15 +248,11 @@ class GaugeHandle(_Handle):
 
     def set(self, value: float) -> None:
         metric = self._metric
-        if not metric._registry.enabled:
-            return
         with metric._lock:
             metric._cells[self._key] = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         metric = self._metric
-        if not metric._registry.enabled:
-            return
         with metric._lock:
             cells = metric._cells
             cells[self._key] = cells.get(self._key, 0.0) + amount
@@ -313,8 +304,6 @@ class HistogramHandle(_Handle):
 
     def observe(self, value: float) -> None:
         metric = self._metric
-        if not metric._registry.enabled:
-            return
         value = float(value)
         edges = metric.buckets
         lo, hi = 0, len(edges)
@@ -387,10 +376,9 @@ class Histogram(_Metric):
 class MetricsRegistry:
     """A named collection of metrics with atomic snapshot/merge."""
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self):
         self._lock = threading.RLock()
         self._metrics: Dict[str, _Metric] = {}
-        self.enabled = enabled
 
     # -- get-or-create -------------------------------------------------
     def _get_or_create(self, cls, name: str, help: str,
@@ -525,6 +513,14 @@ class MetricsRegistry:
                             setattr(cell, bound,
                                     theirs if ours is None
                                     else pick(ours, theirs))
+
+    def values(self, name: str) -> Dict[Tuple[str, ...], float]:
+        """``{label values: value}`` of one counter or gauge, empty when
+        ``name`` is unregistered: a read of one family's cells, far
+        cheaper than :meth:`snapshot`."""
+        with self._lock:
+            metric = self._metrics.get(name)
+            return dict(metric._cells) if metric is not None else {}
 
     def reset(self) -> None:
         """Zero every metric in place; registered metrics survive."""
@@ -706,18 +702,6 @@ def exposition() -> str:
     return REGISTRY.exposition()
 
 
-def metrics_enabled() -> bool:
-    """Whether the process registry is recording."""
-    return REGISTRY.enabled
-
-
-def set_metrics_enabled(enabled: bool) -> bool:
-    """Toggle recording; returns the previous state (tests only)."""
-    previous = REGISTRY.enabled
-    REGISTRY.enabled = bool(enabled)
-    return previous
-
-
 # ----------------------------------------------------------------------
 # Per-run scheduler metrics
 # ----------------------------------------------------------------------
@@ -733,8 +717,6 @@ def record_run(engine: str, rounds: int, messages: int, bits: int,
     Handles are memoized per engine so the steady-state cost is a few
     dict updates under one lock round-trip per metric.
     """
-    if not REGISTRY.enabled:
-        return
     handles = _run_handles.get(engine)
     if handles is None:
         labels = {"engine": engine}

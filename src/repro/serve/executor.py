@@ -75,13 +75,15 @@ def resolve_topology(topology: Dict[str, Any]) -> Tuple[Hashable, Any]:
 
     Returns ``(key, compiled)``.  Every kind resolves to a
     :class:`~repro.sim.compiled.CompiledNetwork`: streamed families via
-    their shm-aware builders, seeded ``gnp`` via the generator's
-    ``compile()``, inline ``edges`` via a CSR build after an shm lookup,
-    and ``graph`` handles strictly via shm (the daemon publishes uploads
-    there).
+    their shm-aware builders, seeded ``gnp`` via
+    :func:`~repro.graphs.streaming.gnp_compiled` (the CSR of
+    ``gnp_graph(...).compile()``), inline ``edges`` via a CSR build
+    after an shm lookup, and ``graph`` handles strictly via shm (the
+    daemon publishes uploads there).
     """
     from ..graphs.streaming import (
         csr_from_edges,
+        gnp_compiled,
         stream_gnp,
         stream_grid,
         stream_regular,
@@ -104,11 +106,8 @@ def resolve_topology(topology: Dict[str, Any]) -> Tuple[Hashable, Any]:
         return key, stream_regular(topology["n"], topology["degree"],
                                    topology["seed"])
     if kind == "gnp":
-        from ..graphs.generators import gnp_graph
-
-        network = gnp_graph(topology["n"], topology["density"],
-                            topology["seed"])
-        return key, network.compile()
+        return key, gnp_compiled(topology["n"], topology["density"],
+                                 topology["seed"])
     if kind == "edges":
         from ..sim import shm
         from ..sim.compiled import CompiledNetwork

@@ -14,13 +14,11 @@ from .errors import (
 )
 from .kernels import (
     KernelRound,
-    KernelStats,
     RoundKernel,
     kernel_for,
     kernel_stats,
     register_kernel,
     registered_kernels,
-    reset_kernel_stats,
     unregister_kernel,
 )
 from .message import (
@@ -69,7 +67,6 @@ __all__ = [
     "InfeasibleInstanceError",
     "InstanceError",
     "KernelRound",
-    "KernelStats",
     "LocalModel",
     "Message",
     "Network",
@@ -101,7 +98,6 @@ __all__ = [
     "payload_bits",
     "register_kernel",
     "registered_kernels",
-    "reset_kernel_stats",
     "run_protocol",
     "run_trials",
     "set_default_engine",

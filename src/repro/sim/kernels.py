@@ -228,104 +228,72 @@ def registered_kernels() -> Tuple[type, ...]:
 # records every eligibility decision here so sweep reports and the CLI
 # can surface whether runs actually went through a kernel, which kernel,
 # how long ``prepare`` (the warmup) took, and why any run fell back.
+# The metrics registry is the only store; :func:`kernel_stats` reads it.
 # ----------------------------------------------------------------------
-class KernelStats:
-    """Cumulative counters for vectorized-engine dispatch decisions.
+_HITS = "repro_kernel_hits_total"
+_FALLBACKS = "repro_kernel_fallbacks_total"
+_WARMUP = "repro_kernel_warmup_seconds_total"
 
-    ``runs = hits + fallbacks``; ``warmup_s`` accumulates the wall-clock
-    spent in ``prepare`` (including declined prepares, which also pay
-    it); ``by_kernel`` maps kernel class names to hit counts,
-    ``by_reason`` maps fallback reasons (``observer`` / ``stop_when`` /
-    ``programs`` / ``empty`` / ``unregistered`` / ``declined``) to counts,
-    and ``by_backend`` maps ``"KernelName[backend]"`` to hit counts so
-    operators can see which column representation
-    (:mod:`repro.sim.arrays`) each kernel actually ran on.
+
+def kernel_stats(registry: obs_metrics.MetricsRegistry = obs_metrics.REGISTRY
+                 ) -> Dict[str, Any]:
+    """The kernel dispatch counts in ``registry``, as a plain dict.
+
+    A read-only view over the ``repro_kernel_*`` families (the process
+    registry by default, which includes merged worker deltas):
+    ``runs = hits + fallbacks``; ``warmup_s`` is the wall-clock spent in
+    ``prepare`` (declined prepares pay it too); ``by_kernel`` maps
+    kernel class names to hit counts, ``by_reason`` maps fallback
+    reasons (``observer`` / ``stop_when`` / ``programs`` / ``empty`` /
+    ``unregistered`` / ``declined``) to counts, and ``by_backend`` maps
+    ``"KernelName[backend]"`` to hit counts, so operators can see which
+    column representation (:mod:`repro.sim.arrays`) each kernel ran on.
     """
-
-    __slots__ = ("runs", "hits", "fallbacks", "warmup_s", "by_kernel",
-                 "by_reason", "by_backend")
-
-    def __init__(self):
-        self.runs = 0
-        self.hits = 0
-        self.fallbacks = 0
-        self.warmup_s = 0.0
-        self.by_kernel: Dict[str, int] = {}
-        self.by_reason: Dict[str, int] = {}
-        self.by_backend: Dict[str, int] = {}
-
-    def as_dict(self) -> Dict[str, Any]:
-        """A picklable snapshot (ships across process-pool boundaries)."""
-        return {
-            "runs": self.runs,
-            "hits": self.hits,
-            "fallbacks": self.fallbacks,
-            "warmup_s": self.warmup_s,
-            "by_kernel": dict(self.by_kernel),
-            "by_reason": dict(self.by_reason),
-            "by_backend": dict(self.by_backend),
-        }
+    by_kernel: Dict[str, int] = {}
+    by_backend: Dict[str, int] = {}
+    for (kernel, backend), count in registry.values(_HITS).items():
+        by_kernel[kernel] = by_kernel.get(kernel, 0) + int(count)
+        by_backend[f"{kernel}[{backend}]"] = int(count)
+    by_reason = {reason: int(count) for (reason,), count
+                 in registry.values(_FALLBACKS).items()}
+    hits = sum(by_kernel.values())
+    fallbacks = sum(by_reason.values())
+    return {
+        "runs": hits + fallbacks,
+        "hits": hits,
+        "fallbacks": fallbacks,
+        "warmup_s": float(registry.values(_WARMUP).get((), 0.0)),
+        "by_kernel": by_kernel,
+        "by_reason": by_reason,
+        "by_backend": by_backend,
+    }
 
 
-_stats = KernelStats()
-
-
-def kernel_stats() -> Dict[str, Any]:
-    """A snapshot of this process's cumulative kernel statistics."""
-    return _stats.as_dict()
-
-
-def reset_kernel_stats() -> None:
-    """Zero the counters (benchmark harnesses, tests)."""
-    global _stats
-    _stats = KernelStats()
+def _record_dispatch(outcome: str, warmup_s: float) -> None:
+    obs_metrics.counter(
+        "repro_kernel_dispatch_total",
+        "Vectorized-engine dispatch decisions", ("outcome",),
+    ).labels(outcome=outcome).inc()
+    if warmup_s:
+        obs_metrics.counter(
+            _WARMUP, "Wall-clock spent in kernel prepare()",
+        ).inc(warmup_s)
 
 
 def _record_hit(kernel_name: str, warmup_s: float,
                 backend: str = "python") -> None:
-    _stats.runs += 1
-    _stats.hits += 1
-    _stats.warmup_s += warmup_s
-    _stats.by_kernel[kernel_name] = _stats.by_kernel.get(kernel_name, 0) + 1
-    key = f"{kernel_name}[{backend}]"
-    _stats.by_backend[key] = _stats.by_backend.get(key, 0) + 1
-    # Dual-write into the process metrics registry.  KernelStats stays
-    # the authoritative dict view; the registry is the unified surface
-    # the daemon exposes and the parent merges worker deltas into.
+    _record_dispatch("hit", warmup_s)
     obs_metrics.counter(
-        "repro_kernel_dispatch_total",
-        "Vectorized-engine dispatch decisions", ("outcome",),
-    ).labels(outcome="hit").inc()
-    obs_metrics.counter(
-        "repro_kernel_hits_total",
-        "Kernel executions by kernel class and backend",
+        _HITS, "Kernel executions by kernel class and backend",
         ("kernel", "backend"),
     ).labels(kernel=kernel_name, backend=backend).inc()
-    if warmup_s:
-        obs_metrics.counter(
-            "repro_kernel_warmup_seconds_total",
-            "Wall-clock spent in kernel prepare()",
-        ).inc(warmup_s)
 
 
 def _record_fallback(reason: str, warmup_s: float = 0.0) -> None:
-    _stats.runs += 1
-    _stats.fallbacks += 1
-    _stats.warmup_s += warmup_s
-    _stats.by_reason[reason] = _stats.by_reason.get(reason, 0) + 1
+    _record_dispatch("fallback", warmup_s)
     obs_metrics.counter(
-        "repro_kernel_dispatch_total",
-        "Vectorized-engine dispatch decisions", ("outcome",),
-    ).labels(outcome="fallback").inc()
-    obs_metrics.counter(
-        "repro_kernel_fallbacks_total",
-        "Kernel fallbacks by reason", ("reason",),
+        _FALLBACKS, "Kernel fallbacks by reason", ("reason",),
     ).labels(reason=reason).inc()
-    if warmup_s:
-        obs_metrics.counter(
-            "repro_kernel_warmup_seconds_total",
-            "Wall-clock spent in kernel prepare()",
-        ).inc(warmup_s)
 
 
 # ----------------------------------------------------------------------

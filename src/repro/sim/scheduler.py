@@ -233,7 +233,7 @@ class Scheduler:
         engine-equivalence contract); ``engine`` / ``kernel`` /
         ``fallback`` / wall-clock ride along as physical fields, with
         kernel attribution recovered from the process
-        :class:`~repro.sim.kernels.KernelStats` delta.
+        :func:`~repro.sim.kernels.kernel_stats` delta.
         """
         from .kernels import kernel_stats
 

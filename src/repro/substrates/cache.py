@@ -7,6 +7,10 @@ instead of building its own.  Each resolution is counted under
 ``"topologies"`` with :func:`record_lookup`; request manifests, ``/stats``
 and run manifests read :func:`cache_counters` to report how warm a
 request or run actually was.  Counting never changes results.
+
+The counts live only in the metrics registry's
+``repro_cache_lookups_total`` family, so they include the worker deltas
+merged into it.
 """
 
 from __future__ import annotations
@@ -15,21 +19,13 @@ from typing import Dict
 
 from ..obs import metrics as obs_metrics
 
-#: ``name -> {"hits": int, "misses": int}``.
-_counters: Dict[str, Dict[str, int]] = {}
+_LOOKUPS = "repro_cache_lookups_total"
 
 
 def record_lookup(name: str, hit: bool) -> None:
     """Count one lookup, for :func:`cache_counters`."""
-    entry = _counters.get(name)
-    if entry is None:
-        entry = _counters[name] = {"hits": 0, "misses": 0}
-    entry["hits" if hit else "misses"] += 1
-    # Dual-write into the unified registry; the dict above remains the
-    # authoritative view read by manifests and /stats.
     obs_metrics.counter(
-        "repro_cache_lookups_total",
-        "Shared-topology lookups by registry and outcome",
+        _LOOKUPS, "Shared-topology lookups by registry and outcome",
         ("registry", "outcome"),
     ).labels(registry=name, outcome="hit" if hit else "miss").inc()
 
@@ -41,9 +37,9 @@ def cache_counters() -> Dict[str, Dict[str, int]]:
     attribution snapshot before and after (see
     :func:`repro.serve.executor.counters_delta`).
     """
-    return {name: dict(entry) for name, entry in _counters.items()}
-
-
-def reset_cache_counters() -> None:
-    """Zero the hit/miss counters (tests and per-worker accounting)."""
-    _counters.clear()
+    counters: Dict[str, Dict[str, int]] = {}
+    for (name, outcome), count in obs_metrics.REGISTRY.values(
+            _LOOKUPS).items():
+        entry = counters.setdefault(name, {"hits": 0, "misses": 0})
+        entry["hits" if outcome == "hit" else "misses"] += int(count)
+    return counters

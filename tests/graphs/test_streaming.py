@@ -30,6 +30,7 @@ from repro.graphs import (
 from repro.graphs import streaming
 from repro.graphs.streaming import (
     csr_from_edges,
+    gnp_compiled,
     gnp_edges,
     greedy_seed_coloring,
     grid_edges,
@@ -174,6 +175,43 @@ class TestRandomizedStreams:
     def test_gnp_is_seeded(self):
         assert list(gnp_edges(50, 0.2, 3)) == list(gnp_edges(50, 0.2, 3))
         assert list(gnp_edges(50, 0.2, 3)) != list(gnp_edges(50, 0.2, 4))
+
+
+class TestGnpCompiled:
+    """``gnp_compiled`` replays ``gnp_graph``'s one draw per pair from
+    bulk Mersenne Twister words; its CSR must equal
+    ``gnp_graph(...).compile()`` byte for byte, on either backend."""
+
+    CASES = [
+        *((n, p, seed) for n in (0, 1, 2) for p in (0.0, 0.5, 1.0)
+          for seed in (0, 7)),
+        (3, 0.5, 1), (40, 0.0, 2), (40, 1.0, 2), (60, 0.3, 5),
+        (300, 0.2, 5), (700, 0.01, 9),
+    ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_matches_materialized_bytes(self, enabled):
+        if enabled:
+            pytest.importorskip("numpy")
+        previous = arrays.set_arrays_override(enabled)
+        try:
+            for n, p, seed in self.CASES:
+                got = gnp_compiled(n, p, seed)
+                want = gnp_graph(n, p, seed).compile()
+                assert _csr_bytes(got) == _csr_bytes(want), (n, p, seed)
+                assert list(got.order) == list(want.order)
+        finally:
+            arrays.set_arrays_override(previous)
+
+    def test_chunks_replay_one_stream(self, monkeypatch):
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(streaming, "_GNP_PAIR_CHUNK", 7)
+        previous = arrays.set_arrays_override(True)
+        try:
+            got = gnp_compiled(90, 0.1, 3)
+        finally:
+            arrays.set_arrays_override(previous)
+        assert _csr_bytes(got) == _csr_bytes(gnp_graph(90, 0.1, 3).compile())
 
 
 def _pair_block(np, edges):

@@ -329,17 +329,14 @@ class TestModuleSingleton:
         finally:
             m.reset_metrics()
 
-    def test_disable_enable(self):
+    def test_values_reads_one_family(self):
         m.reset_metrics()
         try:
-            m.set_metrics_enabled(False)
-            m.counter("repro_off_total", "t").inc()
-            assert "repro_off_total" not in {
-                name for name, entry in m.snapshot().items()
-                if entry["samples"]
-            }
+            m.counter("repro_v_total", "t", ("kind",)).labels(
+                kind="a").inc(2)
+            assert m.REGISTRY.values("repro_v_total") == {("a",): 2.0}
+            assert m.REGISTRY.values("repro_absent_total") == {}
         finally:
-            m.set_metrics_enabled(True)
             m.reset_metrics()
 
 
@@ -379,7 +376,7 @@ class TestFlusher:
 
 
 class TestLogicalInvariance:
-    def test_colors_and_ledger_identical_with_metrics_off(self):
+    def test_colors_and_ledger_independent_of_registry_state(self):
         """Instrumentation observes; it must never perturb results."""
         from repro.coloring import random_oldc_instance
         from repro.core import two_sweep
@@ -397,11 +394,7 @@ class TestLogicalInvariance:
             return sorted(result.colors.items()), ledger.to_dict()
 
         m.reset_metrics()
-        with_metrics = run()
-        m.set_metrics_enabled(False)
-        try:
-            without_metrics = run()
-        finally:
-            m.set_metrics_enabled(True)
-            m.reset_metrics()
-        assert with_metrics == without_metrics
+        on_empty = run()
+        on_counted = run()
+        m.reset_metrics()
+        assert on_empty == on_counted

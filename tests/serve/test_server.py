@@ -638,3 +638,33 @@ class TestProcessMode:
                     assert stats["pool"]["restarts"] >= 1
         except PermissionError:  # pragma: no cover - sandboxed CI
             pytest.skip("process pools unavailable in this sandbox")
+
+    def test_stats_caches_count_worker_lookups(self):
+        """``/stats.caches`` reads the registry the workers' deltas merge
+        into: a prewarmed ring served three times by one process worker
+        reports the parent's build miss and the three workers' shm hits,
+        exactly the ``repro_cache_lookups_total`` samples of the same
+        payload."""
+        ring = {"kind": "ring-stream", "n": 64}
+        obs_metrics.reset_metrics()
+        server = ColoringServer(mode="process", workers=1, prewarm=(ring,))
+        with ServerHandle(server) as handle:
+            if server.supervisor.pool.mode != "process":
+                pytest.skip("process pools unavailable: "
+                            f"{server.supervisor.pool.fallback_reason}")
+            with ServeClient(handle.host, handle.port) as conn:
+                for _ in range(3):
+                    status, payload = conn.color(
+                        {"topology": ring, "algorithm": GREEDY})
+                    assert status == 200, payload
+                stats = conn.stats()
+        lookups = {}
+        for sample in stats["metrics"]["repro_cache_lookups_total"][
+                "samples"]:
+            labels = sample["labels"]
+            entry = lookups.setdefault(labels["registry"],
+                                       {"hits": 0, "misses": 0})
+            outcome = "hits" if labels["outcome"] == "hit" else "misses"
+            entry[outcome] += int(sample["value"])
+        assert stats["caches"]["counters"] == lookups
+        assert lookups == {"topologies": {"hits": 3, "misses": 1}}

@@ -19,10 +19,11 @@ import pytest
 from repro.graphs import binary_tree, gnp_graph, orient_by_id, sequential_ids
 from repro.coloring import OLDCInstance, random_oldc_instance
 from repro.core import two_sweep
+from repro.obs import reset_metrics
 from repro.sim import CostLedger, use_engine
 from repro.sim import arrays
 from repro.sim.errors import AlgorithmFailure
-from repro.sim.kernels import kernel_stats, reset_kernel_stats
+from repro.sim.kernels import kernel_stats
 from repro.substrates import linial_coloring
 from repro.substrates.cover_free import shared_family
 
@@ -192,14 +193,14 @@ def _run_linial(network):
 
 def test_backend_stats_and_equivalence(force_arrays):
     network = binary_tree(7)
-    reset_kernel_stats()
+    reset_metrics()
     with_numpy = _run_linial(network)
     stats = kernel_stats()
     assert stats["by_backend"].get("AlgebraicRecoloringKernel[numpy]")
     assert stats["by_kernel"].get("AlgebraicRecoloringKernel")
 
     arrays.set_arrays_override(False)
-    reset_kernel_stats()
+    reset_metrics()
     without = _run_linial(network)
     stats = kernel_stats()
     assert stats["by_backend"].get("AlgebraicRecoloringKernel[python]")

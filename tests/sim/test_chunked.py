@@ -14,9 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import gnp_graph, sequential_ids
+from repro.obs import reset_metrics
 from repro.sim import CostLedger, use_engine
 from repro.sim import arrays
-from repro.sim.kernels import kernel_stats, reset_kernel_stats
+from repro.sim.kernels import kernel_stats
 from repro.substrates import linial_coloring
 
 
@@ -145,7 +146,7 @@ class TestPerChunkGating:
             return sorted(colors.items()), palette, ledger.rounds
 
         monkeypatch.delenv(arrays.CHUNK_ENV, raising=False)
-        reset_kernel_stats()
+        reset_metrics()
         unchunked = run()
         stats = kernel_stats()
         assert stats["by_backend"].get("AlgebraicRecoloringKernel[python]")
@@ -153,7 +154,7 @@ class TestPerChunkGating:
             "AlgebraicRecoloringKernel[numpy]")
 
         monkeypatch.setenv(arrays.CHUNK_ENV, "1")
-        reset_kernel_stats()
+        reset_metrics()
         chunked = run()
         stats = kernel_stats()
         assert stats["by_backend"].get("AlgebraicRecoloringKernel[numpy]")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.analysis import grid, sweep
 from repro.sim import SweepReport, default_engine, use_engine
 from repro.sim.parallel import (
+    WorkerPool,
     derive_seed,
     parallel_sweep,
     resolve_workers,
@@ -164,7 +165,7 @@ class TestSweepReport:
         )
         assert list(report) == sweep(measure_square, grid(n=[2, 3]))
         assert report.records == list(report)
-        assert all("__worker__" not in record for record in report)
+        assert all("__metrics__" not in record for record in report)
 
     def test_describe_mentions_engine_and_workers(self):
         report = parallel_sweep(
@@ -175,6 +176,37 @@ class TestSweepReport:
         assert "engine=vectorized" in text
         assert "worker pid=" in text
         assert "TwoSweepKernel x1" in text
+
+
+class TestWorkerReport:
+    """``SweepReport.workers`` is built from the sweep's own deltas."""
+
+    def test_reused_pool_reports_each_sweep_alone(self):
+        params = [{"n": 8}, {"n": 9}]
+        with WorkerPool(max_workers=2, engine="vectorized") as pool:
+            hits = [
+                sum(worker["hits"] for worker in parallel_sweep(
+                    measure_two_sweep, params, pool=pool, report=True,
+                ).workers)
+                for _ in range(3)
+            ]
+        assert hits == [2, 2, 2]
+
+    def test_serial_and_pool_reports_share_keys(self):
+        serial = parallel_sweep(
+            measure_two_sweep, [{"n": 8}], max_workers=1,
+            engine="vectorized", report=True,
+        )
+        pooled = parallel_sweep(
+            measure_two_sweep, [{"n": 8}, {"n": 9}], max_workers=2,
+            engine="vectorized", report=True,
+        )
+        keys = {frozenset(worker)
+                for worker in serial.workers + pooled.workers}
+        assert len(keys) == 1
+        assert {"by_backend", "rss_kb", "pid", "engine"} <= set(keys.pop())
+        assert serial.workers[0]["by_backend"] == {
+            name: 1 for name in serial.workers[0]["by_backend"]}
 
 
 class TestRunTrials:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs import reset_metrics
 from repro.sim import arrays
 from repro.substrates import (
     PolynomialFamily,
@@ -120,10 +121,10 @@ class TestValueTableMemo:
 
 class TestCounters:
     def setup_method(self):
-        cache.reset_cache_counters()
+        reset_metrics()
 
     def teardown_method(self):
-        cache.reset_cache_counters()
+        reset_metrics()
 
     def test_record_lookup_counts_hits_and_misses(self):
         cache.record_lookup("widgets", False)

@@ -235,9 +235,9 @@ class TestTrace:
         assert streams["vectorized"] == streams["reference"]
 
     def test_kernel_stats_fallback_note(self, capsys):
-        from repro.sim import reset_kernel_stats
+        from repro.obs import reset_metrics
 
-        reset_kernel_stats()
+        reset_metrics()
         # The randomized baseline runs node programs, which the
         # vectorized engine hands to reference as a 'programs' fallback.
         assert main([
